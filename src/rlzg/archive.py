@@ -26,17 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorruptArchiveError, UnsupportedVersionError
-from .genome import Collection, Sequence
-from .huffman import HuffmanTable
+from .genome import N, Collection, Sequence
+from .huffman import HuffmanTable, _cat_ranges
 from .kmer import KmerIndex
 from .parse import (
     LITERAL,
     MATCH,
     NRUN,
     RESERVOIR,
-    Factor,
     ParseParams,
-    apply_factor,
+    apply_factor,  # noqa: F401  perfbench's tracer counts calls made through this name
     parse_sequence,
 )
 from .refstore import (
@@ -50,6 +49,7 @@ from .refstore import (
 )
 from .streams import (
     CodedSequence,
+    FactorColumns,
     ModelSet,
     SequenceDecoder,
     build_models,
@@ -137,12 +137,34 @@ def _write_deltas(buf: bytearray, arr: np.ndarray) -> None:
         prev = v
 
 
-def _read_deltas(r: _Reader, n: int, start: int = 0) -> np.ndarray:
-    out = np.empty(n, dtype=np.int64)
-    prev = start
-    for i in range(n):
-        prev += r.varint()
-        out[i] = prev
+def _read_varints(r: _Reader, n: int) -> np.ndarray:
+    """The next ``n`` varints as int64, decoded together.  A varint
+    longer than nine bytes (more than 63 bits) is rejected; the writer
+    never emits one."""
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    avail = min(len(r.data) - r.pos, 10 * n)
+    buf = np.frombuffer(r.data, dtype=np.uint8, count=avail, offset=r.pos)
+    ends = np.flatnonzero(buf < 0x80)[:n]
+    if len(ends) < n:
+        raise CorruptArchiveError("truncated archive")
+    sizes = np.diff(ends, prepend=-1)
+    if int(sizes.max()) > 9:
+        raise CorruptArchiveError("varint does not fit a 64-bit integer")
+    used = int(ends[-1]) + 1
+    firsts = ends - sizes + 1
+    shifts = 7 * (np.arange(used, dtype=np.int64) - np.repeat(firsts, sizes))
+    groups = (buf[:used] & 0x7F).astype(np.int64) << shifts
+    r.pos += used
+    return np.add.reduceat(groups, firsts)
+
+
+def _read_deltas(r: _Reader, n: int) -> np.ndarray:
+    """Running sums of the next ``n`` varints (see :func:`_write_deltas`)."""
+    out = np.cumsum(_read_varints(r, n))
+    # every delta is below 2**63, so a sum past int64 wraps negative first
+    if len(out) and out.min() < 0:
+        raise CorruptArchiveError("delta sum does not fit a 64-bit integer")
     return out
 
 
@@ -196,8 +218,6 @@ def matching_groups(collection: Collection) -> list[Group]:
 
 def n_free_window_count(data: np.ndarray, m1: int) -> int:
     """Number of length-m1 windows containing no N."""
-    from .genome import N
-
     data = np.asarray(data, dtype=np.uint8)
     m = len(data) - m1 + 1
     if m <= 0:
@@ -248,6 +268,19 @@ class _GrowBuf:
         return self.arr[: self.n]
 
 
+@dataclass
+class _Touched:
+    """Distinct coded units one extract reads: (reference entry, block)
+    pairs and, per member entry, its decoder and windows."""
+
+    blocks: set[tuple[int, int]] = field(default_factory=set)
+    windows: dict[int, tuple[SequenceDecoder, set[int]]] = field(default_factory=dict)
+
+    def add_blocks(self, ref: int, rb: RefBlocks, start: int, end: int) -> None:
+        bs = rb.block_size
+        self.blocks.update((ref, b) for b in range(start // bs, -(-end // bs)))
+
+
 class Archive:
     """A compressed collection with random-access extraction."""
 
@@ -275,7 +308,6 @@ class Archive:
         self._by_name = {e.name: i for i, e in enumerate(entries)}
         self._decoders: dict[int, SequenceDecoder] = {}
         self._ref_block_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._bytes_read = 0
 
     # ------------------------------------------------------------------
     # serialization
@@ -460,18 +492,18 @@ class Archive:
             elif role == ROLE_MEMBER:
                 plens = [t.varint() for _ in range(4)]
                 n_windows = -(-length // interval)
-                start_source = _read_deltas(t, n_windows)
-                sym_counts = []
-                byte_offs = []
-                for s in range(4):
-                    sym = np.zeros(n_windows + 1, dtype=np.int64)
-                    sym[1:] = _read_deltas(t, n_windows)
-                    off = np.zeros(n_windows + 1, dtype=np.int64)
-                    off[1:] = _read_deltas(t, n_windows)
-                    if off[-1] != plens[s]:
-                        raise CorruptArchiveError("checkpoint offsets disagree with payload size")
-                    sym_counts.append(sym)
-                    byte_offs.append(off)
+                # start_source, then per stream the symbol and byte offset
+                # deltas: nine runs of n_windows varints
+                table = _read_varints(t, 9 * n_windows).reshape(9, n_windows)
+                runs = np.zeros((9, n_windows + 1), dtype=np.int64)
+                np.cumsum(table, axis=1, out=runs[:, 1:])
+                if runs.min() < 0:
+                    raise CorruptArchiveError("checkpoint offset does not fit a 64-bit integer")
+                start_source = runs[0, 1:]
+                sym_counts = [runs[1 + 2 * s] for s in range(4)]
+                byte_offs = [runs[2 + 2 * s] for s in range(4)]
+                if [int(off[-1]) for off in byte_offs] != plens:
+                    raise CorruptArchiveError("checkpoint offsets disagree with payload size")
                 payloads = []
                 for s in range(4):
                     if stream_pos + plens[s] > len(stream_payload):
@@ -493,15 +525,15 @@ class Archive:
         p = _Reader(sections[_SEC_PROVENANCE])
         provenances = []
         for _ in range(n_groups):
-            prov = ReservoirProvenance()
-            for _ in range(p.varint()):
-                seq_index = p.varint()
-                position = p.varint()
-                plen = p.varint()
-                if seq_index >= n_seq:
-                    raise CorruptArchiveError("provenance points at a missing sequence")
-                prov.entries.append((seq_index, position, plen))
-                prov.starts.append(prov.starts[-1] + plen)
+            rows = _read_varints(p, 3 * p.varint()).reshape(-1, 3)
+            if len(rows) and rows[:, 0].max() >= n_seq:
+                raise CorruptArchiveError("provenance points at a missing sequence")
+            ends = np.cumsum(rows[:, 2])
+            if len(ends) and ends.min() < 0:
+                raise CorruptArchiveError("reservoir length does not fit a 64-bit integer")
+            prov = ReservoirProvenance(
+                list(zip(*(rows[:, k].tolist() for k in range(3)))), [0] + ends.tolist()
+            )
             provenances.append(prov)
         for g, grp in enumerate(groups):
             grp.members = [
@@ -551,16 +583,19 @@ class Archive:
     def _decoder(self, i: int) -> SequenceDecoder:
         dec = self._decoders.get(i)
         if dec is None:
-            dec = SequenceDecoder(self.entries[i].coded, self.models, self.params)
-            self._decoders[i] = dec
+            dec = self._decoders.setdefault(
+                i, SequenceDecoder(self.entries[i].coded, self.models, self.params)
+            )
         return dec
 
-    def _member_factors(self, i: int) -> list[Factor]:
+    def _member_columns(self, i: int) -> FactorColumns:
+        """Every factor of member ``i`` from one batched decode, on a
+        decoder of its own so a decompression leaves no cache behind."""
         e = self.entries[i]
         dec = SequenceDecoder(e.coded, self.models, self.params)
         dec.prefetch_all()
-        factors, _ = dec.factors_from(0, e.length)
-        return factors
+        cols, _ = dec.factors_from(0, e.length)
+        return cols
 
     def iter_factors(self, name: str):
         """Yield (source_start, factor) for one member sequence (debug
@@ -568,75 +603,90 @@ class Archive:
         i = self._lookup_name(name)
         if self.entries[i].role != ROLE_MEMBER:
             raise ValueError(f"{name!r} is a reference record")
-        pos = 0
-        for f in self._member_factors(i):
-            yield pos, f
-            pos += f.advance
+        cols = self._member_columns(i)
+        yield from zip(cols.start.tolist(), cols.to_factors())
 
     def decompress(self, threads: int = 1) -> Collection:
-        """Reconstruct the exact original collection."""
+        """Reconstruct the exact original collection.
+
+        Members decode to factor columns independently, in a pool of
+        ``threads`` workers when that is above 1, and are rebuilt in
+        collection order, since each appends its long literal runs to
+        its group's reservoir for the members after it.
+        """
         out: list[Sequence | None] = [None] * len(self.entries)
-        ref_symbols: dict[int, np.ndarray] = {}
-        for g in range(len(self.groups)):
-            ref_symbols[g] = self._reference_symbols(g)
+        ref_symbols = [self._reference_symbols(g) for g in range(len(self.groups))]
         for i, e in enumerate(self.entries):
             if e.role == ROLE_REFERENCE:
                 out[i] = Sequence(e.name, ref_symbols[e.group], e.record_name, e.file_tag)
 
         members = [i for i, e in enumerate(self.entries) if e.role == ROLE_MEMBER]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                datas = list(
-                    pool.map(lambda i: self._decode_member_independent(i, ref_symbols), members)
+        reservoirs = [_GrowBuf() for _ in self.groups]
+        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+        try:
+            columns = (pool.map if pool else map)(self._member_columns, members)
+            for i, cols in zip(members, columns):
+                e = self.entries[i]
+                data = self._rebuild_member(
+                    cols, e.length, ref_symbols[e.group], reservoirs[e.group]
                 )
-            for i, data in zip(members, datas):
-                e = self.entries[i]
                 out[i] = Sequence(e.name, data, e.record_name, e.file_tag)
-        else:
-            reservoirs = [_GrowBuf() for _ in self.groups]
-            for i in members:
-                e = self.entries[i]
-                res = reservoirs[e.group]
-                buf = np.empty(e.length, dtype=np.uint8)
-                c = 0
-                ref = ref_symbols[e.group]
-                for f in self._member_factors(i):
-                    c = apply_factor(buf, c, f, ref, res.view())
-                    if f.kind == LITERAL and f.lengths[0] >= self.params.m3:
-                        res.append(f.symbols)
-                if c != e.length:
-                    raise CorruptArchiveError("decoded factors do not tile the sequence")
-                out[i] = Sequence(e.name, buf, e.record_name, e.file_tag)
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
         return Collection(out, self.reference_index, self.granularity)
 
-    def _decode_member_independent(self, i: int, ref_symbols) -> np.ndarray:
-        """Decode one member without shared reservoir state (reservoir
-        matches resolve through provenance, depth 1)."""
-        e = self.entries[i]
-        buf = np.empty(e.length, dtype=np.uint8)
-        c = 0
-        ref = ref_symbols[e.group]
-        prov = self.provenances[e.group]
-        for f in self._member_factors(i):
-            if f.kind == RESERVOIR:
-                span = f.advance
-                piece = self._materialize_reservoir(e.group, prov, f.position, span)
-                f = Factor(RESERVOIR, 0, f.lengths, f.gap_symbols)
-                c = apply_factor(buf, c, f, ref, piece)
-            else:
-                c = apply_factor(buf, c, f, ref, None)
-        if c != e.length:
-            raise CorruptArchiveError("decoded factors do not tile the sequence")
-        return buf
+    def _rebuild_member(
+        self, cols: FactorColumns, length: int, ref: np.ndarray, res: _GrowBuf
+    ) -> np.ndarray:
+        """One member's symbols from its factor columns.  Appends the
+        member's literal runs of at least m3 symbols to ``res``."""
+        kind, start, adv, pos = cols.kind, cols.start, cols.advance, cols.position
+        is_match = kind == MATCH
+        is_res = kind == RESERVOIR
+        if (is_match & ((pos < 0) | (pos + adv > len(ref)))).any():
+            raise CorruptArchiveError("match points outside the reference")
+        # a reservoir match sees the reservoir as it stood at its factor
+        grown = np.where((kind == LITERAL) & (adv >= self.params.m3), adv, 0)
+        res_before = res.n + np.cumsum(grown) - grown
+        if (is_res & (pos + adv > res_before)).any():
+            raise CorruptArchiveError("reservoir match beyond the reservoir")
+        lits = cols.lits
+        grew = grown > 0
+        for lo, L in zip(cols.lit_off[grew].tolist(), adv[grew].tolist()):
+            res.append(lits[lo : lo + L])
+
+        # Every factor but an N-run is one slice of this buffer; gap
+        # symbols then overwrite the reference symbols copied under them.
+        src = np.concatenate((ref, res.view(), lits))
+        src_off = np.where(
+            is_match,
+            pos,
+            np.where(is_res, len(ref) + pos, len(ref) + res.n + cols.lit_off),
+        )
+        out = np.empty(length, dtype=np.uint8)
+        cp = kind != NRUN
+        s, o, a = start[cp], src_off[cp], adv[cp]
+        # memoryview slices copy with far less per-call cost than ndarray ones
+        dst, srcv = memoryview(out), memoryview(src)
+        for s0, s1, o0, o1 in zip(s.tolist(), (s + a).tolist(), o.tolist(), (o + a).tolist()):
+            dst[s0:s1] = srcv[o0:o1]
+        nrun = kind == NRUN
+        out[_cat_ranges(start[nrun], adv[nrun])] = N
+        pieces = cols.pieces
+        for j in (1, 2):
+            g = pieces[:, j] > 0
+            out[start[g] + pieces[g, :j].sum(axis=1) + (j - 1)] = lits[cols.lit_off[g] + (j - 1)]
+        return out
 
     def _materialize_reservoir(
-        self, group: int, prov: ReservoirProvenance, offset: int, length: int, depth: int = 0
+        self, group: int, offset: int, length: int, depth: int, touched: _Touched
     ) -> np.ndarray:
         from .refstore import resolve_reservoir_range
 
-        pieces = resolve_reservoir_range(prov, offset, length)
+        pieces = resolve_reservoir_range(self.provenances[group], offset, length)
         parts = [
-            self._extract_range(seq_index, pos, pos + plen, depth + 1)
+            self._extract_range(seq_index, pos, pos + plen, depth + 1, touched)
             for seq_index, pos, plen in pieces
         ]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
@@ -658,15 +708,24 @@ class Archive:
         return symbols
 
     def extract_report(self, name: str, start: int, end: int) -> tuple[np.ndarray, int]:
-        """extract() plus the number of coded payload bytes the range
-        touches (cache-independent access-cost metric)."""
+        """extract() plus the coded payload bytes of the distinct
+        reference blocks and stream windows the range needs
+        (cache-independent access-cost metric)."""
         i = self._lookup_name(name)
         e = self.entries[i]
         if not 0 <= start <= end <= e.length:
             raise ValueError(f"range [{start}, {end}) outside sequence of {e.length}")
-        before = self._bytes_read
-        out = self._extract_range(i, start, end, 0)
-        return out, self._bytes_read - before
+        touched = _Touched()
+        out = self._extract_range(i, start, end, 0, touched)
+        total = 0
+        for r, b in touched.blocks:
+            rb = self.entries[r].refblocks
+            lo = b * rb.block_size
+            total += range_payload_bytes(rb, lo, min(lo + rb.block_size, rb.n_symbols))
+        for dec, windows in touched.windows.values():
+            dec.last_touched = windows
+            total += dec.touched_payload_bytes()
+        return out, total
 
     def _ref_range(self, group: int, start: int, end: int) -> np.ndarray:
         """Reference symbols via the per-block decode cache."""
@@ -677,7 +736,6 @@ class Archive:
             raise CorruptArchiveError("match points outside the reference")
         if start == end:
             return np.zeros(0, dtype=np.uint8)
-        self._bytes_read += range_payload_bytes(rb, start, end)
         bs = rb.block_size
         b0, b1 = start // bs, -(-end // bs)
         ref_idx = self.groups[group].reference
@@ -695,63 +753,67 @@ class Archive:
         lo = start - b0 * bs
         return whole[lo : lo + (end - start)]
 
-    def _extract_range(self, i: int, start: int, end: int, depth: int) -> np.ndarray:
+    def _extract_range(
+        self, i: int, start: int, end: int, depth: int, touched: _Touched
+    ) -> np.ndarray:
         if depth > 1:
             raise CorruptArchiveError("reservoir resolution exceeded depth 1")
         e = self.entries[i]
         if start == end:
             return np.zeros(0, dtype=np.uint8)
         if e.role == ROLE_REFERENCE:
-            self._bytes_read += range_payload_bytes(e.refblocks, start, end)
+            touched.add_blocks(i, e.refblocks, start, end)
             return decode_reference_range(e.refblocks, start, end)
 
         dec = self._decoder(i)
-        w = e.coded.checkpoint_for(start)
-        factors, fstart = dec.factors_from(w, end)
-        self._bytes_read += dec.touched_payload_bytes()
+        cols, _ = dec.factors_from(e.coded.checkpoint_for(start), end)
+        touched.windows.setdefault(i, (dec, set()))[1].update(dec.last_touched)
+        k = int(np.searchsorted(cols.start, start, side="right")) - 1
+        if k < 0:
+            raise CorruptArchiveError("decoded factors start after the requested range")
         out = np.empty(end - start, dtype=np.uint8)
-        pos = fstart
-        prov = self.provenances[e.group]
-        for f in factors:
-            adv = f.advance
-            lo = max(pos, start)
-            hi = min(pos + adv, end)
-            if hi > lo:
-                self._materialize_factor_range(out, lo - start, f, pos, lo, hi, e.group, prov, depth)
-            pos += adv
-            if pos >= end:
-                break
-        if pos < end:
+        lits = cols.lits
+        ref_idx = self.groups[e.group].reference
+        covered = start
+        for kind, f_start, adv, f_pos, pieces, lit in zip(
+            cols.kind[k:].tolist(),
+            cols.start[k:].tolist(),
+            cols.advance[k:].tolist(),
+            cols.position[k:].tolist(),
+            cols.pieces[k:].tolist(),
+            cols.lit_off[k:].tolist(),
+        ):
+            lo, hi = max(f_start, start), min(f_start + adv, end)
+            covered = f_start + adv
+            if hi <= lo:
+                continue
+            at, n = lo - start, hi - lo
+            rel_lo, rel_hi = lo - f_start, hi - f_start
+            if kind == LITERAL:
+                out[at : at + n] = lits[lit + rel_lo : lit + rel_hi]
+                continue
+            if kind == NRUN:
+                out[at : at + n] = N
+                continue
+            if kind == MATCH:
+                out[at : at + n] = self._ref_range(e.group, f_pos + rel_lo, f_pos + rel_hi)
+                touched.add_blocks(
+                    ref_idx, self._group_ref_blocks(e.group), f_pos + rel_lo, f_pos + rel_hi
+                )
+            else:
+                out[at : at + n] = self._materialize_reservoir(
+                    e.group, f_pos + rel_lo, n, depth, touched
+                )
+            # overwrite the gap positions that fall inside the slice
+            cursor = 0
+            for j in range(2 - pieces.count(0)):
+                cursor += pieces[j]
+                if rel_lo <= cursor < rel_hi:
+                    out[at + cursor - rel_lo] = lits[lit + j]
+                cursor += 1
+        if covered < end:
             raise CorruptArchiveError("decoded factors end before the requested range")
         return out
-
-    def _materialize_factor_range(
-        self, out, at, f: Factor, f_start, lo, hi, group, prov, depth
-    ) -> None:
-        """Fill out[at : at + (hi-lo)] with factor symbols [lo, hi)."""
-        rel_lo, rel_hi = lo - f_start, hi - f_start
-        if f.kind == LITERAL:
-            out[at : at + (hi - lo)] = f.symbols[rel_lo:rel_hi]
-            return
-        if f.kind == NRUN:
-            from .genome import N
-
-            out[at : at + (hi - lo)] = N
-            return
-        if f.kind == MATCH:
-            piece = self._ref_range(group, f.position + rel_lo, f.position + rel_hi)
-        else:
-            piece = self._materialize_reservoir(
-                group, prov, f.position + rel_lo, rel_hi - rel_lo, depth
-            )
-        out[at : at + (hi - lo)] = piece
-        # overwrite the gap positions that fall inside the slice
-        cursor = 0
-        for j, L in enumerate(f.lengths[:-1]):
-            cursor += L
-            if rel_lo <= cursor < rel_hi:
-                out[at + cursor - rel_lo] = f.gap_symbols[j]
-            cursor += 1
 
     # ------------------------------------------------------------------
     # reporting

@@ -29,6 +29,7 @@ decodes standalone.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,87 +401,287 @@ def _decode_record_stream(
     return firsts.astype(np.uint8), ext_vals, bounds
 
 
-def _u32_to_i32(v: np.ndarray | int):
-    return np.where(v > _INT32_MAX, v - (1 << 32), v) if isinstance(v, np.ndarray) else (
-        v - (1 << 32) if v > _INT32_MAX else v
+_PIECE = np.arange(3)
+
+# factor kind by offset first byte (-1: invalid), and an escape's sign
+_KIND_BY_FIRST = np.full(256, MATCH, dtype=np.int8)
+_KIND_BY_FIRST[[NRUN_MARK, RESERVOIR_MARK, 255]] = NRUN, RESERVOIR, -1
+_ESC_SIGN = np.zeros(256, dtype=np.int64)
+_ESC_SIGN[[ESC_NEG, ESC_POS]] = -1, 1
+
+
+def _segment_cumsum(values: np.ndarray, bounds: np.ndarray, seg_of: np.ndarray):
+    """Inclusive prefix sums down the rows of ``values``, restarting at
+    every segment boundary in ``bounds`` (``seg_of`` is each row's
+    segment), plus the segment totals."""
+    head = np.zeros((1,) + values.shape[1:], dtype=np.int64)
+    cs = np.concatenate((head, values.cumsum(axis=0)))
+    base = cs[bounds[:-1]]
+    return cs[1:] - base[seg_of], cs[bounds[1:]] - base
+
+
+@dataclass
+class FactorColumns:
+    """Factors of consecutive checkpoint windows as parallel columns.
+
+    ``kind`` holds LITERAL/MATCH/NRUN/RESERVOIR, ``start`` the source
+    position and ``advance`` the source symbols of each factor;
+    ``position`` is the reference position (MATCH) or reservoir offset
+    (RESERVOIR), else 0.  ``pieces`` holds the piece lengths, zero past
+    a factor's last piece (a literal run's or N-run's length is its one
+    piece); ``lit_off`` indexes ``lits`` at a literal run's symbols or a
+    match's gap symbols.
+    """
+
+    kind: np.ndarray  # (n,) int8
+    start: np.ndarray  # (n,) int64
+    advance: np.ndarray  # (n,) int64
+    position: np.ndarray  # (n,) int64
+    pieces: np.ndarray  # (n, 3) int64
+    lit_off: np.ndarray  # (n,) int64
+    lits: np.ndarray  # uint8 symbols
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def slice(self, lo: int, hi: int) -> "FactorColumns":
+        """Factors [lo, hi) as views sharing ``lits``."""
+        return FactorColumns(
+            self.kind[lo:hi],
+            self.start[lo:hi],
+            self.advance[lo:hi],
+            self.position[lo:hi],
+            self.pieces[lo:hi],
+            self.lit_off[lo:hi],
+            self.lits,
+        )
+
+    @classmethod
+    def concat(cls, parts: list["FactorColumns"]) -> "FactorColumns":
+        if len(parts) == 1:
+            return parts[0]
+        shift = np.cumsum([0] + [len(p.lits) for p in parts[:-1]])
+        return cls(
+            np.concatenate([p.kind for p in parts]),
+            np.concatenate([p.start for p in parts]),
+            np.concatenate([p.advance for p in parts]),
+            np.concatenate([p.position for p in parts]),
+            np.concatenate([p.pieces for p in parts]),
+            np.concatenate([p.lit_off + s for p, s in zip(parts, shift.tolist())]),
+            np.concatenate([p.lits for p in parts]),
+        )
+
+    def to_factors(self) -> list[Factor]:
+        """The factors as :class:`Factor` objects (tests and debugging)."""
+        out = []
+        lits = self.lits
+        for kind, pos, pieces, lo in zip(
+            self.kind.tolist(),
+            self.position.tolist(),
+            self.pieces.tolist(),
+            self.lit_off.tolist(),
+        ):
+            if kind == LITERAL:
+                L = pieces[0]
+                out.append(Factor(LITERAL, lengths=(L,), symbols=lits[lo : lo + L]))
+            elif kind == NRUN:
+                out.append(Factor(NRUN, lengths=(pieces[0],)))
+            else:
+                k = 3 - pieces.count(0)
+                out.append(
+                    Factor(
+                        kind,
+                        position=pos,
+                        lengths=tuple(pieces[:k]),
+                        gap_symbols=tuple(lits[lo : lo + k - 1].tolist()),
+                    )
+                )
+        return out
+
+
+def _empty_columns() -> FactorColumns:
+    z = np.zeros(0, dtype=np.int64)
+    return FactorColumns(
+        np.zeros(0, dtype=np.int8), z, z, z, np.zeros((0, 3), dtype=np.int64), z,
+        np.zeros(0, dtype=np.uint8),
     )
+
+
+def _factor_columns(
+    windows, win_start, win_end, interval,
+    flags, flag_bounds, o_first, o_ext, off_bounds, len_vals, len_bounds, lits, lit_bounds,
+) -> tuple[FactorColumns, np.ndarray]:
+    """Factor columns of a batch of windows from their decoded streams
+    (``*_bounds`` split each stream's values by window), plus each
+    window's factor boundaries.  Raises :class:`CorruptArchiveError`
+    unless the streams agree and the factors tile every window.
+
+    A window is usually decoded alone on the random-access path, so this
+    keeps to few numpy calls (``count_nonzero`` over ``any``, slices over
+    ``diff``)."""
+    B = len(windows)
+    # Flags are zero-padded to whole bytes: a window's factors are the
+    # prefix of its flags whose length records (1 for a literal run, the
+    # flag otherwise) add up exactly to the window's record count.
+    win_of_flag = np.arange(B).repeat(flag_bounds[1:] - flag_bounds[:-1])
+    use = np.maximum(flags, 1)
+    cum = np.zeros(len(use) + 1, dtype=np.int64)
+    use.cumsum(out=cum[1:])
+    # a flag is real while the running sum stays within its window's
+    # records: the sum before the window's first flag plus its record count
+    limit = (cum[flag_bounds[:-1]] + len_bounds[1:] - len_bounds[:-1])[win_of_flag]
+    real = (cum[1:] <= limit).nonzero()[0]
+    lit = flags[real] == 0
+    use, win = use[real].astype(np.int64), win_of_flag[real]
+    # every window's sum stops at or below its record count, so equal
+    # totals mean each window's sum is exact
+    if use.sum() != len(len_vals):
+        raise CorruptArchiveError("flag count disagrees with the length records")
+    nl = (~lit).nonzero()[0]
+    if np.count_nonzero(np.bincount(win[nl], minlength=B) != off_bounds[1:] - off_bounds[:-1]):
+        raise CorruptArchiveError("flag count disagrees with the offset records")
+    fac_bounds = np.zeros(B + 1, dtype=np.int64)
+    np.bincount(win, minlength=B).cumsum(out=fac_bounds[1:])
+
+    # the writer's lengths are at least 1, so a zero piece marks no piece
+    if np.count_nonzero(len_vals == 0):
+        raise CorruptArchiveError("zero length record")
+    n = len(use)
+    at = (use.cumsum() - use)[:, None] + _PIECE
+    pieces = len_vals[np.minimum(at, len(len_vals) - 1)]
+    pieces[_PIECE >= use[:, None]] = 0
+    gaps = use - 1
+    advance = pieces.sum(axis=1) + gaps
+
+    kind_nl = _KIND_BY_FIRST[o_first]
+    if np.count_nonzero(kind_nl < 0):
+        raise CorruptArchiveError("invalid offset first byte")
+    if np.count_nonzero(use[nl[kind_nl == NRUN]] != 1):
+        raise CorruptArchiveError("N-run with a gapped flag")
+    is_match = kind_nl == MATCH
+    d = o_first.astype(np.int64) - OFFSET_BIAS
+    sign = _ESC_SIGN[o_first]
+    esc = sign.nonzero()[0]
+    ext = o_ext[esc]
+    d[esc] = ext = ext - (ext > _INT32_MAX) * (1 << 32)
+    # ESC_NEG must hold a difference below -125, ESC_POS one above +125
+    if np.count_nonzero(ext * sign[esc] <= OFFSET_BIAS):
+        raise CorruptArchiveError("offset escape out of its range")
+    kind = np.zeros(n, dtype=np.int8)  # LITERAL
+    kind[nl] = kind_nl
+    mi = nl[is_match]
+
+    # One pass of per-window running sums: advances give the starts, the
+    # match offset differences the (source - reference) deltas (the
+    # predictor restarts per window), literal use the literal offsets.
+    sums = np.zeros((n, 3), dtype=np.int64)
+    sums[:, 0] = advance
+    sums[mi, 1] = d[is_match]
+    sums[:, 2] = gaps + pieces[:, 0] * lit
+    within, totals = _segment_cumsum(sums, fac_bounds, win)
+    start = win_start[win] + within[:, 0] - advance
+    if np.count_nonzero(win_start + totals[:, 0] != win_end) or np.count_nonzero(
+        start // interval != windows[win]
+    ):
+        raise CorruptArchiveError("factors do not tile their checkpoint windows")
+    if np.count_nonzero(totals[:, 2] > lit_bounds[1:] - lit_bounds[:-1]):
+        raise CorruptArchiveError("literal stream exhausted")
+    position = np.zeros(n, dtype=np.int64)
+    position[nl] = o_ext  # the reservoir offset; 0 for an N-run
+    position[mi] = start[mi] - within[mi, 1]
+    lit_off = lit_bounds[:-1][win] + within[:, 2] - sums[:, 2]
+    return FactorColumns(kind, start, advance, position, pieces, lit_off, lits), fac_bounds
 
 
 class SequenceDecoder:
     """Window-addressed decoding of one sequence's coded streams.
 
-    ``prefetch_all`` decodes every window in four batched passes (the
-    full-decompression path); otherwise windows decode lazily on first
-    access (the random-access path).
+    Decoding a window yields its factors as :class:`FactorColumns`,
+    derived with array operations from the window's four streams and
+    checked for exact tiling; they are cached per window.
+    ``prefetch_all`` decodes every window in one batched pass (the
+    full-decompression path); otherwise windows decode on first access
+    (the random-access path).  ``factors_from`` returns the columns of
+    the windows a source range needs.
+
+    ``last_touched`` holds, per thread, the windows of the calling
+    thread's last ``factors_from``; ``touched_payload_bytes`` counts
+    their coded bytes.
     """
 
     def __init__(self, coded: CodedSequence, models: ModelSet, params: ParseParams):
         self.coded = coded
         self.models = models
         self.interval = params.checkpoint_interval
+        if coded.n_windows and coded.start_source[0] != 0:
+            raise CorruptArchiveError("first checkpoint window does not start at 0")
         self._bufs = [np.frombuffer(p, dtype=np.uint8) for p in coded.payloads]
-        self._cache: dict[int, tuple] = {}
-        self.last_touched: set[int] = set()
+        self._sym = np.stack(coded.sym_counts)
+        self._offs = np.stack(coded.byte_offs)
+        # source range of each window's factors: it ends where the next resumes
+        self._ends = np.append(coded.start_source[1:], coded.length)
+        self._start_list = coded.start_source.tolist()
+        self._end_list = self._ends.tolist()
+        # window -> (columns of the batch it was decoded in, first, end factor)
+        self._cache: dict[int, tuple[FactorColumns, int, int]] = {}
+        self._local = threading.local()
+
+    @property
+    def last_touched(self) -> set[int]:
+        return getattr(self._local, "touched", set())
+
+    @last_touched.setter
+    def last_touched(self, windows: set[int]) -> None:
+        self._local.touched = windows
 
     def prefetch_all(self) -> None:
-        c = self.coded
-        W = c.n_windows
+        W = self.coded.n_windows
         if W == 0:
             return
-        windows = np.arange(W)
-        parts = self._decode_windows(windows)
+        cols, bounds = self._decode_windows(np.arange(W))
+        lo = bounds.tolist()
         for w in range(W):
-            self._cache[w] = tuple(p[w] for p in parts)
+            self._cache[w] = (cols, lo[w], lo[w + 1])
 
-    def _decode_windows(self, windows: np.ndarray):
-        c, m = self.coded, self.models
-        sym = c.sym_counts
-        offs = c.byte_offs
+    def _decode_windows(self, windows: np.ndarray) -> tuple[FactorColumns, np.ndarray]:
+        """Factor columns of ``windows`` (ascending) in one batch, plus
+        each window's factor boundaries in them."""
+        m = self.models
+        counts = self._sym[:, windows + 1] - self._sym[:, windows]
+        starts = self._offs[:, windows] * 8
+        # each stream ends at the batch's last window: no window reads past its bytes
+        bufs = [b[:end] for b, end in zip(self._bufs, self._offs[:, windows[-1] + 1].tolist())]
 
-        def seg_counts(s):
-            return sym[s][windows + 1] - sym[s][windows]
-
-        f0, fe, fb = _decode_record_stream(
-            c.payloads[OFF], m.off0, m.off_ext, _IS_OFF_ESC,
-            offs[OFF][windows] * 8, seg_counts(OFF),
+        o_first, o_ext, off_bounds = _decode_record_stream(
+            bufs[OFF], m.off0, m.off_ext, _IS_OFF_ESC, starts[OFF], counts[OFF]
         )
-        l0, le_, lb = _decode_record_stream(
-            c.payloads[LEN], m.len0, m.len_ext, _IS_LEN_ESC,
-            offs[LEN][windows] * 8, seg_counts(LEN),
+        l0, le_, len_bounds = _decode_record_stream(
+            bufs[LEN], m.len0, m.len_ext, _IS_LEN_ESC, starts[LEN], counts[LEN]
         )
         len_vals = np.where(l0 == LEN_ESC, le_, l0.astype(np.int64) + 1)
-
-        lit_bytes, litb, _ = decode_chains(
-            self._bufs[LIT], m.lit, offs[LIT][windows] * 8, seg_counts(LIT)
-        )
-        flg_bytes, flgb, _ = decode_chains(
-            self._bufs[FLG], m.flg, offs[FLG][windows] * 8, seg_counts(FLG)
-        )
+        lit_bytes, lit_bounds, _ = decode_chains(bufs[LIT], m.lit, starts[LIT], counts[LIT])
+        flg_bytes, flg_bounds, _ = decode_chains(bufs[FLG], m.flg, starts[FLG], counts[FLG])
         lits = (
             unpack_triplets(lit_bytes, len(lit_bytes) * 3)
             if len(lit_bytes)
             else np.zeros(0, np.uint8)
         )
         flags = (flg_bytes[:, None] >> _FLAG_SHIFTS[None, :]).reshape(-1) & 3
+        return _factor_columns(
+            windows, self.coded.start_source[windows], self._ends[windows], self.interval,
+            flags, flg_bounds * 4, o_first, o_ext, off_bounds, len_vals, len_bounds,
+            lits, lit_bounds * 3,
+        )
 
-        out_f, out_o, out_e, out_l, out_lit = [], [], [], [], []
-        for i in range(len(windows)):
-            out_f.append(flags[flgb[i] * 4 : flgb[i + 1] * 4])
-            out_o.append(f0[fb[i] : fb[i + 1]])
-            out_e.append(fe[fb[i] : fb[i + 1]])
-            out_l.append(len_vals[lb[i] : lb[i + 1]])
-            out_lit.append(lits[litb[i] * 3 : litb[i + 1] * 3])
-        return out_f, out_o, out_e, out_l, out_lit
-
-    def window(self, w: int):
-        self.last_touched.add(w)
-        if w not in self._cache:
-            parts = self._decode_windows(np.array([w]))
-            self._cache[w] = tuple(p[0] for p in parts)
-        return self._cache[w]
+    def _window(self, w: int) -> tuple[FactorColumns, int, int]:
+        entry = self._cache.get(w)
+        if entry is None:
+            cols, bounds = self._decode_windows(np.array([w]))
+            entry = self._cache.setdefault(w, (cols, 0, int(bounds[1])))
+        return entry
 
     def touched_payload_bytes(self) -> int:
-        """Coded bytes of the windows the last factors_from call used."""
+        """Coded bytes of the windows in ``last_touched``."""
         c = self.coded
         return int(
             sum(
@@ -490,100 +691,35 @@ class SequenceDecoder:
             )
         )
 
-    def factors_from(self, window: int, until: int) -> tuple[list[Factor], int]:
-        """Decode factors from a checkpoint until coverage reaches
-        ``until`` (or the sequence ends).  Returns (factors, source
-        position of the first factor)."""
+    def factors_from(self, window: int, until: int) -> tuple[FactorColumns, int]:
+        """Factors from checkpoint ``window`` on whose start lies before
+        ``until``, so they cover source symbols up to ``until`` (or the
+        sequence end).  Returns (columns, source position of the first
+        factor)."""
         c = self.coded
-        self.last_touched = set()
+        touched: set[int] = set()
+        self.last_touched = touched
         if c.n_windows == 0:
-            return [], 0
-        start = int(c.start_source[window])
-        covered = start
-        factors: list[Factor] = []
-        cursors: dict[int, list[int]] = {}
-        pred = 0
-        last_match_w = -1
-        while covered < until and covered < c.length:
-            w = covered // self.interval
-            flags, o_first, o_ext, l_vals, lits = self.window(w)
-            cur = cursors.setdefault(w, [0, 0, 0, 0])
-            fi, oi, li, ci = cur
-            if fi >= len(flags):
-                raise CorruptArchiveError("flag stream exhausted mid-window")
-            flag = int(flags[fi])
-            fi += 1
-            if flag == 0:
-                if li >= len(l_vals):
-                    raise CorruptArchiveError("length stream exhausted")
-                L = int(l_vals[li])
-                li += 1
-                if ci + L > len(lits):
-                    raise CorruptArchiveError("literal stream exhausted")
-                factors.append(
-                    Factor(LITERAL, lengths=(L,), symbols=lits[ci : ci + L])
-                )
-                ci += L
-                covered += L
-            else:
-                if oi >= len(o_first):
-                    raise CorruptArchiveError("offset stream exhausted")
-                first = int(o_first[oi])
-                ext = int(o_ext[oi])
-                oi += 1
-                if li + flag > len(l_vals):
-                    raise CorruptArchiveError("length stream exhausted")
-                pieces = tuple(int(v) for v in l_vals[li : li + flag])
-                li += flag
-                if first == NRUN_MARK:
-                    if flag != 1:
-                        raise CorruptArchiveError("N-run with a gapped flag")
-                    factors.append(Factor(NRUN, lengths=pieces))
-                    covered += pieces[0]
+            return _empty_columns(), 0
+        stop = min(until, c.length)
+        runs: list[list] = []  # [batch columns, first factor, end factor]
+        w, pos = window, self._start_list[window]
+        while pos < stop:
+            if w >= c.n_windows or self._start_list[w] != pos:
+                raise CorruptArchiveError("checkpoint windows do not tile the sequence")
+            cols, lo, hi = self._window(w)
+            if hi > lo:
+                touched.add(w)
+                if runs and runs[-1][0] is cols and runs[-1][2] == lo:
+                    runs[-1][2] = hi
                 else:
-                    gaps = tuple(int(v) for v in lits[ci : ci + flag - 1])
-                    if len(gaps) != flag - 1:
-                        raise CorruptArchiveError("literal stream exhausted")
-                    ci += flag - 1
-                    if first == RESERVOIR_MARK:
-                        factors.append(
-                            Factor(RESERVOIR, position=ext, lengths=pieces, gap_symbols=gaps)
-                        )
-                    else:
-                        if first <= 250:
-                            d = first - OFFSET_BIAS
-                        elif first == ESC_NEG or first == ESC_POS:
-                            d = int(_u32_to_i32(ext))
-                            if (first == ESC_NEG and d >= -125) or (
-                                first == ESC_POS and d <= 125
-                            ):
-                                raise CorruptArchiveError("offset escape out of its range")
-                        else:
-                            raise CorruptArchiveError(f"invalid offset first byte {first}")
-                        delta = d + (pred if w == last_match_w else 0)
-                        factors.append(
-                            Factor(
-                                MATCH,
-                                position=covered - delta,
-                                lengths=pieces,
-                                gap_symbols=gaps,
-                            )
-                        )
-                        pred = delta
-                        last_match_w = w
-                    covered += sum(pieces) + flag - 1
-            cur[0], cur[1], cur[2], cur[3] = fi, oi, li, ci
-        return factors, start
-
-
-def decode_window(
-    coded: CodedSequence,
-    models: ModelSet,
-    params: ParseParams,
-    window: int,
-    until_source_pos: int,
-) -> tuple[list[Factor], int]:
-    """Decode factors from checkpoint ``window`` until coverage reaches
-    ``until_source_pos`` (see :meth:`SequenceDecoder.factors_from`)."""
-    dec = SequenceDecoder(coded, models, params)
-    return dec.factors_from(window, until_source_pos)
+                    runs.append([cols, lo, hi])
+            # the next factor starts where this window's factors end, in the
+            # window holding that position; windows a long factor spans are empty
+            pos = self._end_list[w]
+            w = max(w + 1, pos // self.interval)
+        if not runs:
+            return _empty_columns(), self._start_list[window]
+        out = FactorColumns.concat([cols.slice(lo, hi) for cols, lo, hi in runs])
+        n = int(np.searchsorted(out.start, until))
+        return out.slice(0, n), self._start_list[window]

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,18 @@ from rlzg import (
     select_reference,
 )
 from rlzg.genome import N, encode_symbols
-from rlzg.parse import RESERVOIR
+from rlzg.parse import MATCH, RESERVOIR
+from rlzg.refstore import resolve_reservoir_range
 from rlzg.synthetic import make_collection, random_reference, apply_snps
-from rlzg.archive import matching_groups, n_free_window_count
+from rlzg.archive import (
+    ROLE_REFERENCE,
+    _Reader,
+    _read_deltas,
+    _read_varints,
+    _write_varint,
+    matching_groups,
+    n_free_window_count,
+)
 
 
 def roundtrip(collection, params=None):
@@ -283,3 +295,114 @@ def test_stats_keys_and_consistency():
     assert st["total_bytes"] == len(data)
     assert st["input_symbols"] == sum(len(s.data) for s in coll.sequences)
     assert st["header_bytes"] + st["reference_bytes"] + st["relative_bytes"] == st["total_bytes"]
+
+
+def _distinct_units(arc, i, start, end, units):
+    """Reference blocks and stream windows extract(i, start, end) needs,
+    found from the factor list (an oracle independent of extract)."""
+    e = arc.entries[i]
+    if start == end:
+        return
+    if e.role == ROLE_REFERENCE:
+        bs = e.refblocks.block_size
+        units.update(("ref", i, b) for b in range(start // bs, -(-end // bs)))
+        return
+    interval = arc.params.checkpoint_interval
+    first = int(e.coded.start_source[e.coded.checkpoint_for(start)])
+    for pos, f in arc.iter_factors(e.name):
+        if not first <= pos < end:
+            continue
+        units.add(("win", i, pos // interval))
+        lo, hi = max(pos, start), min(pos + f.advance, end)
+        if hi <= lo:
+            continue
+        if f.kind == MATCH:
+            r = arc.groups[e.group].reference
+            bs = arc.entries[r].refblocks.block_size
+            a, b = f.position + lo - pos, f.position + hi - pos
+            units.update(("ref", r, blk) for blk in range(a // bs, -(-b // bs)))
+        elif f.kind == RESERVOIR:
+            prov = arc.provenances[e.group]
+            for j, p, n in resolve_reservoir_range(prov, f.position + lo - pos, hi - lo):
+                _distinct_units(arc, j, p, p + n, units)
+
+
+def _unit_bytes(arc, units):
+    total = 0
+    for kind, i, k in units:
+        e = arc.entries[i]
+        if kind == "ref":
+            total += int(e.refblocks.offsets[k + 1] - e.refblocks.offsets[k])
+        else:
+            total += sum(int(o[k + 1] - o[k]) for o in e.coded.byte_offs)
+    return total
+
+
+def test_extract_report_counts_distinct_blocks_and_windows():
+    rng = np.random.default_rng(80)
+    coll = make_collection(rng, ref_len=200_000, n_derived=4, max_n_run=2000)
+    arc = Archive.from_bytes(compress(coll).to_bytes())
+    assert any(f.kind == RESERVOIR for s in coll.sequences[1:] for _, f in arc.iter_factors(s.name))
+    checked = 0
+    for _ in range(150):
+        i = int(rng.integers(0, len(coll.sequences)))
+        n = len(coll.sequences[i].data)
+        lo = int(rng.integers(0, n))
+        hi = min(n, lo + int(rng.integers(1, 5000)))
+        units = set()
+        _distinct_units(arc, i, lo, hi, units)
+        _, reported = arc.extract_report(coll.sequences[i].name, lo, hi)
+        assert reported == _unit_bytes(arc, units), (i, lo, hi)
+        checked += len(units) > 1
+    assert checked
+
+
+def test_concurrent_extract_reports_do_not_mix():
+    rng = np.random.default_rng(81)
+    coll = make_collection(rng, ref_len=100_000, n_derived=3)
+    data = compress(coll).to_bytes()
+    jobs = []
+    for _ in range(300):
+        s = coll.sequences[int(rng.integers(0, len(coll.sequences)))]
+        lo = int(rng.integers(0, len(s.data) - 3000))
+        jobs.append((s.name, lo, lo + int(rng.integers(1, 3000))))
+    solo = Archive.from_bytes(data)
+    want = [solo.extract_report(*job)[1] for job in jobs]
+
+    shared = Archive.from_bytes(data)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda job: shared.extract_report(*job)[1], jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
+
+
+def test_vector_varints_match_the_scalar_reader():
+    rng = np.random.default_rng(82)
+    values = []
+    buf = bytearray()
+    for size in rng.integers(1, 10, 3000).tolist():
+        lo = 0 if size == 1 else 1 << (7 * (size - 1))
+        v = int(rng.integers(lo, 1 << min(7 * size, 63)))
+        values.append(v)
+        _write_varint(buf, v)
+    fast, slow = _Reader(bytes(buf)), _Reader(bytes(buf))
+    assert _read_varints(fast, len(values)).tolist() == [slow.varint() for _ in values] == values
+    assert fast.pos == slow.pos == len(buf)
+
+
+@pytest.mark.parametrize(
+    "raw, n",
+    [
+        (b"\xff" * 9 + b"\x01", 1),  # 2**64 - 1 does not fit int64
+        (b"\x80" * 12, 1),  # no terminator
+        (b"\x05\x83", 2),  # truncated mid-varint
+        (b"\xff" * 8 + b"\x7f" + b"\x01", 2),  # 2**63 - 1 plus 1 overflows the sum
+    ],
+)
+def test_bad_varint_runs_raise_corrupt_archive(raw, n):
+    with pytest.raises(CorruptArchiveError):
+        _read_deltas(_Reader(raw), n)

@@ -1,0 +1,231 @@
+"""The columnar decoder against the apply_parse oracle, on archives built
+from hand-made parses, plus the corruption it must reject."""
+import numpy as np
+import pytest
+
+from rlzg import Archive, CorruptArchiveError
+from rlzg.archive import ROLE_MEMBER, ROLE_REFERENCE, Group, SequenceEntry
+from rlzg.huffman import HuffmanTable
+from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, Factor, Parse, ParseParams, apply_parse
+from rlzg.refstore import ReservoirProvenance, append_reservoir_phrase, encode_reference
+from rlzg.streams import (
+    ESC_NEG,
+    ESC_POS,
+    FLG,
+    LEN,
+    OFF,
+    SequenceDecoder,
+    build_models,
+    compress_streams,
+    encode_parse,
+)
+
+
+def build_archive(refs, members, params, granularity="whole"):
+    """An archive from reference arrays and (group, parse) members, with
+    the reservoir provenance compress would record."""
+    entries, groups, provs = [], [], []
+    for g, ref in enumerate(refs):
+        entries.append(SequenceEntry(f"ref{g}", f"r{g}", "ref", len(ref), ROLE_REFERENCE, g))
+        groups.append(Group(len(entries) - 1))
+        provs.append(ReservoirProvenance())
+    raws = []
+    for g, parse in members:
+        i = len(entries)
+        entries.append(SequenceEntry(f"m{i}", f"m{i}", "m", parse.source_length, ROLE_MEMBER, g))
+        groups[g].members.append(i)
+        pos = 0
+        for f in parse.factors:
+            if f.kind == LITERAL and f.lengths[0] >= params.m3:
+                append_reservoir_phrase(provs[g], (i, pos, f.lengths[0]), params.m3)
+            pos += f.advance
+        raws.append(encode_parse(parse, params))
+    models = build_models(raws)
+    counts = np.ones(256, dtype=np.int64)
+    ref_table = HuffmanTable.from_counts(counts)
+    for g, ref in enumerate(refs):
+        entries[groups[g].reference].refblocks = encode_reference(ref, ref_table)
+    members_at = [i for i, e in enumerate(entries) if e.role == ROLE_MEMBER]
+    for i, raw in zip(members_at, raws):
+        entries[i].coded = compress_streams(raw, models)
+    arc = Archive(params, granularity, 0, entries, groups, ref_table, models, provs)
+    return Archive.from_bytes(arc.to_bytes())
+
+
+def oracle(refs, members, params):
+    """Each member's symbols by apply_parse, against its group's final
+    reservoir (a valid parse reads only what stood before it)."""
+    reservoirs = [[] for _ in refs]
+    for g, parse in members:
+        reservoirs[g] += [
+            f.symbols for f in parse.factors if f.kind == LITERAL and f.lengths[0] >= params.m3
+        ]
+    res = [np.concatenate(r) if r else np.zeros(0, np.uint8) for r in reservoirs]
+    return [apply_parse(parse, refs[g], res[g]) for g, parse in members]
+
+
+def random_member(rng, ref, res_len, params, n_factors):
+    """A parse mixing every factor shape; ``res_len`` is the group
+    reservoir length before it, and it may match its own earlier runs."""
+    factors = []
+    pred = 0
+    pos = 0
+    for _ in range(n_factors):
+        r = rng.random()
+        if r < 0.25:
+            L = int(rng.choice([1, 5, params.m3, 40, 300, 700]))
+            f = Factor(LITERAL, lengths=(L,), symbols=rng.integers(0, 5, L).astype(np.uint8))
+            if L >= params.m3:
+                res_len += L
+        elif r < 0.33:
+            f = Factor(NRUN, lengths=(int(rng.choice([params.m1, 90, 1000])),))
+        else:
+            k = int(rng.integers(1, 4))
+            pieces = [int(rng.choice([params.m1, 60, 256, 1200]))]
+            pieces += [int(rng.choice([params.m2, 30, 300])) for _ in range(k - 1)]
+            gaps = tuple(int(v) for v in rng.integers(0, 5, k - 1))
+            span = sum(pieces) + k - 1
+            if r < 0.45 and res_len >= span:
+                f = Factor(RESERVOIR, int(rng.integers(0, res_len - span + 1)), tuple(pieces), gaps)
+            else:
+                if rng.random() < 0.5:  # near the previous delta: one-byte offset
+                    at = pos - pred + int(rng.integers(-100, 101))
+                else:  # far away: an escaped offset
+                    at = int(rng.integers(0, len(ref) - span + 1))
+                at = min(max(at, 0), len(ref) - span)
+                f = Factor(MATCH, at, tuple(pieces), gaps)
+                pred = pos - at
+        factors.append(f)
+        pos += f.advance
+    return Parse(factors, pos)
+
+
+@pytest.mark.parametrize("interval", [8192, 96])
+@pytest.mark.parametrize("granularity", ["whole", "record"])
+def test_decode_matches_apply_parse_oracle(interval, granularity):
+    rng = np.random.default_rng(130 + interval)
+    params = ParseParams(checkpoint_interval=interval)
+    params.validate()
+    n_groups = 2 if granularity == "record" else 1
+    refs = [rng.integers(0, 4, 20_000).astype(np.uint8) for _ in range(n_groups)]
+    members = []
+    res_len = [0] * n_groups
+    own_phrase_matches = 0
+    for j in range(5):
+        g = j % n_groups
+        parse = random_member(rng, refs[g], res_len[g], params, 120)
+        own_phrase_matches += sum(
+            f.kind == RESERVOIR and f.position + f.advance > res_len[g] for f in parse.factors
+        )
+        res_len[g] += sum(
+            f.lengths[0] for f in parse.factors if f.kind == LITERAL and f.lengths[0] >= params.m3
+        )
+        members.append((g, parse))
+    factors = [f for _, p in members for f in p.factors]
+    assert {f.kind for f in factors} == {LITERAL, MATCH, NRUN, RESERVOIR}
+    assert {len(f.lengths) for f in factors if f.kind == MATCH} == {1, 2, 3}
+    assert max(max(f.lengths) for f in factors) > 255
+    assert own_phrase_matches
+    off = np.concatenate([encode_parse(p, params).bytes_[OFF] for _, p in members])
+    assert np.isin([ESC_NEG, ESC_POS], off).all()
+    arc = build_archive(refs, members, params, granularity)
+    if interval < 1000:  # a factor longer than a window leaves empty windows
+        dec = SequenceDecoder(arc.entries[n_groups].coded, arc.models, params)
+        dec.prefetch_all()
+        assert any(hi == lo for _, lo, hi in dec._cache.values())
+
+    want = oracle(refs, members, params)
+    for threads in (1, 2):
+        got = arc.decompress(threads=threads).sequences[n_groups:]
+        for seq, expect in zip(got, want):
+            assert np.array_equal(seq.data, expect)
+    for (_, parse), seq, expect in zip(members, got, want):
+        assert [f for _, f in arc.iter_factors(seq.name)] == parse.factors
+        for _ in range(40):
+            lo = int(rng.integers(0, len(expect)))
+            hi = int(rng.integers(lo, min(len(expect), lo + 2500) + 1))
+            assert np.array_equal(arc.extract(seq.name, lo, hi), expect[lo:hi])
+
+
+def params_small():
+    p = ParseParams()
+    p.validate()
+    return p
+
+
+def test_reservoir_match_past_current_reservoir_rejected():
+    rng = np.random.default_rng(140)
+    p = params_small()
+    ref = rng.integers(0, 4, 2000).astype(np.uint8)
+    run = rng.integers(0, 4, 64).astype(np.uint8)
+    # the match reads the member's own run, which only comes after it
+    parse = Parse(
+        [
+            Factor(RESERVOIR, 0, (20,)),
+            Factor(LITERAL, lengths=(64,), symbols=run),
+        ],
+        84,
+    )
+    arc = build_archive([ref], [(0, parse)], p)
+    with pytest.raises(CorruptArchiveError, match="reservoir"):
+        arc.decompress()
+
+
+def test_match_past_reference_end_rejected():
+    rng = np.random.default_rng(141)
+    p = params_small()
+    ref = rng.integers(0, 4, 2000).astype(np.uint8)
+    parse = Parse([Factor(MATCH, 1990, (20,))], 20)
+    arc = build_archive([ref], [(0, parse)], p)
+    with pytest.raises(CorruptArchiveError, match="reference"):
+        arc.decompress()
+    with pytest.raises(CorruptArchiveError, match="reference"):
+        arc.extract("m1", 0, 20)
+
+
+def _two_matches():
+    return Parse([Factor(MATCH, 0, (300,)), Factor(MATCH, 100, (300,))], 600)
+
+
+def _nrun_then_literal():
+    run = Factor(LITERAL, lengths=(5,), symbols=np.zeros(5, np.uint8))
+    return Parse([Factor(NRUN, lengths=(40,)), run], 45)
+
+
+def _set(stream, values):
+    def tamper(raw):
+        raw.bytes_[stream] = np.array(values, dtype=np.uint8)
+    return tamper
+
+
+def _zero_length_escape(raw):
+    """The literal run's length record becomes an escape holding 0."""
+    raw.bytes_[LEN] = np.array([39, 255, 0, 0, 0, 0], dtype=np.uint8)
+    raw.first[LEN] = np.array([1, 1, 0, 0, 0, 0], dtype=bool)
+    raw.seg_bytes[LEN] = np.array([6])
+
+
+@pytest.mark.parametrize(
+    "parse, tamper, what",
+    [
+        # flags 3, 1 need four length records where the window has two
+        (_two_matches, _set(FLG, [3 | 1 << 2]), "length records"),
+        # a literal flag where the offset stream holds a match record
+        (_two_matches, _set(FLG, [0 | 1 << 2]), "offset records"),
+        # ESC_POS holding +100, which the one-byte form covers
+        (_two_matches, _set(OFF, [125, 252, 100, 0, 0, 0]), "offset escape"),
+        (_two_matches, _set(OFF, [255, 252, 200, 0, 0, 0]), "invalid offset first byte"),
+        # one N-run flagged with a gap, taking both length records
+        (_nrun_then_literal, _set(FLG, [2]), "N-run with a gapped flag"),
+        (_nrun_then_literal, _zero_length_escape, "zero length record"),
+    ],
+)
+def test_tampered_streams_rejected(parse, tamper, what):
+    p = params_small()
+    parse = parse()
+    raw = encode_parse(parse, p)
+    tamper(raw)
+    models = build_models([raw])
+    coded = compress_streams(raw, models)
+    with pytest.raises(CorruptArchiveError, match=what):
+        SequenceDecoder(coded, models, p).factors_from(0, parse.source_length)

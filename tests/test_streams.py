@@ -24,7 +24,6 @@ from rlzg.streams import (
     SequenceDecoder,
     build_models,
     compress_streams,
-    decode_window,
     encode_parse,
     stream_tallies,
 )
@@ -45,6 +44,13 @@ def match(position, lengths, gaps=()):
     return Factor(MATCH, position=position, lengths=tuple(lengths), gap_symbols=tuple(gaps))
 
 
+def decode_from(coded, models, p, window, until):
+    """Factor objects a fresh decoder returns from checkpoint ``window``
+    until coverage reaches ``until``, plus their source start."""
+    cols, start = SequenceDecoder(coded, models, p).factors_from(window, until)
+    return cols.to_factors(), start
+
+
 def roundtrip_factors(parse, p=None):
     p = p or params()
     raw = encode_parse(parse, p)
@@ -52,9 +58,9 @@ def roundtrip_factors(parse, p=None):
     coded = compress_streams(raw, models)
     dec = SequenceDecoder(coded, models, p)
     dec.prefetch_all()
-    factors, start = dec.factors_from(0, parse.source_length)
+    cols, start = dec.factors_from(0, parse.source_length)
     assert start == 0
-    return factors, coded, models
+    return cols.to_factors(), coded, models
 
 
 def test_offset_byte_for_zero_delta():
@@ -183,9 +189,8 @@ def test_long_factor_spanning_windows():
     got, coded, models = roundtrip_factors(parse)
     assert got == [big, tail]
     # decode from a checkpoint inside the big factor
-    dec = SequenceDecoder(coded, models, p)
     w = coded.checkpoint_for(20_000)
-    factors, start = dec.factors_from(w, 20_100)
+    factors, start = decode_from(coded, models, p, w, 20_100)
     assert start == 0 and factors[0] == big
 
 
@@ -208,13 +213,14 @@ def test_decode_window_mid_sequence():
 
     full = SequenceDecoder(coded, models, p)
     full.prefetch_all()
-    all_factors, _ = full.factors_from(0, pos)
+    cols, _ = full.factors_from(0, pos)
+    all_factors = cols.to_factors()
     assert all_factors == factors
 
     # windowed decode agrees with the full decode
     for target in (0, 100, 8192, 20_000, pos - 1):
         w = coded.checkpoint_for(target)
-        got, start = decode_window(coded, models, p, w, target + 1)
+        got, start = decode_from(coded, models, p, w, target + 1)
         covered = start
         for f in got[:-1]:
             covered += f.advance
@@ -230,7 +236,7 @@ def test_until_equal_to_checkpoint_yields_empty():
     raw = encode_parse(parse, p)
     models = build_models([raw])
     coded = compress_streams(raw, models)
-    factors, start = decode_window(coded, models, p, 0, 0)
+    factors, start = decode_from(coded, models, p, 0, 0)
     assert factors == [] and start == 0
 
 
@@ -248,7 +254,8 @@ def test_reencoding_decoded_factors_is_byte_identical():
     coded = compress_streams(raw, models)
     dec = SequenceDecoder(coded, models, p)
     dec.prefetch_all()
-    factors, _ = dec.factors_from(0, parse.source_length)
+    cols, _ = dec.factors_from(0, parse.source_length)
+    factors = cols.to_factors()
     raw2 = encode_parse(Parse(factors, parse.source_length), p)
     for s in range(4):
         assert np.array_equal(raw.bytes_[s], raw2.bytes_[s])
@@ -323,7 +330,7 @@ def test_corrupt_payload_detected():
         bad[FLG] = bad[FLG][:0]  # drop the flag payload entirely
     coded.payloads = [bytes(x) for x in bad]
     with pytest.raises(CorruptArchiveError):
-        decode_window(coded, models, p, 0, 90)
+        decode_from(coded, models, p, 0, 90)
 
 
 def test_empty_parse_empty_streams():
@@ -333,7 +340,7 @@ def test_empty_parse_empty_streams():
     models = build_models([raw])
     coded = compress_streams(raw, models)
     assert all(p == b"" for p in coded.payloads)
-    factors, start = decode_window(coded, models, params(), 0, 0)
+    factors, start = decode_from(coded, models, params(), 0, 0)
     assert factors == [] and start == 0
 
 
