@@ -159,11 +159,14 @@ def _read_varints(r: _Reader, n: int) -> np.ndarray:
     return np.add.reduceat(groups, firsts)
 
 
-def _read_deltas(r: _Reader, n: int) -> np.ndarray:
-    """Running sums of the next ``n`` varints (see :func:`_write_deltas`)."""
-    out = np.cumsum(_read_varints(r, n))
+def _running_sums(deltas: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis of ``deltas`` as read by
+    :func:`_read_varints`, each row starting from a leading 0 (see
+    :func:`_write_deltas`)."""
+    out = np.zeros(deltas.shape[:-1] + (deltas.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(deltas, axis=-1, out=out[..., 1:])
     # every delta is below 2**63, so a sum past int64 wraps negative first
-    if len(out) and out.min() < 0:
+    if out.min() < 0:
         raise CorruptArchiveError("delta sum does not fit a 64-bit integer")
     return out
 
@@ -227,11 +230,26 @@ def n_free_window_count(data: np.ndarray, m1: int) -> int:
     return int(((csum[m1:] - csum[:-m1]) == 0).sum())
 
 
+def reference_scores(collection: Collection, m1: int = 13) -> list[int]:
+    """Per sequence, the score :func:`select_reference` maximizes: its
+    N-free m1-windows, or in record granularity those of all records of
+    its file (``file_tag``)."""
+    seqs = collection.sequences
+    counts = [n_free_window_count(s.data, m1) for s in seqs]
+    if collection.granularity == "whole":
+        return counts
+    totals: dict[str, int] = {}
+    for s, c in zip(seqs, counts):
+        totals[s.file_tag] = totals.get(s.file_tag, 0) + c
+    return [totals[s.file_tag] for s in seqs]
+
+
 def select_reference(collection: Collection, m1: int = 13) -> int:
-    """Index of the sequence with the most N-free m1-windows (advisory;
-    compress takes whatever reference_index says)."""
-    counts = [n_free_window_count(s.data, m1) for s in collection.sequences]
-    return int(np.argmax(counts))
+    """Index of the suggested reference (advisory; compress takes
+    whatever reference_index says): the sequence with the most N-free
+    m1-windows, or in record granularity the first record of the file
+    whose records hold the most.  The lowest index wins ties."""
+    return int(np.argmax(reference_scores(collection, m1)))
 
 
 @dataclass
@@ -494,11 +512,7 @@ class Archive:
                 n_windows = -(-length // interval)
                 # start_source, then per stream the symbol and byte offset
                 # deltas: nine runs of n_windows varints
-                table = _read_varints(t, 9 * n_windows).reshape(9, n_windows)
-                runs = np.zeros((9, n_windows + 1), dtype=np.int64)
-                np.cumsum(table, axis=1, out=runs[:, 1:])
-                if runs.min() < 0:
-                    raise CorruptArchiveError("checkpoint offset does not fit a 64-bit integer")
+                runs = _running_sums(_read_varints(t, 9 * n_windows).reshape(9, n_windows))
                 start_source = runs[0, 1:]
                 sym_counts = [runs[1 + 2 * s] for s in range(4)]
                 byte_offs = [runs[2 + 2 * s] for s in range(4)]
@@ -528,11 +542,9 @@ class Archive:
             rows = _read_varints(p, 3 * p.varint()).reshape(-1, 3)
             if len(rows) and rows[:, 0].max() >= n_seq:
                 raise CorruptArchiveError("provenance points at a missing sequence")
-            ends = np.cumsum(rows[:, 2])
-            if len(ends) and ends.min() < 0:
-                raise CorruptArchiveError("reservoir length does not fit a 64-bit integer")
             prov = ReservoirProvenance(
-                list(zip(*(rows[:, k].tolist() for k in range(3)))), [0] + ends.tolist()
+                list(zip(*(rows[:, k].tolist() for k in range(3)))),
+                _running_sums(rows[:, 2]).tolist(),
             )
             provenances.append(prov)
         for g, grp in enumerate(groups):

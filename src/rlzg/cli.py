@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import Archive, compress as compress_collection, n_free_window_count, select_reference
+from .archive import Archive, compress as compress_collection, reference_scores, select_reference
 from .errors import CorruptArchiveError, FastaError, RlzgError
 from .genome import Collection, Sequence, parse_fasta, write_fasta
 from .parse import ParseParams
@@ -59,19 +59,13 @@ def _build_collection(
     m1: int = 13,
 ):
     files = ([ref_path] if ref_path else []) + inputs
-    per_file: list[list[Sequence]] = [_load_file_sequences(p, per_record) for p in files]
-    sequences = [s for group in per_file for s in group]
+    sequences = [s for p in files for s in _load_file_sequences(p, per_record)]
     granularity = "record" if per_record else "whole"
     coll = Collection(sequences, 0, granularity)
     if ref_path is not None:
         coll.reference_index = 0
     elif auto_ref:
-        if per_record:
-            totals = [sum(n_free_window_count(s.data, m1) for s in g) for g in per_file]
-            best = int(np.argmax(totals))
-            coll.reference_index = sum(len(g) for g in per_file[:best])
-        else:
-            coll.reference_index = select_reference(coll, m1)
+        coll.reference_index = select_reference(coll, m1)
         log.debug("auto-ref picked %s", sequences[coll.reference_index].name)
     coll.validate()
     return coll
@@ -183,16 +177,14 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_select_ref(args) -> int:
-    per_record = args.per_record
-    files = [Path(p) for p in args.inputs]
-    per_file = [_load_file_sequences(p, per_record) for p in files]
+    sequences = [s for p in args.inputs for s in _load_file_sequences(Path(p), args.per_record)]
+    coll = Collection(sequences, 0, "record" if args.per_record else "whole")
     m1 = args.m1 or 13
-    totals = [sum(n_free_window_count(s.data, m1) for s in g) for g in per_file]
-    best = int(np.argmax(totals))
+    best = select_reference(coll, m1)
     _print_stats(
         {
-            "reference": per_file[best][0].file_tag,
-            "windows": totals[best],
+            "reference": sequences[best].file_tag,
+            "windows": reference_scores(coll, m1)[best],
             "m1": m1,
         }
     )

@@ -1,15 +1,17 @@
 """Canonical order-0 Huffman coding over the 256-value byte alphabet.
 
-Tables are fully determined by their code lengths (max 15 bits) and
-serialize as 128 bytes, two 4-bit lengths per byte.  Bitstreams are
-MSB-first within bytes.  Encoding and decoding are vectorized: the
-encoder scatters code bits for whole segments at once, the decoder
-follows codeword chains with jump-table doubling, so both run at
-numpy speed rather than per-symbol Python speed.
+Tables are fully determined by their code lengths (max 15 bits), which
+package-merge builds optimal under that cap, and serialize as 128
+bytes, two 4-bit lengths per byte.  Bitstreams are MSB-first within
+bytes.  There is one encoder and one decoder, both vectorized so they
+run at numpy speed rather than per-symbol Python speed:
+:func:`pack_codes` scatters the code bits of whole segments at once,
+each segment flushed to a byte boundary, and :func:`decode_chains`
+follows the codeword chains of many segments together with jump-table
+doubling.  A chain's records may carry escapes: four codewords of a
+second table after a marked first codeword.
 """
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
@@ -19,30 +21,9 @@ MAX_CODE_LEN = 15
 _NWIN = 1 << MAX_CODE_LEN
 
 
-def _tree_lengths(counts: np.ndarray) -> np.ndarray:
-    """Unbounded Huffman code lengths via pairwise merging (deterministic)."""
-    syms = np.flatnonzero(counts)
-    lengths = np.zeros(256, dtype=np.uint8)
-    if len(syms) == 1:
-        lengths[syms[0]] = 1
-        return lengths
-    heap = [(int(counts[s]), int(s), (int(s),)) for s in syms]
-    heapq.heapify(heap)
-    order = 256
-    while len(heap) > 1:
-        c1, _, t1 = heapq.heappop(heap)
-        c2, _, t2 = heapq.heappop(heap)
-        merged = t1 + t2
-        for s in merged:
-            lengths[s] += 1
-        heapq.heappush(heap, (c1 + c2, order, merged))
-        order += 1
-    return lengths
-
-
 def _package_merge_lengths(counts: np.ndarray, maxlen: int) -> np.ndarray:
-    """Optimal length-limited code lengths (used when the plain tree
-    exceeds the 15-bit cap).  Always Kraft-tight."""
+    """Optimal code lengths of at most ``maxlen`` bits (package-merge,
+    Larmore & Hirschberg 1990).  Kraft-tight; a lone symbol gets one bit."""
     syms = np.flatnonzero(counts)
     leaves = sorted((int(counts[s]), (int(s),)) for s in syms)
     merged = list(leaves)
@@ -53,7 +34,7 @@ def _package_merge_lengths(counts: np.ndarray, maxlen: int) -> np.ndarray:
         ]
         merged = sorted(paired + leaves)
     lengths = np.zeros(256, dtype=np.uint8)
-    for _, group in merged[: 2 * len(syms) - 2]:
+    for _, group in merged[: max(2 * len(syms) - 2, 1)]:
         for s in group:
             lengths[s] += 1
     return lengths
@@ -93,10 +74,7 @@ class HuffmanTable:
             raise ValueError("negative count")
         if not counts.any():
             raise ValueError("cannot build a Huffman table from all-zero counts")
-        lengths = _tree_lengths(counts)
-        if lengths.max() > MAX_CODE_LEN:
-            lengths = _package_merge_lengths(counts, MAX_CODE_LEN)
-        return cls(lengths)
+        return cls(_package_merge_lengths(counts, MAX_CODE_LEN))
 
     @classmethod
     def from_lengths(cls, lengths) -> "HuffmanTable":
@@ -268,19 +246,39 @@ def follow_chains(
     return out_pos, bounds
 
 
+def _jump_table(win: np.ndarray, dlen: np.ndarray) -> np.ndarray:
+    """Where the codeword at each bit position ends, given the positions'
+    15-bit windows, plus a trailing sentinel (index len(win), mapping to
+    itself) that every jump past the segment lands on.  A window that
+    starts no codeword (of valid tables, only a lone-symbol one has them)
+    maps to itself; decode_chains checks every position a chain visits."""
+    nbits = len(win)
+    jump = np.arange(nbits + 1, dtype=np.int64)
+    jump[:-1] += dlen[win]
+    return np.minimum(jump, nbits, out=jump)
+
+
 def decode_chains(
     buf: np.ndarray,
     table: HuffmanTable,
     starts,
     counts,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode several independent codeword chains out of one buffer.
+    escape: tuple[HuffmanTable, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Decode several independent chains of records out of one buffer.
 
-    ``starts`` are bit positions, ``counts`` the number of symbols per
-    chain.  Returns (values, value boundaries per chain, end bit
-    positions per chain).  The heavy lifting (per-bit-position jump
-    table plus jump doubling) is shared across all chains, which is what
-    makes many small checkpointed windows cheap to decode.
+    A record is one codeword of ``table``.  With ``escape`` given as
+    (escape table, mask over the 256 values), a record whose value the
+    mask marks is followed by four codewords of the escape table, the
+    bytes of an unsigned 32-bit little-endian integer.  ``starts`` are
+    bit positions, ``counts`` the number of records per chain.  Returns
+    (record values, record boundaries per chain, escape integers), the
+    last as int64 with 0 for unescaped records, or None without
+    ``escape``.  The heavy lifting (per-bit-position jump table plus
+    jump doubling) is shared across all chains, which is what makes many
+    small checkpointed windows cheap to decode.  An invalid codeword, or
+    a chain whose last codeword runs past the buffer, raises
+    :class:`CorruptArchiveError`.
     """
     buf = np.asarray(buf, dtype=np.uint8)
     starts = np.asarray(starts, dtype=np.int64)
@@ -290,15 +288,17 @@ def decode_chains(
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
     bounds[1:] = np.cumsum(counts)
     total = int(bounds[-1])
-    nbits_buf = len(buf) * 8
+    esc_vals = None if escape is None else np.zeros(total, dtype=np.int64)
     if total == 0:
-        return np.zeros(0, dtype=np.uint8), bounds, starts.copy()
-    if (starts < 0).any() or (starts > nbits_buf).any():
+        return np.zeros(0, dtype=np.uint8), bounds, esc_vals
+    if (starts < 0).any() or (starts > len(buf) * 8).any():
         raise CorruptArchiveError("stream offset outside payload")
 
-    maxlen = max(table.max_code_len, 1)
+    rec_bits = max(table.max_code_len, 1)
+    if escape is not None:
+        rec_bits += 4 * escape[0].max_code_len
     lo_byte = int(starts.min()) >> 3
-    hi_bit = int((starts + counts * maxlen).max())
+    hi_bit = int((starts + counts * rec_bits).max())
     hi_byte = min(len(buf), ((hi_bit + 7) >> 3) + 1)
     seg = buf[lo_byte:hi_byte]
     nbits = len(seg) * 8
@@ -306,10 +306,15 @@ def decode_chains(
 
     dsym, dlen = table._decode_tables()
     win = bit_windows(seg)
-    len_at = dlen[win]
-    nxt = np.minimum(np.arange(nbits, dtype=np.int64) + len_at, nbits)
-    nxt[len_at == 0] = nbits  # invalid windows jump to the sentinel
-    jump = np.append(nxt, nbits)
+    jump = _jump_table(win, dlen)
+    if escape is not None:
+        ext, esc_mask = escape
+        esym, elen = ext._decode_tables()
+        e1 = _jump_table(win, elen)
+        e2 = e1[e1]
+        # an escaping record jumps over its four escape codewords too
+        nxt = jump[:-1]
+        np.copyto(nxt, e2[e2[nxt]], where=esc_mask[dsym[win]])
 
     out_pos, _ = follow_chains(jump, local, counts)
     if int(out_pos.max()) >= nbits:
@@ -318,94 +323,27 @@ def decode_chains(
     syms = dsym[wpos]
     if (syms < 0).any():
         raise CorruptArchiveError("invalid Huffman codeword")
-
-    ends = local.copy()
-    nz = counts > 0
-    last = bounds[1:][nz] - 1
-    ends[nz] = out_pos[last] + dlen[wpos[last]]
-    if (ends > nbits).any():
+    # a chain's last codeword must end inside the buffer, not in the
+    # zero padding that bit_windows reads past it (an empty chain's index
+    # falls on another chain's last record)
+    last = bounds[1:] - 1
+    if int((out_pos[last] + dlen[wpos[last]]).max()) > nbits:
         raise CorruptArchiveError("Huffman stream truncated")
-    return syms.astype(np.uint8), bounds, ends + lo_byte * 8
-
-
-class BitWriter:
-    """MSB-first bit sink; flushed regions are plain bytes."""
-
-    def __init__(self):
-        self.data = bytearray()
-        self.bit_len = 0
-
-    def write_code(self, code: int, length: int) -> None:
-        for b in range(length - 1, -1, -1):
-            if self.bit_len & 7 == 0:
-                self.data.append(0)
-            if (code >> b) & 1:
-                self.data[-1] |= 0x80 >> (self.bit_len & 7)
-            self.bit_len += 1
-
-    def flush_to_byte_boundary(self) -> None:
-        self.bit_len = len(self.data) * 8
-
-    def getvalue(self) -> bytes:
-        return bytes(self.data)
-
-
-class BitReader:
-    """MSB-first bit source over an immutable byte buffer."""
-
-    def __init__(self, data: bytes, bit_pos: int = 0):
-        self.buf = np.frombuffer(bytes(data), dtype=np.uint8)
-        self.bit_pos = bit_pos
-
-    @property
-    def total_bits(self) -> int:
-        return len(self.buf) * 8
-
-    def align_to_byte(self) -> None:
-        self.bit_pos = (self.bit_pos + 7) & ~7
-
-
-def encode_stream(values, table: HuffmanTable, writer: BitWriter) -> int:
-    """Append the codewords for ``values`` to ``writer``; returns the bit
-    count written.  No terminator is emitted (lengths travel
-    externally).  A value whose table length is zero is an error."""
-    values = np.asarray(
-        np.frombuffer(values, dtype=np.uint8) if isinstance(values, (bytes, bytearray)) else values,
-        dtype=np.uint8,
-    )
-    if len(values) == 0:
-        return 0
-    lens = table.lengths[values]
-    if not lens.all():
-        bad = int(values[np.argmin(lens)])
-        raise ValueError(f"byte {bad} has no code in this table")
-    codes = table.codes[values]
-    total_bits = int(lens.astype(np.int64).sum())
-    r = writer.bit_len & 7
-    bits = np.zeros(r + total_bits, dtype=np.uint8)
-    if r:
-        last = writer.data[-1]
-        for i in range(r):
-            bits[i] = (last >> (7 - i)) & 1
-    cum = np.cumsum(lens, dtype=np.int64)
-    gstart = r + cum - lens
-    lens16 = lens.astype(np.int16)
-    for b in range(int(lens.max())):
-        m = lens16 > b
-        bits[gstart[m] + b] = (codes[m] >> (lens16[m] - 1 - b)).astype(np.uint8) & 1
-    packed = np.packbits(bits).tobytes()
-    if r:
-        writer.data[-1] = packed[0]
-        writer.data.extend(packed[1:])
-    else:
-        writer.data.extend(packed)
-    writer.bit_len += total_bits
-    return total_bits
-
-
-def decode_stream(reader: BitReader, table: HuffmanTable, count: int) -> np.ndarray:
-    """Decode exactly ``count`` symbols from the reader's position;
-    raises :class:`CorruptArchiveError` if the bits run out first."""
-    values, _, ends = decode_chains(reader.buf, table, [reader.bit_pos], [count])
-    reader.bit_pos = int(ends[0])
-    return values
+    if escape is not None:
+        at = np.flatnonzero(esc_mask[syms])
+        if len(at):
+            q = out_pos[at] + dlen[wpos[at]]
+            raw = np.zeros(len(at), dtype=np.int64)
+            for i in range(4):
+                if int(q.max()) >= nbits:
+                    raise CorruptArchiveError("Huffman stream truncated")
+                w = win[q]
+                b = esym[w]
+                if (b < 0).any():
+                    raise CorruptArchiveError("invalid Huffman codeword in an escape")
+                raw |= b.astype(np.int64) << (8 * i)
+                q = q + elen[w]
+            if int(q.max()) > nbits:
+                raise CorruptArchiveError("Huffman stream truncated")
+            esc_vals[at] = raw
+    return syms.astype(np.uint8), bounds, esc_vals

@@ -19,7 +19,11 @@ in the least significant bit pair.
 
 Six shared order-0 Huffman models cover the streams: offset first
 bytes, pooled offset escape bytes, length first bytes, pooled length
-escape bytes, literal triplet bytes, flag bytes.
+escape bytes, literal triplet bytes, flag bytes.  An offset or length
+record is thus one first-byte codeword, plus four escape-byte codewords
+when the first byte escapes (251, 252 and 254; 255); it decodes with
+:func:`huffman.decode_chains` given the escape table.  Literal and flag
+bytes are plain chains of one table.
 
 Every stream is flushed to a byte boundary at each checkpoint (one per
 ``checkpoint_interval`` source symbols); the delta predictor resets
@@ -35,7 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptArchiveError
-from .huffman import HuffmanTable, bit_windows, decode_chains, follow_chains, pack_codes
+from .huffman import (
+    HuffmanTable,
+    decode_chains,
+    follow_chains,  # noqa: F401  perfbench's tracer looks this name up to wrap it
+    pack_codes,
+)
 from .packing import pack_triplets, unpack_triplets
 from .parse import LITERAL, MATCH, NRUN, RESERVOIR, Factor, Parse, ParseParams, validate_parse
 
@@ -323,84 +332,6 @@ def compress_streams(raw: RawStreams, models: ModelSet) -> CodedSequence:
     )
 
 
-def _decode_record_stream(
-    payload: bytes,
-    t0: HuffmanTable,
-    t_ext: HuffmanTable,
-    esc_mask: np.ndarray,
-    starts_bits: np.ndarray,
-    counts: np.ndarray,
-):
-    """Decode interleaved first/escape records along windows.
-
-    Returns (first bytes, escape payload values as int64 raw u32, record
-    boundaries per window).  Escape values are 0 for non-escape records.
-    """
-    starts_bits = np.asarray(starts_bits, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-    bounds[1:] = np.cumsum(counts)
-    total = int(bounds[-1])
-    if total == 0:
-        return (
-            np.zeros(0, dtype=np.uint8),
-            np.zeros(0, dtype=np.int64),
-            bounds,
-        )
-    buf = np.frombuffer(payload, dtype=np.uint8)
-    nbits_buf = len(buf) * 8
-    if (starts_bits < 0).any() or (starts_bits > nbits_buf).any():
-        raise CorruptArchiveError("record stream offset outside payload")
-    rec_max_bits = t0.max_code_len + 4 * t_ext.max_code_len
-    lo_byte = int(starts_bits.min()) >> 3
-    hi_bit = int((starts_bits + counts * rec_max_bits).max())
-    hi_byte = min(len(buf), ((hi_bit + 7) >> 3) + 1)
-    seg = buf[lo_byte:hi_byte]
-    nbits = len(seg) * 8
-    local = starts_bits - lo_byte * 8
-
-    win = bit_windows(seg)
-    s0, l0 = t0._decode_tables()
-    se, le = t_ext._decode_tables()
-    val0 = s0[win]
-    pos = np.arange(nbits, dtype=np.int64)
-    l0w = l0[win]
-    next0 = np.minimum(pos + l0w, nbits)
-    next0[l0w == 0] = nbits
-    lew = le[win]
-    next_e = np.minimum(pos + lew, nbits)
-    next_e[lew == 0] = nbits
-    e1 = np.append(next_e, nbits)
-    e2 = e1[e1]
-    e4 = e2[e2]
-    is_esc = np.zeros(nbits, dtype=bool)
-    ok0 = val0 >= 0
-    is_esc[ok0] = esc_mask[val0[ok0]]
-    rec_next = np.append(np.where(is_esc, e4[next0], next0), nbits)
-
-    rec_pos, _ = follow_chains(rec_next, local, counts)
-    if int(rec_pos.max()) >= nbits:
-        raise CorruptArchiveError("record stream truncated")
-    firsts = val0[rec_pos]
-    if (firsts < 0).any():
-        raise CorruptArchiveError("invalid codeword in record stream")
-    ext_vals = np.zeros(total, dtype=np.int64)
-    esc_at = np.flatnonzero(is_esc[rec_pos])
-    if len(esc_at):
-        q = np.append(next0, nbits)[rec_pos[esc_at]]
-        raw = np.zeros(len(esc_at), dtype=np.int64)
-        for i in range(4):
-            if int(q.max()) >= nbits:
-                raise CorruptArchiveError("record stream truncated")
-            b = se[win[q]]
-            if (b < 0).any():
-                raise CorruptArchiveError("invalid codeword in record escape")
-            raw |= b.astype(np.int64) << (8 * i)
-            q = e1[q]
-        ext_vals[esc_at] = raw
-    return firsts.astype(np.uint8), ext_vals, bounds
-
-
 _PIECE = np.arange(3)
 
 # factor kind by offset first byte (-1: invalid), and an escape's sign
@@ -652,11 +583,11 @@ class SequenceDecoder:
         # each stream ends at the batch's last window: no window reads past its bytes
         bufs = [b[:end] for b, end in zip(self._bufs, self._offs[:, windows[-1] + 1].tolist())]
 
-        o_first, o_ext, off_bounds = _decode_record_stream(
-            bufs[OFF], m.off0, m.off_ext, _IS_OFF_ESC, starts[OFF], counts[OFF]
+        o_first, off_bounds, o_ext = decode_chains(
+            bufs[OFF], m.off0, starts[OFF], counts[OFF], (m.off_ext, _IS_OFF_ESC)
         )
-        l0, le_, len_bounds = _decode_record_stream(
-            bufs[LEN], m.len0, m.len_ext, _IS_LEN_ESC, starts[LEN], counts[LEN]
+        l0, len_bounds, le_ = decode_chains(
+            bufs[LEN], m.len0, starts[LEN], counts[LEN], (m.len_ext, _IS_LEN_ESC)
         )
         len_vals = np.where(l0 == LEN_ESC, le_, l0.astype(np.int64) + 1)
         lit_bytes, lit_bounds, _ = decode_chains(bufs[LIT], m.lit, starts[LIT], counts[LIT])

@@ -21,8 +21,8 @@ from rlzg.synthetic import make_collection, random_reference, apply_snps
 from rlzg.archive import (
     ROLE_REFERENCE,
     _Reader,
-    _read_deltas,
     _read_varints,
+    _running_sums,
     _write_varint,
     matching_groups,
     n_free_window_count,
@@ -196,6 +196,15 @@ def test_select_reference_examples():
     assert select_reference(
         Collection([Sequence("d", dirty), Sequence("c", clean)]), 13
     ) == 1
+
+    # per record: the file whose records hold the most windows in total
+    # wins, represented by its first record
+    records = [
+        Sequence(f"{tag}/{i}", random_reference(rng, n), record_name=str(i), file_tag=tag)
+        for tag, i, n in (("a", 1, 600), ("a", 2, 100), ("b", 1, 400), ("b", 2, 400))
+    ]
+    assert select_reference(Collection(records, 0, "record"), 13) == 2
+    assert select_reference(Collection(records, 0, "whole"), 13) == 0
 
 
 def test_select_reference_tie_breaks_low_index():
@@ -405,4 +414,4 @@ def test_vector_varints_match_the_scalar_reader():
 )
 def test_bad_varint_runs_raise_corrupt_archive(raw, n):
     with pytest.raises(CorruptArchiveError):
-        _read_deltas(_Reader(raw), n)
+        _running_sums(_read_varints(_Reader(raw), n))

@@ -6,16 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlzg.errors import CorruptArchiveError
-from rlzg.huffman import (
-    MAX_CODE_LEN,
-    BitReader,
-    BitWriter,
-    HuffmanTable,
-    decode_chains,
-    decode_stream,
-    encode_stream,
-    pack_codes,
-)
+from rlzg.huffman import MAX_CODE_LEN, HuffmanTable, decode_chains, pack_codes
+from rlzg.parse import LITERAL, Factor, Parse, ParseParams
+from rlzg.streams import ModelSet, compress_streams, encode_parse
 
 
 def counts_from(pairs: dict[int, int]) -> np.ndarray:
@@ -40,11 +33,35 @@ def brute_force_optimal_bits(freqs: list[int]) -> int:
     return best
 
 
+class BitWriter:
+    """MSB-first per-bit writer: the oracle for :func:`pack_codes`."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.bit_len = 0
+
+    def write_code(self, code: int, length: int) -> None:
+        for b in range(length - 1, -1, -1):
+            if self.bit_len & 7 == 0:
+                self.data.append(0)
+            if (code >> b) & 1:
+                self.data[-1] |= 0x80 >> (self.bit_len & 7)
+            self.bit_len += 1
+
+    def flush_to_byte_boundary(self) -> None:
+        self.bit_len = len(self.data) * 8
+
+
+def pack(table: HuffmanTable, values) -> np.ndarray:
+    """The codewords of ``values`` as one byte-flushed segment."""
+    values = np.asarray(values, dtype=np.uint8)
+    payload, _ = pack_codes(table.lengths[values], table.codes[values], [len(values)])
+    return np.frombuffer(payload, dtype=np.uint8)
+
+
 def roundtrip(values: np.ndarray, table: HuffmanTable) -> np.ndarray:
-    w = BitWriter()
-    encode_stream(values, table, w)
-    w.flush_to_byte_boundary()
-    return decode_stream(BitReader(w.getvalue()), table, len(values))
+    vals, _, _ = decode_chains(pack(table, values), table, [0], [len(values)])
+    return vals
 
 
 def test_single_symbol_gets_one_bit():
@@ -127,25 +144,27 @@ def test_length_cap_on_fibonacci_counts():
 
 def test_empty_stream_zero_bits():
     table = HuffmanTable.from_counts(counts_from({7: 1}))
-    w = BitWriter()
-    assert encode_stream(np.zeros(0, dtype=np.uint8), table, w) == 0
-    assert w.getvalue() == b""
+    empty = np.zeros(0, dtype=np.uint8)
+    assert table.coded_bits(empty) == 0
+    assert pack(table, empty).tobytes() == b""
 
 
 def test_eight_single_symbol_bytes_one_flushed_byte():
     table = HuffmanTable.from_counts(counts_from({7: 1}))
-    w = BitWriter()
-    assert encode_stream(np.full(8, 7, dtype=np.uint8), table, w) == 8
-    w.flush_to_byte_boundary()
-    assert len(w.getvalue()) == 1
-    out = decode_stream(BitReader(w.getvalue()), table, 8)
+    data = np.full(8, 7, dtype=np.uint8)
+    assert table.coded_bits(data) == 8
+    buf = pack(table, data)
+    assert len(buf) == 1
+    out, _, _ = decode_chains(buf, table, [0], [8])
     assert out.tolist() == [7] * 8
 
 
 def test_encode_rejects_uncovered_byte():
     table = HuffmanTable.from_counts(counts_from({7: 1}))
-    with pytest.raises(ValueError, match="byte 9"):
-        encode_stream(np.array([9], dtype=np.uint8), table, BitWriter())
+    literal = Factor(LITERAL, lengths=(1,), symbols=np.array([2], dtype=np.uint8))
+    raw = encode_parse(Parse([literal], 1), ParseParams())
+    with pytest.raises(ValueError, match="stream byte missing from its model"):
+        compress_streams(raw, ModelSet(*[table] * 6))
 
 
 def test_roundtrip_random_4kb():
@@ -167,29 +186,50 @@ def test_vectorized_encoder_matches_bit_writer():
     rng = np.random.default_rng(9)
     data = (rng.integers(0, 256, 700) ** 2 % 256).astype(np.uint8)
     table = HuffmanTable.from_counts(np.bincount(data, minlength=256))
-    w_fast = BitWriter()
-    encode_stream(data, table, w_fast)
+    sizes = [300, 0, 1, 399]
+    payload, off = pack_codes(table.lengths[data], table.codes[data], sizes)
     w_slow = BitWriter()
-    for v in data:
-        w_slow.write_code(int(table.codes[v]), int(table.lengths[v]))
-    assert w_fast.getvalue() == w_slow.getvalue()
-    assert w_fast.bit_len == w_slow.bit_len
+    slow_off = [0]
+    for seg in np.split(data, np.cumsum(sizes)[:-1]):
+        for v in seg:
+            w_slow.write_code(int(table.codes[v]), int(table.lengths[v]))
+        w_slow.flush_to_byte_boundary()
+        slow_off.append(len(w_slow.data))
+    assert payload == bytes(w_slow.data)
+    assert off.tolist() == slow_off
+    assert int(off[-1]) * 8 == w_slow.bit_len
 
 
 def test_truncated_stream_detected():
     table = HuffmanTable.from_counts(counts_from({3: 1, 5: 1}))
-    w = BitWriter()
-    encode_stream(np.array([3, 5, 3], dtype=np.uint8), table, w)
-    w.flush_to_byte_boundary()
     with pytest.raises(CorruptArchiveError, match="truncated"):
-        decode_stream(BitReader(w.getvalue()), table, 100)
+        decode_chains(pack(table, [3, 5, 3]), table, [0], [100])
+
+    # A last codeword cut at the buffer end must not decode from the zero
+    # padding past it: [5, 6, 7] in 3-bit codes would read back [5, 6, 6].
+    t3 = HuffmanTable.from_counts(counts_from({i: 1 for i in range(8)}))
+    cut = pack(t3, [5, 6, 7])[:1]
+    no_escapes = (t3, np.zeros(256, dtype=bool))
+    esc_5 = (t3, np.arange(256) == 5)
+    cases = [
+        (cut, [3], None),  # plain chain
+        (cut, [3], no_escapes),  # record chain
+        # records 6 and 5 + four escape codewords: 18 bits cut to 16
+        (pack(t3, [6, 5, 1, 2, 3, 7])[:2], [2], esc_5),
+        # the same record chain after an empty and a whole chain
+        (np.concatenate([pack(t3, [6]), pack(t3, [6, 5, 1, 2, 3, 7])[:2]]), [0, 1, 2], esc_5),
+    ]
+    for buf, counts, escape in cases:
+        starts = [0, 0, 8][: len(counts)]
+        with pytest.raises(CorruptArchiveError, match="truncated"):
+            decode_chains(buf, t3, starts, counts, escape)
 
 
 def test_invalid_codeword_detected():
     # single-symbol table: a 1 bit cannot start any codeword
     table = HuffmanTable.from_counts(counts_from({0: 4}))
     with pytest.raises(CorruptArchiveError):
-        decode_stream(BitReader(b"\xff"), table, 3)
+        decode_chains(np.frombuffer(b"\xff", dtype=np.uint8), table, [0], [3])
 
 
 def test_serialize_single_symbol_layout():
@@ -288,9 +328,7 @@ def test_follow_chains_strategies_agree():
 
 def test_decode_mid_byte_start():
     table = HuffmanTable.from_counts(counts_from({3: 1, 5: 1}))
-    w = BitWriter()
-    encode_stream(np.array([3, 5, 3, 5, 5], dtype=np.uint8), table, w)
-    w.flush_to_byte_boundary()
-    r = BitReader(w.getvalue())
-    assert decode_stream(r, table, 2).tolist() == [3, 5]
-    assert decode_stream(r, table, 3).tolist() == [3, 5, 5]
+    data = np.array([3, 5, 3, 5, 5], dtype=np.uint8)
+    vals, bounds, _ = decode_chains(pack(table, data), table, [0, table.coded_bits(data[:2])], [2, 3])
+    assert vals[: bounds[1]].tolist() == [3, 5]
+    assert vals[bounds[1] :].tolist() == [3, 5, 5]
