@@ -10,10 +10,12 @@ their index offsets simply repeat.
 import numpy as np
 
 from rlzg.genome import N
+from rlzg.huffman import HuffmanTable
 from rlzg.refstore import (
     BLOCK_SIZE,
     decode_reference_range,
     encode_reference,
+    packed_block_counts,
     range_payload_bytes,
 )
 from rlzg.synthetic import random_reference
@@ -22,7 +24,8 @@ rng = np.random.default_rng(31)
 ref = random_reference(rng, 6 * BLOCK_SIZE)
 ref[2 * BLOCK_SIZE : 4 * BLOCK_SIZE] = N  # two whole blocks of N
 
-rb = encode_reference(ref)
+# one Huffman table over the packed bytes of the non-all-N blocks, as compress builds it
+rb = encode_reference(ref, HuffmanTable.from_counts(packed_block_counts(ref)))
 print(f"{rb.n_blocks} blocks, payload {len(rb.payload)} bytes "
       f"({8 * len(rb.payload) / len(ref):.3f} bits per base)")
 print("block start offsets:", rb.offsets.tolist())

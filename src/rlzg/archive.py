@@ -28,8 +28,9 @@ import numpy as np
 from .errors import CorruptArchiveError, UnsupportedVersionError
 from .genome import N, Collection, Sequence
 from .huffman import HuffmanTable, _cat_ranges
-from .kmer import KmerIndex
+from .kmer import KmerIndex, n_free_grams
 from .parse import (
+    GAP_LIMIT,
     LITERAL,
     MATCH,
     NRUN,
@@ -39,6 +40,7 @@ from .parse import (
     parse_sequence,
 )
 from .refstore import (
+    BLOCK_SIZE,
     RefBlocks,
     ReservoirProvenance,
     append_reservoir_phrase,
@@ -219,23 +221,12 @@ def matching_groups(collection: Collection) -> list[Group]:
     return groups
 
 
-def n_free_window_count(data: np.ndarray, m1: int) -> int:
-    """Number of length-m1 windows containing no N."""
-    data = np.asarray(data, dtype=np.uint8)
-    m = len(data) - m1 + 1
-    if m <= 0:
-        return 0
-    csum = np.zeros(len(data) + 1, dtype=np.int64)
-    np.cumsum(data == N, out=csum[1:])
-    return int(((csum[m1:] - csum[:-m1]) == 0).sum())
-
-
 def reference_scores(collection: Collection, m1: int = 13) -> list[int]:
     """Per sequence, the score :func:`select_reference` maximizes: its
     N-free m1-windows, or in record granularity those of all records of
     its file (``file_tag``)."""
     seqs = collection.sequences
-    counts = [n_free_window_count(s.data, m1) for s in seqs]
+    counts = [int(n_free_grams(s.data, m1).sum()) for s in seqs]
     if collection.granularity == "whole":
         return counts
     totals: dict[str, int] = {}
@@ -385,12 +376,12 @@ class Archive:
             params.m1,
             params.m2,
             params.m3,
-            params.gap_limit,
+            GAP_LIMIT,
             params.cheap_offset_bound,
             params.length_slack,
             params.candidate_cap,
             params.checkpoint_interval,
-            8192,  # reference block size
+            BLOCK_SIZE,
         )
 
         sections = [
@@ -453,11 +444,15 @@ class Archive:
         m1, m2, m3, gap, cheap, slack, cap, interval, block_size = struct.unpack(
             "<HHIBIIIII", body
         )
-        params = ParseParams(m1, m2, m3, gap, cheap, slack, cap, interval)
+        params = ParseParams(m1, m2, m3, cheap, slack, cap, interval)
         try:
             params.validate()
         except ValueError as exc:
             raise CorruptArchiveError(f"invalid stored parameters: {exc}") from exc
+        if gap != GAP_LIMIT:
+            raise CorruptArchiveError(f"stored gap limit {gap}, the format fixes {GAP_LIMIT}")
+        if block_size < 1:
+            raise CorruptArchiveError("stored reference block size is 0")
 
         blob = sections[_SEC_MODELS]
         if len(blob) != 7 * 128:
@@ -535,13 +530,30 @@ class Archive:
             raise CorruptArchiveError("archive holds no sequences")
         if not 0 <= reference_index < len(entries):
             raise CorruptArchiveError("reference index out of range")
+        refs = {i for i, e in enumerate(entries) if e.role == ROLE_REFERENCE}
+        if any(groups[entries[i].group].reference != i for i in refs) or any(
+            g.reference not in refs for g in groups if g.reference is not None
+        ):
+            raise CorruptArchiveError("groups and reference records disagree")
 
+        # a provenance row names a literal run of a member of its group
+        seq_group = np.array([e.group for e in entries])
+        seq_member = np.array([e.role == ROLE_MEMBER for e in entries])
+        seq_len = np.array([e.length for e in entries], dtype=np.int64)
         p = _Reader(sections[_SEC_PROVENANCE])
         provenances = []
-        for _ in range(n_groups):
+        for g in range(n_groups):
             rows = _read_varints(p, 3 * p.varint()).reshape(-1, 3)
             if len(rows) and rows[:, 0].max() >= n_seq:
                 raise CorruptArchiveError("provenance points at a missing sequence")
+            seq, pos, length = rows.T
+            if (
+                (seq_group[seq] != g)
+                | ~seq_member[seq]
+                | (length < params.m3)
+                | (pos > seq_len[seq] - length)
+            ).any():
+                raise CorruptArchiveError("provenance row is not a literal run of its group")
             prov = ReservoirProvenance(
                 list(zip(*(rows[:, k].tolist() for k in range(3)))),
                 _running_sums(rows[:, 2]).tolist(),
@@ -567,10 +579,6 @@ class Archive:
         arc.total_bytes = len(data)
         return arc
 
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
     @classmethod
     def load(cls, path) -> "Archive":
         with open(path, "rb") as fh:
@@ -578,9 +586,6 @@ class Archive:
 
     # ------------------------------------------------------------------
     # decoding
-
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
 
     def _group_ref_blocks(self, group: int) -> RefBlocks | None:
         ref = self.groups[group].reference
@@ -775,7 +780,7 @@ class Archive:
             return np.zeros(0, dtype=np.uint8)
         if e.role == ROLE_REFERENCE:
             touched.add_blocks(i, e.refblocks, start, end)
-            return decode_reference_range(e.refblocks, start, end)
+            return self._ref_range(e.group, start, end)
 
         dec = self._decoder(i)
         cols, _ = dec.factors_from(e.coded.checkpoint_for(start), end)

@@ -32,13 +32,29 @@ EXIT_IO = 3
 EXIT_CORRUPT = 4
 
 
-def _load_file_sequences(path: Path, per_record: bool) -> list[Sequence]:
-    records = parse_fasta(path.read_bytes())
+def _file_stem(path: Path) -> str:
     stem = path.name
     for suffix in (".fasta", ".fa", ".fna"):
         if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-            break
+            return stem[: -len(suffix)]
+    return stem
+
+
+def _load_inputs(paths: list[Path], per_record: bool) -> list[Sequence]:
+    """Every input's sequences, tagged with its file stem; two inputs
+    with one stem would share a tag and so an output file."""
+    seen: dict[str, Path] = {}
+    for path in paths:
+        stem = _file_stem(path)
+        if stem in seen:
+            raise ValueError(f"inputs {seen[stem]} and {path} share the file stem {stem!r}")
+        seen[stem] = path
+    return [s for p in paths for s in _load_file_sequences(p, per_record)]
+
+
+def _load_file_sequences(path: Path, per_record: bool) -> list[Sequence]:
+    records = parse_fasta(path.read_bytes())
+    stem = _file_stem(path)
     if per_record:
         return [
             Sequence(f"{stem}/{r.name}", r.data, record_name=r.name, file_tag=stem)
@@ -58,8 +74,7 @@ def _build_collection(
     auto_ref: bool,
     m1: int = 13,
 ):
-    files = ([ref_path] if ref_path else []) + inputs
-    sequences = [s for p in files for s in _load_file_sequences(p, per_record)]
+    sequences = _load_inputs(([ref_path] if ref_path else []) + inputs, per_record)
     granularity = "record" if per_record else "whole"
     coll = Collection(sequences, 0, granularity)
     if ref_path is not None:
@@ -177,7 +192,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_select_ref(args) -> int:
-    sequences = [s for p in args.inputs for s in _load_file_sequences(Path(p), args.per_record)]
+    sequences = _load_inputs([Path(p) for p in args.inputs], args.per_record)
     coll = Collection(sequences, 0, "record" if args.per_record else "whole")
     m1 = args.m1 or 13
     best = select_reference(coll, m1)

@@ -98,9 +98,6 @@ class Collection:
             if not s.name:
                 raise ValueError("sequence with empty name")
 
-    def names(self) -> list[str]:
-        return [s.name for s in self.sequences]
-
     def __len__(self) -> int:
         return len(self.sequences)
 
@@ -181,27 +178,13 @@ def write_fasta(seq: Sequence, line_width: int = 70) -> bytes:
     """
     if line_width < 1:
         raise ValueError("line_width must be >= 1")
-    out = bytearray()
-    out += b">" + seq.name.encode("utf-8") + b"\n"
-    n = len(seq.data)
-    if n:
-        letters = _DECODE[seq.data]
-        nlines = -(-n // line_width)
-        buf = np.empty(nlines * line_width, dtype=np.uint8)
-        buf[:n] = letters
-        buf[n:] = ord("A")  # pad cells, trimmed below
-        grid = np.empty((nlines, line_width + 1), dtype=np.uint8)
-        grid[:, :line_width] = buf.reshape(nlines, line_width)
-        grid[:, line_width] = ord("\n")
-        flat = grid.reshape(-1)
-        tail = n % line_width
-        if tail:
-            full = (nlines - 1) * (line_width + 1)
-            out += flat[:full].tobytes()
-            out += flat[full : full + tail].tobytes() + b"\n"
-        else:
-            out += flat.tobytes()
-    return bytes(out)
+    full, tail = divmod(len(seq.data), line_width)
+    grid = np.empty((full, line_width + 1), dtype=np.uint8)
+    letters = grid[:, :line_width]
+    np.take(_DECODE, seq.data[: full * line_width].reshape(letters.shape), out=letters)
+    grid[:, line_width] = ord("\n")
+    last = _DECODE[seq.data[full * line_width :]].tobytes() + b"\n" if tail else b""
+    return b"".join((b">" + seq.name.encode("utf-8") + b"\n", grid, last))
 
 
 def decode_symbols(data: np.ndarray) -> str:

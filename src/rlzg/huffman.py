@@ -127,10 +127,6 @@ class HuffmanTable:
             self._dec = (dsym, dlen)
         return self._dec
 
-    def coded_bits(self, values) -> int:
-        """Total bits this table spends on ``values`` (no padding)."""
-        return int(self.lengths[np.asarray(values, dtype=np.uint8)].astype(np.int64).sum())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HuffmanTable):
             return NotImplemented

@@ -54,10 +54,15 @@ def hash_kmers(symbols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             valid = n - done
             packed = packed[:valid] * _FIVE + s64[done : done + valid]
             done += 1
-    csum = np.zeros(n + 1, dtype=np.int32)
+    return mix_hash(packed[:m]), n_free_grams(symbols, k)
+
+
+def n_free_grams(symbols: np.ndarray, k: int) -> np.ndarray:
+    """Mask over the k-gram starts of ``symbols``: True where the gram
+    holds no N."""
+    csum = np.zeros(len(symbols) + 1, dtype=np.int32)
     np.cumsum(symbols == N, out=csum[1:])
-    n_free = (csum[k:] - csum[:-k]) == 0
-    return mix_hash(packed[:m]), n_free
+    return (csum[k:] - csum[:-k]) == 0
 
 
 def common_prefix(a, i: int, b, j: int, limit: int) -> int:
@@ -119,10 +124,6 @@ class KmerIndex:
     def ext_len(self) -> int:
         return self.ref_len + len(self.res)
 
-    @property
-    def n_indexed(self) -> int:
-        return len(self._ref_pos) + sum(len(v) for v in self.res_buckets.values())
-
     def extend_with_reservoir(self, phrase: np.ndarray, start_offset: int) -> None:
         """Append a reservoir phrase and index its interior k-grams."""
         if start_offset != self.ext_len:
@@ -135,18 +136,10 @@ class KmerIndex:
         for j in np.flatnonzero(n_free).tolist():
             self.res_buckets.setdefault(int(hashes[j]), []).append(start_offset + j)
 
-    def find_candidates(self, query: np.ndarray) -> list[int]:
-        """Extended-reference positions whose k symbols equal ``query``."""
-        query = np.asarray(query, dtype=np.uint8)
-        if len(query) != self.k:
-            raise ValueError(f"query must have exactly {self.k} symbols")
-        if (query == N).any():
-            return []
-        h, _ = hash_kmers(query, self.k)
-        return self.lookup(int(h[0]), query.tobytes())
-
     def lookup(self, h: int, gram: bytes) -> list[int]:
-        """find_candidates with the hash and raw gram precomputed."""
+        """Extended-reference positions whose k symbols equal ``gram``,
+        an N-free k-gram whose hash is ``h``, in bucket order and at most
+        ``candidate_cap`` of them."""
         k = self.k
         out: list[int] = []
         budget = self.candidate_cap

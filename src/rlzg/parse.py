@@ -25,6 +25,8 @@ from .kmer import KmerIndex, common_prefix, hash_kmers
 
 LITERAL, MATCH, NRUN, RESERVOIR = 0, 1, 2, 3
 
+GAP_LIMIT = 2  # gaps per match, fixed by the quaternary flag encoding
+
 _INF = float("inf")
 
 
@@ -35,7 +37,6 @@ class ParseParams:
     m1: int = 13  # minimum first-piece match length (20 for human-scale data)
     m2: int = 4  # minimum gap-extension piece length
     m3: int = 32  # minimum literal-run length for the reservoir
-    gap_limit: int = 2  # fixed by the quaternary flag encoding
     cheap_offset_bound: int = 64
     length_slack: int = 28
     candidate_cap: int = 128
@@ -46,8 +47,6 @@ class ParseParams:
             raise ValueError("require m1 > m2 >= 1")
         if self.m3 < self.m1:
             raise ValueError("require m3 >= m1")
-        if self.gap_limit != 2:
-            raise ValueError("the archive format fixes the gap limit at 2")
         for name in ("cheap_offset_bound", "length_slack", "candidate_cap", "checkpoint_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -103,20 +102,6 @@ class Parse:
     source_length: int
 
 
-@dataclass
-class Candidate:
-    """An extended match candidate at one source position."""
-
-    position: int  # extended-reference position
-    pieces: tuple
-    gap_symbols: tuple
-    is_reservoir: bool
-
-    @property
-    def cover(self) -> int:
-        return int(sum(self.pieces)) + len(self.gap_symbols)
-
-
 def _extend(index: KmerIndex, sb: bytes, pos: int, cand: int, n: int, params: ParseParams):
     """Grow a verified k-gram hit into contiguous pieces plus gaps."""
     buf, boff, room = index.extension_buffer(cand)
@@ -127,7 +112,7 @@ def _extend(index: KmerIndex, sb: bytes, pos: int, cand: int, n: int, params: Pa
     pieces.append(L)
     sp += L
     bp += L
-    while len(gaps) < params.gap_limit:
+    while len(gaps) < GAP_LIMIT:
         if sp >= n or bp >= room:
             break  # ran off an end, no mismatch to skip
         gap_sym = sb[sp]
@@ -141,59 +126,44 @@ def _extend(index: KmerIndex, sb: bytes, pos: int, cand: int, n: int, params: Pa
     return tuple(pieces), tuple(gaps)
 
 
-def _delta_cost(cand: Candidate, pos: int, prev_delta: int):
-    if cand.is_reservoir:
+def _delta_cost(f: Factor, pos: int, prev_delta: int):
+    if f.kind == RESERVOIR:
         return _INF
-    return abs((pos - cand.position) - prev_delta)
+    return abs((pos - f.position) - prev_delta)
 
 
 def _evaluate(index, sb, pos, n, params, prev_delta, positions):
-    """Extend every candidate; return (best by cover, best cheap-offset)."""
+    """Extend every candidate into a MATCH factor, or a RESERVOIR factor
+    at its reservoir offset; return (the longest, the longest with a
+    cheap offset).  Ties break toward the smaller delta cost, then the
+    smaller extended-reference position."""
     best = cheap = None
     best_key = cheap_key = None
+    ref_len = index.ref_len
     for p in positions:
         pieces, gaps = _extend(index, sb, pos, p, n, params)
         if pieces[0] < params.m1:
             continue
-        cand = Candidate(p, pieces, gaps, p >= index.ref_len)
-        absd = _delta_cost(cand, pos, prev_delta)
-        key = (-cand.cover, absd, p)
+        if p < ref_len:
+            f = Factor(MATCH, p, pieces, gaps)
+        else:
+            f = Factor(RESERVOIR, p - ref_len, pieces, gaps)
+        absd = _delta_cost(f, pos, prev_delta)
+        key = (-f.advance, absd, p)
         if best_key is None or key < best_key:
-            best, best_key = cand, key
+            best, best_key = f, key
         if absd < params.cheap_offset_bound and (cheap_key is None or key < cheap_key):
-            cheap, cheap_key = cand, key
+            cheap, cheap_key = f, key
     return best, cheap
 
 
-def longest_match_at(
-    index: KmerIndex,
-    seq: np.ndarray,
-    pos: int,
-    params: ParseParams,
-    prev_delta: int = 0,
-) -> Candidate | None:
-    """Best candidate (maximal covered source length) for the gram at
-    ``pos``; ties break toward the smallest delta cost, then the smaller
-    position.  None when no candidate reaches the minimum match length."""
-    seq = np.asarray(seq, dtype=np.uint8)
-    n = len(seq)
-    if pos + params.m1 > n:
-        return None
-    gram = seq[pos : pos + params.m1]
-    positions = index.find_candidates(gram)
-    if not positions:
-        return None
-    best, _ = _evaluate(index, seq.tobytes(), pos, n, params, prev_delta, positions)
-    return best
-
-
 def choose_factor(
-    best: Candidate | None,
-    alt: Candidate | None,
+    best: Factor | None,
+    alt: Factor | None,
     prev_delta: int,
     pos: int,
     params: ParseParams,
-) -> Candidate | None:
+) -> Factor | None:
     """Arbitrate covered length against offset cost.
 
     The shorter ``alt`` wins when its delta fits the one-byte offset
@@ -205,7 +175,7 @@ def choose_factor(
     d_best = _delta_cost(best, pos, prev_delta)
     d_alt = _delta_cost(alt, pos, prev_delta)
     bound = params.cheap_offset_bound
-    if d_best >= bound and d_alt < bound and best.cover - alt.cover <= params.length_slack:
+    if d_best >= bound and d_alt < bound and best.advance - alt.advance <= params.length_slack:
         return alt
     return best
 
@@ -280,27 +250,11 @@ def parse_sequence(
 
         if chosen is not None:
             close_literal(pos)
-            if chosen.is_reservoir:
-                factors.append(
-                    Factor(
-                        RESERVOIR,
-                        position=chosen.position - index.ref_len,
-                        lengths=chosen.pieces,
-                        gap_symbols=chosen.gap_symbols,
-                    )
-                )
-            else:
-                factors.append(
-                    Factor(
-                        MATCH,
-                        position=chosen.position,
-                        lengths=chosen.pieces,
-                        gap_symbols=chosen.gap_symbols,
-                    )
-                )
+            factors.append(chosen)
+            if chosen.kind == MATCH:
                 last_match_delta = pos - chosen.position
                 last_match_window = pos // interval
-            pos += chosen.cover
+            pos += chosen.advance
             lit_start = pos
             continue
 
@@ -325,7 +279,7 @@ def validate_parse(parse: Parse, params: ParseParams) -> None:
             if f.gap_symbols:
                 raise ValueError("N-run cannot carry gaps")
         else:
-            if not 1 <= len(f.lengths) <= params.gap_limit + 1:
+            if not 1 <= len(f.lengths) <= GAP_LIMIT + 1:
                 raise ValueError("bad piece count")
             if len(f.gap_symbols) != len(f.lengths) - 1:
                 raise ValueError("gap symbol count must be pieces - 1")

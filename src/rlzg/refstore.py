@@ -44,36 +44,28 @@ class RefBlocks:
         return self.offsets[b] == self.offsets[b + 1]
 
 
-def _split_blocks(symbols: np.ndarray, block_size: int):
-    for start in range(0, len(symbols), block_size):
-        yield symbols[start : start + block_size]
+def _split_blocks(symbols: np.ndarray):
+    for start in range(0, len(symbols), BLOCK_SIZE):
+        yield symbols[start : start + BLOCK_SIZE]
 
 
-def packed_block_counts(symbols: np.ndarray, block_size: int = BLOCK_SIZE) -> np.ndarray:
+def packed_block_counts(symbols: np.ndarray) -> np.ndarray:
     """Byte frequencies of the triplet-packed non-all-N blocks (for
-    building a Huffman table shared across several references)."""
+    building the Huffman table shared by every reference record)."""
     counts = np.zeros(256, dtype=np.int64)
-    for block in _split_blocks(np.asarray(symbols, dtype=np.uint8), block_size):
+    for block in _split_blocks(np.asarray(symbols, dtype=np.uint8)):
         if block.min(initial=N) != N or block.max(initial=N) != N:
             counts += np.bincount(pack_triplets(block), minlength=256)
     return counts
 
 
-def encode_reference(
-    symbols: np.ndarray,
-    table: HuffmanTable | None = None,
-    block_size: int = BLOCK_SIZE,
-) -> RefBlocks:
-    """Encode a reference sequence into blocked, Huffman-coded triplets.
-
-    If ``table`` is None a table is built from this sequence's own
-    packed bytes (the archive builds one shared table instead when it
-    stores several reference records).
-    """
+def encode_reference(symbols: np.ndarray, table: HuffmanTable) -> RefBlocks:
+    """Encode a reference sequence into blocked, Huffman-coded triplets
+    with ``table``, built from :func:`packed_block_counts`."""
     symbols = np.asarray(symbols, dtype=np.uint8)
     packed: list[np.ndarray] = []
     seg_sizes: list[int] = []
-    for block in _split_blocks(symbols, block_size):
+    for block in _split_blocks(symbols):
         if len(block) and block.min() == N and block.max() == N:
             seg_sizes.append(0)
             packed.append(np.zeros(0, dtype=np.uint8))
@@ -82,15 +74,10 @@ def encode_reference(
             seg_sizes.append(len(p))
             packed.append(p)
     allbytes = np.concatenate(packed) if packed else np.zeros(0, dtype=np.uint8)
-    if table is None:
-        counts = np.bincount(allbytes, minlength=256).astype(np.int64)
-        if not counts.any():
-            counts[0] = 1  # placeholder for an all-N or empty reference
-        table = HuffmanTable.from_counts(counts)
     payload, off = pack_codes(
         table.lengths[allbytes], table.codes[allbytes], np.asarray(seg_sizes, dtype=np.int64)
     )
-    return RefBlocks(len(symbols), off, payload, table, block_size)
+    return RefBlocks(len(symbols), off, payload, table)
 
 
 def decode_reference_range(rb: RefBlocks, start: int, end: int) -> np.ndarray:

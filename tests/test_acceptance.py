@@ -14,13 +14,20 @@ import pytest
 
 from rlzg import Archive, Collection, Sequence, compress, decompress
 from rlzg.genome import N, parse_fasta
-from rlzg.kmer import KmerIndex
+from rlzg.kmer import KmerIndex, hash_kmers
 from rlzg.parse import LITERAL, NRUN, RESERVOIR, ParseParams, parse_sequence
 from rlzg.streams import FLG, LEN, OFF, encode_parse
 from rlzg.parse import Factor, Parse, MATCH
 from rlzg.synthetic import apply_snps, make_collection, random_reference
 
 PARAMS = ParseParams()
+
+
+def lookup_gram(index: KmerIndex, gram: np.ndarray) -> list[int]:
+    """Positions the index returns for one k-gram, looked up by its hash
+    and raw symbols as the parser does."""
+    (h,), _ = hash_kmers(gram, index.k)
+    return index.lookup(int(h), gram.tobytes())
 
 
 def report(criterion: str, detail: str = "") -> None:
@@ -152,7 +159,7 @@ def _isolated_snp_copy(rng, ref, m, params):
             clean = True
             lo = max(p - params.m1 + 1, 0)
             for g in range(lo, min(p + 1, n - params.m1 + 1)):
-                if index.find_candidates(seq[g : g + params.m1]):
+                if lookup_gram(index, seq[g : g + params.m1]):
                     clean = False
                     break
             if clean:
@@ -315,7 +322,7 @@ def test_c9_huffman_roundtrip_and_optimality():
         counts[:n] = freqs
         table = HuffmanTable.from_counts(counts)
         data = np.repeat(np.arange(n, dtype=np.uint8), freqs)
-        assert table.coded_bits(data) == brute_force_optimal_bits(freqs)
+        assert int(table.lengths[data].sum()) == brute_force_optimal_bits(freqs)
         payload, _ = pack_codes(table.lengths[data], table.codes[data], [len(data)])
         buf = np.frombuffer(payload, dtype=np.uint8)
         assert np.array_equal(decode_chains(buf, table, [0], [len(data)])[0], data)
@@ -371,7 +378,7 @@ def test_c9_match_index_vs_naive_scan():
             for p in range(n - k + 1)
             if not (ref[p : p + k] == N).any() and np.array_equal(ref[p : p + k], query)
         ]
-        assert idx.find_candidates(query) == naive
+        assert lookup_gram(idx, query) == naive
         checked += 1
     assert checked == 1000
     report("C9c match index soundness/completeness", "(1000 fixtures vs naive scan)")

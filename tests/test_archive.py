@@ -1,3 +1,4 @@
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,6 +16,7 @@ from rlzg import (
     select_reference,
 )
 from rlzg.genome import N, encode_symbols
+from rlzg.kmer import n_free_grams
 from rlzg.parse import MATCH, RESERVOIR
 from rlzg.refstore import resolve_reservoir_range
 from rlzg.synthetic import make_collection, random_reference, apply_snps
@@ -25,7 +27,6 @@ from rlzg.archive import (
     _running_sums,
     _write_varint,
     matching_groups,
-    n_free_window_count,
 )
 
 
@@ -98,6 +99,65 @@ def test_bad_magic_and_version():
     data[4] = 2  # version + 1
     with pytest.raises(UnsupportedVersionError):
         Archive.from_bytes(bytes(data))
+
+
+_PARAMS_FORMAT = "<HHIBIIIII"  # m1 m2 m3 gap cheap slack cap interval block size
+
+
+@pytest.mark.parametrize("field, value", [(3, 3), (8, 0)], ids=["gap-limit-3", "block-size-0"])
+def test_damaged_params_rejected(field, value):
+    # the checksum does not cover the params section, the first one written
+    rng = np.random.default_rng(65)
+    data = compress(make_collection(rng, ref_len=5000, n_derived=1)).to_bytes()
+    size = struct.calcsize(_PARAMS_FORMAT)
+    assert data[7:9] == bytes([1, size])
+    values = list(struct.unpack(_PARAMS_FORMAT, data[9 : 9 + size]))
+    values[field] = value
+    patched = data[:9] + struct.pack(_PARAMS_FORMAT, *values) + data[9 + size :]
+    with pytest.raises(CorruptArchiveError):
+        Archive.from_bytes(patched)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        lambda a, i: (a.reference_index, 0, 40),  # not a member
+        lambda a, i: (i, 0, a.params.m3 - 1),  # shorter than m3
+        lambda a, i: (i, a.entries[i].length - 40, 41),  # past the member's end
+    ],
+    ids=["reference", "short", "past-end"],
+)
+def test_damaged_provenance_rejected(row):
+    rng = np.random.default_rng(70)
+    ref = random_reference(rng, 30_000)
+    novel = random_reference(rng, 400)
+    a = np.concatenate([ref[:10_000], novel, ref[10_000:]])
+    b = np.concatenate([ref[5_000:25_000], novel, ref[25_000:]])
+    coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
+    arc = compress(coll)
+    prov = arc.provenances[0]
+    assert prov.entries, "expected a reservoir phrase"
+    Archive.from_bytes(arc.to_bytes())
+    prov.entries[0] = row(arc, prov.entries[0][0])
+    with pytest.raises(CorruptArchiveError):
+        Archive.from_bytes(arc.to_bytes())
+
+
+def test_group_reference_mismatch_rejected():
+    # two reference records; a group naming the other group's reference
+    # would hand extract the wrong reference symbols
+    rng = np.random.default_rng(71)
+    r1, r2 = random_reference(rng, 3000), random_reference(rng, 2000)
+    seqs = [
+        Sequence("ref/c1", r1, record_name="c1", file_tag="ref"),
+        Sequence("ref/c2", r2, record_name="c2", file_tag="ref"),
+        Sequence("g/c1", apply_snps(rng, r1, 0.01), record_name="c1", file_tag="g"),
+        Sequence("g/c2", apply_snps(rng, r2, 0.01), record_name="c2", file_tag="g"),
+    ]
+    arc = compress(Collection(seqs, 0, "record"))
+    arc.groups[0].reference = arc.groups[1].reference
+    with pytest.raises(CorruptArchiveError):
+        Archive.from_bytes(arc.to_bytes())
 
 
 def test_payload_corruption_detected_by_checksum():
@@ -190,8 +250,8 @@ def test_select_reference_examples():
     clean = random_reference(rng, 1001)
     dirty = clean.copy()
     dirty[500] = N
-    c1 = n_free_window_count(clean, 13)
-    c2 = n_free_window_count(dirty, 13)
+    c1 = int(n_free_grams(clean, 13).sum())
+    c2 = int(n_free_grams(dirty, 13).sum())
     assert c1 - c2 == 13  # one central N kills exactly m1 windows
     assert select_reference(
         Collection([Sequence("d", dirty), Sequence("c", clean)]), 13

@@ -198,3 +198,19 @@ def test_per_record_multifile_roundtrip(tmp_path, capsys):
     # per-record sequence names are file/record qualified
     rc = main(["extract", str(arc), "--seq", "g1/chr2", "--range", "0:50"])
     assert rc == 0
+
+
+def test_inputs_sharing_a_file_stem_exit_2(fasta_dir, tmp_path, capsys):
+    (tmp_path / "other").mkdir()
+    twin = tmp_path / "other" / "a.fasta"
+    twin.write_bytes((fasta_dir / "a.fa").read_bytes())
+    arc = tmp_path / "out.rlzg"
+    for argv in (
+        ["compress", "--per-record", "--ref", str(fasta_dir / "a.fa"), str(twin), "-o", str(arc)],
+        ["compress", str(fasta_dir / "a.fa"), str(fasta_dir / "b.fa"), str(twin), "-o", str(arc)],
+        ["select-ref", str(fasta_dir / "a.fa"), str(twin)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(fasta_dir / "a.fa") in err and str(twin) in err
+    assert not arc.exists()

@@ -82,13 +82,19 @@ def test_collection_validation_errors():
 
 
 def test_partial_all_n_tail_block():
-    from rlzg.refstore import BLOCK_SIZE, decode_reference_range, encode_reference
+    from rlzg.huffman import HuffmanTable
+    from rlzg.refstore import (
+        BLOCK_SIZE,
+        decode_reference_range,
+        encode_reference,
+        packed_block_counts,
+    )
 
     rng = np.random.default_rng(105)
     data = np.concatenate(
         [random_reference(rng, BLOCK_SIZE), np.full(100, N, dtype=np.uint8)]
     )
-    rb = encode_reference(data)
+    rb = encode_reference(data, HuffmanTable.from_counts(packed_block_counts(data)))
     assert rb.block_is_all_n(1)
     assert np.array_equal(decode_reference_range(rb, 0, len(data)), data)
     assert (decode_reference_range(rb, BLOCK_SIZE, BLOCK_SIZE + 100) == N).all()

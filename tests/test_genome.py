@@ -73,8 +73,10 @@ def test_write_fasta_partial_last_line():
 )
 def test_roundtrip_property(data, width):
     seq = Sequence("r", data.astype(np.uint8))
-    (back,) = parse_fasta(write_fasta(seq, width))
+    text = write_fasta(seq, width)
+    (back,) = parse_fasta(text)
     assert back == seq
+    assert all(len(line) == width for line in text.splitlines()[1:-1])
 
 
 def test_roundtrip_10kb_random():

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from rlzg.genome import N, encode_symbols
-from rlzg.kmer import KmerIndex
+from rlzg.kmer import KmerIndex, hash_kmers
 from rlzg.parse import (
+    GAP_LIMIT,
     LITERAL,
     MATCH,
     NRUN,
     RESERVOIR,
-    Candidate,
+    Factor,
     ParseParams,
+    _evaluate,
     apply_parse,
     choose_factor,
-    longest_match_at,
     parse_sequence,
     validate_parse,
 )
@@ -23,6 +24,20 @@ def make_params(**kw):
     p = ParseParams(**kw)
     p.validate()
     return p
+
+
+def longest_at(idx, seq, pos, params, prev_delta=0):
+    """The longest factor ``_evaluate`` makes of the candidates for the
+    gram at ``pos``, looked up as ``parse_sequence`` does; None when the
+    gram holds N or no candidate reaches m1."""
+    seq = np.asarray(seq, dtype=np.uint8)
+    hashes, n_free = hash_kmers(seq, params.m1)
+    if pos >= len(hashes) or not n_free[pos]:
+        return None
+    sb = seq.tobytes()
+    positions = idx.lookup(int(hashes[pos]), sb[pos : pos + params.m1])
+    best, _ = _evaluate(idx, sb, pos, len(seq), params, prev_delta, positions)
+    return best
 
 
 def brute_force_extend(ref, seq, pos, ref_pos, params):
@@ -40,7 +55,7 @@ def brute_force_extend(ref, seq, pos, ref_pos, params):
     L = prefix(sp, rp)
     pieces.append(L)
     sp, rp = sp + L, rp + L
-    while len(gaps) < params.gap_limit:
+    while len(gaps) < GAP_LIMIT:
         if sp >= n or rp >= m:
             break
         L = prefix(sp + 1, rp + 1)
@@ -80,10 +95,10 @@ def test_single_substitution_becomes_gap():
     seq = ref.copy()
     seq[10] = (seq[10] + 1) % 4
     idx = KmerIndex(ref, params.m1)
-    got = longest_match_at(idx, seq, 0, params)
+    got = longest_at(idx, seq, 0, params)
     want = brute_force_best(ref, seq, 0, params)
     assert got.position == want[0]
-    assert (got.pieces, got.gap_symbols) == (want[1], want[2])
+    assert (got.lengths, got.gap_symbols) == (want[1], want[2])
     # the oracle itself should see (10, 9) with the substituted symbol
     assert want[1] == (10, 9) and want[2] == (int(seq[10]),)
 
@@ -92,7 +107,7 @@ def test_absent_gram_returns_none():
     params = make_params(m1=4, m2=2)
     ref = encode_symbols("AAAACCCC")
     idx = KmerIndex(ref, 4)
-    assert longest_match_at(idx, encode_symbols("GTGTGTGT"), 0, params) is None
+    assert longest_at(idx, encode_symbols("GTGTGTGT"), 0, params) is None
 
 
 def test_tie_break_on_repetitive_reference():
@@ -100,9 +115,9 @@ def test_tie_break_on_repetitive_reference():
     ref = np.zeros(8, dtype=np.uint8)  # AAAAAAAA
     idx = KmerIndex(ref, 4)
     seq = np.zeros(8, dtype=np.uint8)
-    got = longest_match_at(idx, seq, 0, params)
+    got = longest_at(idx, seq, 0, params)
     # candidates 0..4; position 0 covers all 8 and minimizes |pos - ref_pos|
-    assert got.position == 0 and got.pieces == (8,)
+    assert got.position == 0 and got.lengths == (8,)
 
 
 def test_longest_match_against_oracle_fuzz():
@@ -118,17 +133,17 @@ def test_longest_match_against_oracle_fuzz():
             seq[rng.integers(0, len(seq))] = rng.integers(0, 5)
         pos = int(rng.integers(0, max(len(seq) - params.m1, 1)))
         idx = KmerIndex(ref, params.m1)
-        got = longest_match_at(idx, seq, pos, params)
+        got = longest_at(idx, seq, pos, params)
         want = brute_force_best(ref, seq, pos, params)
         if want is None:
             assert got is None
         else:
-            assert got.cover == sum(want[1]) + len(want[2])
-            assert (got.position, got.pieces, got.gap_symbols) == want
+            assert got.advance == sum(want[1]) + len(want[2])
+            assert (got.position, got.lengths, got.gap_symbols) == want
 
 
-def _cand(position, cover, is_reservoir=False):
-    return Candidate(position, (cover,), (), is_reservoir)
+def _cand(position, cover):
+    return Factor(MATCH, position, (cover,))
 
 
 def test_choose_factor_prefers_cheap_offset_within_slack():
@@ -224,7 +239,7 @@ def test_novel_segment_enters_reservoir_and_later_sequence_matches_it():
     # make sure the novel segment shares no m1-gram with the reference
     novel[::7] = 3
     idx = KmerIndex(ref, params.m1)
-    while longest_match_at(idx, novel, 0, params) is not None:
+    while longest_at(idx, novel, 0, params) is not None:
         novel = rng.integers(0, 4, 64).astype(np.uint8)
 
     seq_a = np.concatenate([ref[:900], novel, ref[900:]])
@@ -353,8 +368,6 @@ def test_params_validation():
         make_params(m1=4, m2=4)
     with pytest.raises(ValueError):
         make_params(m3=10)
-    with pytest.raises(ValueError):
-        make_params(gap_limit=3)
 
 
 def test_gap_bound_never_exceeded():

@@ -3,15 +3,25 @@ import pytest
 
 from rlzg.errors import CorruptArchiveError
 from rlzg.genome import N, encode_symbols
+from rlzg.huffman import HuffmanTable
 from rlzg.refstore import (
     BLOCK_SIZE,
     ReservoirProvenance,
     append_reservoir_phrase,
     decode_reference_range,
     encode_reference,
+    packed_block_counts,
     range_payload_bytes,
     resolve_reservoir_range,
 )
+
+
+def encode(symbols):
+    """encode_reference with the table compress builds for one reference."""
+    counts = packed_block_counts(symbols)
+    if not counts.any():
+        counts[0] = 1
+    return encode_reference(symbols, HuffmanTable.from_counts(counts))
 
 
 def random_ref(rng, n, n_run_prob=0.0):
@@ -23,14 +33,14 @@ def random_ref(rng, n, n_run_prob=0.0):
 
 
 def test_two_all_n_blocks_equal_offsets_empty_payload():
-    rb = encode_reference(np.full(2 * BLOCK_SIZE, N, dtype=np.uint8))
+    rb = encode(np.full(2 * BLOCK_SIZE, N, dtype=np.uint8))
     assert rb.offsets.tolist() == [0, 0, 0]
     assert rb.payload == b""
     assert rb.block_is_all_n(0) and rb.block_is_all_n(1)
 
 
 def test_acg_packs_and_codes():
-    rb = encode_reference(encode_symbols("ACG"))
+    rb = encode(encode_symbols("ACG"))
     assert rb.offsets.tolist() == [0, 1]
     # single distinct packed byte (value 7) -> one 1-bit code, one flushed byte
     assert rb.table.lengths[7] == 1
@@ -40,7 +50,7 @@ def test_acg_packs_and_codes():
 def test_uniform_random_acgt_near_two_bits_per_base():
     rng = np.random.default_rng(2)
     data = rng.integers(0, 4, 1_000_000).astype(np.uint8)
-    rb = encode_reference(data)
+    rb = encode(data)
     bpb = len(rb.payload) * 8 / len(data)
     assert 1.99 <= bpb <= 2.06  # 64 uniform triplet values -> 6 bits / 3 bases
 
@@ -50,12 +60,12 @@ def test_full_range_roundtrip_50_random_sequences():
     for _ in range(50):
         n = int(rng.integers(0, 30000))
         data = random_ref(rng, n, n_run_prob=0.5)
-        rb = encode_reference(data)
+        rb = encode(data)
         assert np.array_equal(decode_reference_range(rb, 0, n), data)
 
 
 def test_empty_range():
-    rb = encode_reference(encode_symbols("ACGT"))
+    rb = encode(encode_symbols("ACGT"))
     assert len(decode_reference_range(rb, 2, 2)) == 0
 
 
@@ -63,7 +73,7 @@ def test_range_inside_all_n_block_reads_zero_bytes():
     data = np.full(3 * BLOCK_SIZE, N, dtype=np.uint8)
     data[: BLOCK_SIZE // 2] = 1
     data[-BLOCK_SIZE // 2 :] = 2
-    rb = encode_reference(data)
+    rb = encode(data)
     lo, hi = BLOCK_SIZE + 10, 2 * BLOCK_SIZE - 10
     assert range_payload_bytes(rb, lo, hi) == 0
     assert (decode_reference_range(rb, lo, hi) == N).all()
@@ -72,7 +82,7 @@ def test_range_inside_all_n_block_reads_zero_bytes():
 def test_partial_decode_touches_only_overlapping_blocks():
     rng = np.random.default_rng(4)
     data = random_ref(rng, 5 * BLOCK_SIZE + 123)
-    rb = encode_reference(data)
+    rb = encode(data)
     lo, hi = BLOCK_SIZE + 7, 3 * BLOCK_SIZE - 9
     want = data[lo:hi]
     # corrupt every byte outside the overlapping blocks' range; the decode
@@ -89,7 +99,7 @@ def test_partial_decode_touches_only_overlapping_blocks():
 def test_random_subranges_match_source():
     rng = np.random.default_rng(5)
     data = random_ref(rng, 4 * BLOCK_SIZE + 55, n_run_prob=1.0)
-    rb = encode_reference(data)
+    rb = encode(data)
     for _ in range(200):
         lo = int(rng.integers(0, len(data)))
         hi = int(rng.integers(lo, len(data) + 1))
@@ -97,7 +107,7 @@ def test_random_subranges_match_source():
 
 
 def test_range_out_of_bounds():
-    rb = encode_reference(encode_symbols("ACGT"))
+    rb = encode(encode_symbols("ACGT"))
     with pytest.raises(ValueError):
         decode_reference_range(rb, 0, 5)
     with pytest.raises(ValueError):
