@@ -35,6 +35,7 @@ from .parse import (
     MATCH,
     NRUN,
     RESERVOIR,
+    FactorColumns,
     ParseParams,
     apply_factor,  # noqa: F401  perfbench's tracer counts calls made through this name
     parse_sequence,
@@ -51,7 +52,6 @@ from .refstore import (
 )
 from .streams import (
     CodedSequence,
-    FactorColumns,
     ModelSet,
     SequenceDecoder,
     build_models,

@@ -34,3 +34,11 @@ def unpack_triplets(packed: np.ndarray, n_symbols: int) -> np.ndarray:
     if len(packed) != -(-n_symbols // 3):
         raise ValueError("packed length does not match symbol count")
     return _UNPACK[packed].reshape(-1)[:n_symbols]
+
+
+def pad_segments(values: np.ndarray, seg_lens: np.ndarray, multiple: int):
+    """``values`` cut into consecutive segments of ``seg_lens``, each
+    zero-padded to a multiple of ``multiple`` by one insert; returns the
+    padded values and the padded segment lengths."""
+    padded = -(-seg_lens // multiple) * multiple
+    return np.insert(values, np.repeat(np.cumsum(seg_lens), padded - seg_lens), 0), padded

@@ -12,6 +12,12 @@ not, unless the longer one is ahead by more than the length slack.
 Literal runs long enough for the reservoir are handed to the sink as
 they close, so later sequences (and later positions of this one) can
 match them.
+
+A parse is held as :class:`FactorColumns`, the one factor form the
+encoder and the decoder share: the parser appends each chosen factor's
+kind, start, position and pieces to a list and builds the columns once
+at the end.  :class:`Factor` is the candidate token of the search and
+the per-factor view that ``apply_parse`` (the oracle) reads.
 """
 from __future__ import annotations
 
@@ -77,10 +83,6 @@ class Factor:
     def advance(self) -> int:
         return int(sum(self.lengths)) + len(self.gap_symbols)
 
-    @property
-    def gap_count(self) -> int:
-        return len(self.gap_symbols)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Factor):
             return NotImplemented
@@ -97,9 +99,107 @@ class Factor:
 
 
 @dataclass
+class FactorColumns:
+    """Factors as parallel columns, one row per factor in source order.
+
+    ``kind`` holds LITERAL/MATCH/NRUN/RESERVOIR, ``start`` the source
+    position and ``advance`` the source symbols of each factor;
+    ``position`` is the reference position (MATCH) or reservoir offset
+    (RESERVOIR), else 0.  ``pieces`` holds the piece lengths, zero past
+    a factor's last piece (a literal run's or N-run's length is its one
+    piece), so a match has one gap fewer than it has pieces;
+    ``lit_off`` indexes ``lits`` at a literal run's symbols or a match's
+    gap symbols.
+
+    The parser's ``lits`` is the unpadded literal stream: every literal
+    run and gap symbol in factor order.  A decoder's ``lits`` is the
+    unpacked LIT stream of its windows, so each window's literals end
+    with up to two symbols of triplet padding.
+    """
+
+    kind: np.ndarray  # (n,) int8
+    start: np.ndarray  # (n,) int64
+    advance: np.ndarray  # (n,) int64
+    position: np.ndarray  # (n,) int64
+    pieces: np.ndarray  # (n, 3) int64
+    lit_off: np.ndarray  # (n,) int64
+    lits: np.ndarray  # uint8 symbols
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def slice(self, lo: int, hi: int) -> "FactorColumns":
+        """Factors [lo, hi) as views sharing ``lits``."""
+        return FactorColumns(
+            self.kind[lo:hi],
+            self.start[lo:hi],
+            self.advance[lo:hi],
+            self.position[lo:hi],
+            self.pieces[lo:hi],
+            self.lit_off[lo:hi],
+            self.lits,
+        )
+
+    @classmethod
+    def concat(cls, parts: list["FactorColumns"]) -> "FactorColumns":
+        if len(parts) == 1:
+            return parts[0]
+        shift = np.cumsum([0] + [len(p.lits) for p in parts[:-1]])
+        return cls(
+            np.concatenate([p.kind for p in parts]),
+            np.concatenate([p.start for p in parts]),
+            np.concatenate([p.advance for p in parts]),
+            np.concatenate([p.position for p in parts]),
+            np.concatenate([p.pieces for p in parts]),
+            np.concatenate([p.lit_off + s for p, s in zip(parts, shift.tolist())]),
+            np.concatenate([p.lits for p in parts]),
+        )
+
+    def to_factors(self) -> list[Factor]:
+        """The factors as :class:`Factor` objects (the ``apply_parse``
+        oracle, ``iter_factors``, tests and demos)."""
+        out = []
+        lits = self.lits
+        for kind, pos, pieces, lo in zip(
+            self.kind.tolist(),
+            self.position.tolist(),
+            self.pieces.tolist(),
+            self.lit_off.tolist(),
+        ):
+            if kind == LITERAL:
+                L = pieces[0]
+                out.append(Factor(LITERAL, lengths=(L,), symbols=lits[lo : lo + L]))
+            elif kind == NRUN:
+                out.append(Factor(NRUN, lengths=(pieces[0],)))
+            else:
+                k = 3 - pieces.count(0)
+                out.append(
+                    Factor(
+                        kind,
+                        position=pos,
+                        lengths=tuple(pieces[:k]),
+                        gap_symbols=tuple(lits[lo : lo + k - 1].tolist()),
+                    )
+                )
+        return out
+
+
+def _empty_columns() -> FactorColumns:
+    z = np.zeros(0, dtype=np.int64)
+    return FactorColumns(
+        np.zeros(0, dtype=np.int8), z, z, z, np.zeros((0, 3), dtype=np.int64), z,
+        np.zeros(0, dtype=np.uint8),
+    )
+
+
+@dataclass
 class Parse:
-    factors: list[Factor]
+    columns: FactorColumns
     source_length: int
+
+    @property
+    def factors(self) -> list[Factor]:
+        return self.columns.to_factors()
 
 
 def _extend(index: KmerIndex, sb: bytes, pos: int, cand: int, n: int, params: ParseParams):
@@ -206,9 +306,6 @@ def parse_sequence(
     """
     s = np.asarray(seq, dtype=np.uint8)
     n = len(s)
-    factors: list[Factor] = []
-    if n == 0:
-        return Parse(factors, 0)
     k = params.m1
     sb = s.tobytes()
     interval = params.checkpoint_interval
@@ -216,6 +313,9 @@ def parse_sequence(
     qhash, qfree = hash_kmers(s, k)
     run_len_at = _n_run_lengths(s)
     last_gram = len(qhash) - 1
+
+    # (kind, start, position, three pieces) of each factor as it is chosen
+    rows: list[tuple] = []
 
     pos = 0
     lit_start = 0
@@ -225,17 +325,17 @@ def parse_sequence(
     def close_literal(upto: int) -> None:
         nonlocal lit_start
         if upto > lit_start:
-            run = s[lit_start:upto]
-            factors.append(Factor(LITERAL, lengths=(len(run),), symbols=run))
-            if reservoir_sink is not None and len(run) >= params.m3:
-                reservoir_sink(run, lit_start)
+            L = upto - lit_start
+            rows.append((LITERAL, lit_start, 0, L, 0, 0))
+            if reservoir_sink is not None and L >= params.m3:
+                reservoir_sink(s[lit_start:upto], lit_start)
         lit_start = upto
 
     while pos < n:
         rl = int(run_len_at[pos])
         if rl >= params.m1:
             close_literal(pos)
-            factors.append(Factor(NRUN, lengths=(rl,)))
+            rows.append((NRUN, pos, 0, rl, 0, 0))
             pos += rl
             lit_start = pos
             continue
@@ -250,7 +350,7 @@ def parse_sequence(
 
         if chosen is not None:
             close_literal(pos)
-            factors.append(chosen)
+            rows.append((chosen.kind, pos, chosen.position) + (chosen.lengths + (0, 0))[:3])
             if chosen.kind == MATCH:
                 last_match_delta = pos - chosen.position
                 last_match_window = pos // interval
@@ -261,35 +361,54 @@ def parse_sequence(
         pos += 1
 
     close_literal(n)
-    return Parse(factors, n)
+    return Parse(_parse_columns(s, rows), n)
+
+
+def _parse_columns(s: np.ndarray, rows: list[tuple]) -> FactorColumns:
+    """Columns of the factors tiling source ``s``; ``lits`` gathers the
+    literal-run and gap positions, in source (so factor) order."""
+    table = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    kind, start, piece = table[:, 0].astype(np.int8), table[:, 1], table[:, 3:]
+    gaps = np.count_nonzero(piece, axis=1) - 1
+    advance = piece.sum(axis=1) + gaps
+    is_lit = kind == LITERAL
+    lit_use = np.where(is_lit, piece[:, 0], gaps)
+    take = np.repeat(is_lit, advance)
+    gap1 = start + piece[:, 0]
+    take[gap1[piece[:, 1] > 0]] = True
+    take[(gap1 + 1 + piece[:, 1])[piece[:, 2] > 0]] = True
+    return FactorColumns(
+        kind, start, advance, table[:, 2], piece, np.cumsum(lit_use) - lit_use, s[take]
+    )
 
 
 def validate_parse(parse: Parse, params: ParseParams) -> None:
-    """Check factor geometry and exact tiling; raises ValueError."""
-    covered = 0
-    for f in parse.factors:
-        if f.kind == LITERAL:
-            if len(f.lengths) != 1 or f.lengths[0] < 1 or f.symbols is None:
-                raise ValueError("malformed literal run")
-            if len(f.symbols) != f.lengths[0]:
-                raise ValueError("literal length mismatch")
-        elif f.kind == NRUN:
-            if len(f.lengths) != 1 or f.lengths[0] < params.m1:
-                raise ValueError("N-run shorter than minimum match length")
-            if f.gap_symbols:
-                raise ValueError("N-run cannot carry gaps")
-        else:
-            if not 1 <= len(f.lengths) <= GAP_LIMIT + 1:
-                raise ValueError("bad piece count")
-            if len(f.gap_symbols) != len(f.lengths) - 1:
-                raise ValueError("gap symbol count must be pieces - 1")
-            if f.lengths[0] < params.m1:
-                raise ValueError("first piece below minimum match length")
-            if any(L < params.m2 for L in f.lengths[1:]):
-                raise ValueError("extension piece below minimum")
-            if f.position < 0:
-                raise ValueError("negative position")
-        covered += f.advance
+    """Check factor geometry, the literal stream and exact tiling of the
+    columns (their start, advance and literal offsets follow from the
+    pieces and are not read); raises ValueError."""
+    c = parse.columns
+    kind, pieces = c.kind, c.pieces
+    first, ext = pieces[:, 0], pieces[:, 1:]
+    lit, nrun = kind == LITERAL, kind == NRUN
+    matchlike = ~(lit | nrun)
+    if np.count_nonzero(lit & ((first < 1) | ext.any(axis=1))):
+        raise ValueError("malformed literal run")
+    if np.count_nonzero(nrun & (first < params.m1)):
+        raise ValueError("N-run shorter than minimum match length")
+    if np.count_nonzero(nrun & ext.any(axis=1)):
+        raise ValueError("N-run cannot carry gaps")
+    if np.count_nonzero(matchlike & (pieces[:, 1] == 0) & (pieces[:, 2] != 0)):
+        raise ValueError("bad piece count")
+    if np.count_nonzero(matchlike & (first < params.m1)):
+        raise ValueError("first piece below minimum match length")
+    if np.count_nonzero(matchlike[:, None] & (ext != 0) & (ext < params.m2)):
+        raise ValueError("extension piece below minimum")
+    if np.count_nonzero(matchlike & (c.position < 0)):
+        raise ValueError("negative position")
+    gaps = np.count_nonzero(pieces, axis=1) - 1
+    if int(first[lit].sum() + gaps.sum()) != len(c.lits):
+        raise ValueError("literal length mismatch")
+    covered = int(pieces.sum() + gaps.sum())
     if covered != parse.source_length:
         raise ValueError(
             f"factors cover {covered} symbols of a {parse.source_length}-symbol source"

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CorruptArchiveError
 from .genome import N
 from .huffman import HuffmanTable, decode_chains, pack_codes
-from .packing import pack_triplets, unpack_triplets
+from .packing import pack_triplets, pad_segments, unpack_triplets
 
 BLOCK_SIZE = 8192
 
@@ -44,39 +44,28 @@ class RefBlocks:
         return self.offsets[b] == self.offsets[b + 1]
 
 
-def _split_blocks(symbols: np.ndarray):
-    for start in range(0, len(symbols), BLOCK_SIZE):
-        yield symbols[start : start + BLOCK_SIZE]
+def _packed_blocks(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triplet bytes of the blocks that are not all N, each block padded
+    on its own, plus the packed bytes of every block (0 when all N)."""
+    symbols = np.asarray(symbols, dtype=np.uint8)
+    starts = np.arange(0, len(symbols), BLOCK_SIZE)
+    sizes = np.minimum(len(symbols) - starts, BLOCK_SIZE)
+    all_n = np.logical_and.reduceat(symbols == N, starts)
+    padded, seg = pad_segments(symbols[np.repeat(~all_n, sizes)], np.where(all_n, 0, sizes), 3)
+    return pack_triplets(padded), seg // 3
 
 
 def packed_block_counts(symbols: np.ndarray) -> np.ndarray:
     """Byte frequencies of the triplet-packed non-all-N blocks (for
     building the Huffman table shared by every reference record)."""
-    counts = np.zeros(256, dtype=np.int64)
-    for block in _split_blocks(np.asarray(symbols, dtype=np.uint8)):
-        if block.min(initial=N) != N or block.max(initial=N) != N:
-            counts += np.bincount(pack_triplets(block), minlength=256)
-    return counts
+    return np.bincount(_packed_blocks(symbols)[0], minlength=256)
 
 
 def encode_reference(symbols: np.ndarray, table: HuffmanTable) -> RefBlocks:
     """Encode a reference sequence into blocked, Huffman-coded triplets
     with ``table``, built from :func:`packed_block_counts`."""
-    symbols = np.asarray(symbols, dtype=np.uint8)
-    packed: list[np.ndarray] = []
-    seg_sizes: list[int] = []
-    for block in _split_blocks(symbols):
-        if len(block) and block.min() == N and block.max() == N:
-            seg_sizes.append(0)
-            packed.append(np.zeros(0, dtype=np.uint8))
-        else:
-            p = pack_triplets(block)
-            seg_sizes.append(len(p))
-            packed.append(p)
-    allbytes = np.concatenate(packed) if packed else np.zeros(0, dtype=np.uint8)
-    payload, off = pack_codes(
-        table.lengths[allbytes], table.codes[allbytes], np.asarray(seg_sizes, dtype=np.int64)
-    )
+    packed, seg_bytes = _packed_blocks(symbols)
+    payload, off = pack_codes(table.lengths[packed], table.codes[packed], seg_bytes)
     return RefBlocks(len(symbols), off, payload, table)
 
 
@@ -99,13 +88,16 @@ def decode_reference_range(rb: RefBlocks, start: int, end: int) -> np.ndarray:
         local, rb.table, starts_bits[live], byte_counts[live]
     )
 
-    out = np.full(int(sym_counts.sum()), N, dtype=np.uint8)
-    pos = np.zeros(len(blocks) + 1, dtype=np.int64)
-    pos[1:] = np.cumsum(sym_counts)
-    for i, idx in enumerate(np.flatnonzero(live)):
-        out[pos[idx] : pos[idx + 1]] = unpack_triplets(
-            vals[bounds[i] : bounds[i + 1]], int(sym_counts[idx])
-        )
+    # the live blocks unpack in one call; one mask then drops each one's
+    # padding, the last (at most two) of its unpacked symbols
+    syms = unpack_triplets(vals, len(vals) * 3)
+    ends, pad = bounds[1:] * 3, (byte_counts * 3 - sym_counts)[live]
+    keep = np.ones(len(syms), dtype=bool)
+    keep[np.concatenate((ends[pad > 0] - 1, ends[pad > 1] - 2))] = False
+    out = syms[keep]
+    if not live.all():  # all-N blocks have no payload
+        out, live_syms = np.full(int(sym_counts.sum()), N, dtype=np.uint8), out
+        out[np.repeat(live, sym_counts)] = live_syms
     lo = start - b0 * bs
     return out[lo : lo + (end - start)]
 

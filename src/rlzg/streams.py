@@ -30,6 +30,12 @@ Every stream is flushed to a byte boundary at each checkpoint (one per
 there, a factor belongs to the checkpoint window containing its start,
 and each checkpoint records where decoding resumes, so any window
 decodes standalone.
+
+Both directions work on :class:`~rlzg.parse.FactorColumns` with array
+operations.  :func:`encode_parse` writes a parse's columns into the raw
+streams; :func:`_factor_columns` derives the columns of decoded windows
+back from them.  The parser's literal stream is unpadded; a decoder's
+carries each window's triplet padding.
 """
 from __future__ import annotations
 
@@ -45,8 +51,11 @@ from .huffman import (
     follow_chains,  # noqa: F401  perfbench's tracer looks this name up to wrap it
     pack_codes,
 )
-from .packing import pack_triplets, unpack_triplets
-from .parse import LITERAL, MATCH, NRUN, RESERVOIR, Factor, Parse, ParseParams, validate_parse
+from .packing import pack_triplets, pad_segments, unpack_triplets
+from .parse import (
+    LITERAL, MATCH, NRUN, RESERVOIR, FactorColumns, Parse, ParseParams, _empty_columns,
+    validate_parse,
+)
 
 OFFSET_BIAS = 125
 ESC_NEG, ESC_POS, NRUN_MARK, RESERVOIR_MARK = 251, 252, 253, 254
@@ -125,146 +134,99 @@ class CodedSequence:
         return int(np.searchsorted(self.start_source, source_pos, side="right")) - 1
 
 
-def _pack_flags(vals: list[int]) -> np.ndarray:
-    if not vals:
-        return np.zeros(0, dtype=np.uint8)
-    arr = np.zeros(-(-len(vals) // 4) * 4, dtype=np.uint8)
-    arr[: len(vals)] = vals
-    quad = arr.reshape(-1, 4)
-    return (
-        quad[:, 0] | (quad[:, 1] << 2) | (quad[:, 2] << 4) | (quad[:, 3] << 6)
-    ).astype(np.uint8)
+def _records(first: np.ndarray, ext: np.ndarray, escapes: np.ndarray):
+    """Raw bytes of a record stream and its first-byte mask: one first
+    byte per record, then the 4-byte LE ``ext`` value of each record
+    whose first byte ``escapes`` marks.  Returns (bytes, first-byte mask,
+    bytes per record)."""
+    esc = escapes[first]
+    size = 1 + 4 * esc.astype(np.int64)
+    at = np.cumsum(size) - size
+    out = np.zeros(int(size.sum()), dtype=np.uint8)
+    out[at] = first
+    le = ext[esc].astype("<u4").view(np.uint8).reshape(-1, 4)
+    out[at[esc][:, None] + 1 + np.arange(4)] = le
+    is_first = np.zeros(len(out), dtype=bool)
+    is_first[at] = True
+    return out, is_first, size
+
+
+def _per_window(win: np.ndarray, weights: np.ndarray | None, W: int) -> np.ndarray:
+    return np.bincount(win, weights, minlength=W).astype(np.int64)
 
 
 def encode_parse(parse: Parse, params: ParseParams) -> RawStreams:
-    """Turn a factor tiling into window-segmented raw streams."""
+    """Turn a factor tiling into window-segmented raw streams: the array
+    inverse of :func:`_factor_columns`.  Reads the columns' kinds,
+    positions, pieces and literal stream; starts follow from the pieces."""
     validate_parse(parse, params)
+    c = parse.columns
     interval = params.checkpoint_interval
     n = parse.source_length
-    n_windows = -(-n // interval)
+    W = -(-n // interval)
+    kind, pieces = c.kind, c.pieces
+    use = np.count_nonzero(pieces, axis=1)  # length records per factor
+    lit = kind == LITERAL
+    advance = pieces.sum(axis=1) + use - 1
+    start = np.cumsum(advance) - advance
+    win = start // interval
 
-    off_b = bytearray()
-    off_f = bytearray()
-    len_b = bytearray()
-    len_f = bytearray()
-    lit_packed: list[np.ndarray] = []
-    flg_packed: list[np.ndarray] = []
+    # lengths: the nonzero pieces in row order
+    vals = pieces[pieces > 0]
+    if np.count_nonzero(vals > 0xFFFFFFFF):
+        raise ValueError("length exceeds the 4-byte escape form")
+    len_first = np.where(vals > 255, LEN_ESC, vals - 1).astype(np.uint8)
+    len_b, len_f, len_size = _records(len_first, vals, _IS_LEN_ESC)
+    len_win = np.repeat(win, use)
 
-    start_source: list[int] = [0] if n_windows else []
-    seg_bytes = [[] for _ in range(4)]
-    cum = [[0] for _ in range(4)]
+    # offsets: one record per non-literal factor
+    nl = np.flatnonzero(~lit)
+    k, pos, w_nl = kind[nl], c.position[nl], win[nl]
+    is_res, is_match = k == RESERVOIR, k == MATCH
+    if np.count_nonzero(pos[is_res] > 0xFFFFFFFF):
+        raise ValueError("reservoir offset exceeds the 4-byte form")
+    # the predictor is the previous match's delta in the same window, else 0
+    delta = (start[nl] - pos)[is_match]
+    w_m = w_nl[is_match]
+    d = delta.copy()
+    d[1:] -= np.where(w_m[1:] == w_m[:-1], delta[:-1], 0)
+    if np.count_nonzero((d < _INT32_MIN) | (d > _INT32_MAX)):
+        raise ValueError("offset delta exceeds the 4-byte escape form")
+    off_first = np.full(len(nl), NRUN_MARK, dtype=np.uint8)
+    off_first[is_res] = RESERVOIR_MARK
+    off_first[is_match] = np.where(
+        d < -OFFSET_BIAS, ESC_NEG, np.where(d > OFFSET_BIAS, ESC_POS, d + OFFSET_BIAS)
+    )
+    ext = np.where(is_res, pos, 0)
+    ext[is_match] = d & 0xFFFFFFFF
+    off_b, off_f, off_size = _records(off_first, ext, _IS_OFF_ESC)
 
-    win_flags: list[int] = []
-    win_lits: list[np.ndarray] = []
-    marks = [0, 0]  # off/len raw-byte marks at window start
-    recs = [0, 0]  # off/len records in the current window
+    # literals and flags: each window zero-padded to whole bytes, packed once
+    lit_use = np.where(lit, pieces[:, 0], use - 1)
+    lit_padded, lit_seg = pad_segments(c.lits, _per_window(win, lit_use, W), 3)
+    flags = np.where(lit, 0, use).astype(np.uint8)
+    flg_padded, flg_seg = pad_segments(flags, _per_window(win, None, W), 4)
+    flg = (flg_padded.reshape(-1, 4) << _FLAG_SHIFTS).sum(axis=1, dtype=np.uint8)
 
-    def finalize_window() -> None:
-        lit = np.concatenate(win_lits) if win_lits else np.zeros(0, dtype=np.uint8)
-        packed = pack_triplets(lit)
-        lit_packed.append(packed)
-        flg = _pack_flags(win_flags)
-        flg_packed.append(flg)
-        seg_bytes[OFF].append(len(off_b) - marks[OFF])
-        seg_bytes[LEN].append(len(len_b) - marks[LEN])
-        seg_bytes[LIT].append(len(packed))
-        seg_bytes[FLG].append(len(flg))
-        cum[OFF].append(cum[OFF][-1] + recs[0])
-        cum[LEN].append(cum[LEN][-1] + recs[1])
-        cum[LIT].append(cum[LIT][-1] + len(packed))
-        cum[FLG].append(cum[FLG][-1] + len(flg))
-        marks[0], marks[1] = len(off_b), len(len_b)
-        recs[0] = recs[1] = 0
-        win_flags.clear()
-        win_lits.clear()
-
-    def emit_length(v: int) -> None:
-        recs[1] += 1
-        if v <= 255:
-            len_b.append(v - 1)
-            len_f.append(1)
-        else:
-            if v > 0xFFFFFFFF:
-                raise ValueError("length exceeds the 4-byte escape form")
-            len_b.append(LEN_ESC)
-            len_f.append(1)
-            len_b.extend(v.to_bytes(4, "little"))
-            len_f.extend(b"\0\0\0\0")
-
-    pos = 0
-    cur_w = 0
-    pred = 0
-    last_match_w = -1
-    for f in parse.factors:
-        w = pos // interval
-        while cur_w < w:
-            finalize_window()
-            start_source.append(pos)
-            cur_w += 1
-        if f.kind == LITERAL:
-            win_flags.append(0)
-            emit_length(f.lengths[0])
-            win_lits.append(f.symbols)
-        elif f.kind == NRUN:
-            win_flags.append(1)
-            recs[0] += 1
-            off_b.append(NRUN_MARK)
-            off_f.append(1)
-            emit_length(f.lengths[0])
-        else:
-            win_flags.append(1 + f.gap_count)
-            recs[0] += 1
-            if f.kind == RESERVOIR:
-                if f.position > 0xFFFFFFFF:
-                    raise ValueError("reservoir offset exceeds the 4-byte form")
-                off_b.append(RESERVOIR_MARK)
-                off_f.append(1)
-                off_b.extend(f.position.to_bytes(4, "little"))
-                off_f.extend(b"\0\0\0\0")
-            else:
-                delta = pos - f.position
-                d = delta - (pred if w == last_match_w else 0)
-                if -125 <= d <= 125:
-                    off_b.append(d + OFFSET_BIAS)
-                    off_f.append(1)
-                else:
-                    if not _INT32_MIN <= d <= _INT32_MAX:
-                        raise ValueError("offset delta exceeds the 4-byte escape form")
-                    off_b.append(ESC_NEG if d < -125 else ESC_POS)
-                    off_f.append(1)
-                    off_b.extend((d & 0xFFFFFFFF).to_bytes(4, "little"))
-                    off_f.extend(b"\0\0\0\0")
-                pred = delta
-                last_match_w = w
-            for L in f.lengths:
-                emit_length(L)
-            if f.gap_symbols:
-                win_lits.append(np.asarray(f.gap_symbols, dtype=np.uint8))
-        pos += f.advance
-
-    while cur_w < n_windows:
-        finalize_window()
-        cur_w += 1
-        if cur_w < n_windows:
-            start_source.append(n)
-
+    seg_bytes = [
+        _per_window(w_nl, off_size, W),
+        _per_window(len_win, len_size, W),
+        lit_seg // 3,
+        flg_seg // 4,
+    ]
+    records = [_per_window(w_nl, None, W), _per_window(len_win, None, W)]
+    # a window resumes at its first factor's start; a window no factor
+    # starts in (inside a long factor) resumes where the next factor starts
+    first_at = np.searchsorted(win, np.arange(W))
     return RawStreams(
         length=n,
-        bytes_=[
-            np.frombuffer(bytes(off_b), dtype=np.uint8),
-            np.frombuffer(bytes(len_b), dtype=np.uint8),
-            np.concatenate(lit_packed) if lit_packed else np.zeros(0, dtype=np.uint8),
-            np.concatenate(flg_packed) if flg_packed else np.zeros(0, dtype=np.uint8),
+        bytes_=[off_b, len_b, pack_triplets(lit_padded), flg],
+        first=[off_f, len_f, None, None],
+        seg_bytes=seg_bytes,
+        sym_counts=[
+            np.concatenate(([0], np.cumsum(v))) for v in records + seg_bytes[2:]
         ],
-        first=[
-            np.frombuffer(bytes(off_f), dtype=np.uint8).astype(bool),
-            np.frombuffer(bytes(len_f), dtype=np.uint8).astype(bool),
-            None,
-            None,
-        ],
-        seg_bytes=[np.asarray(s, dtype=np.int64) for s in seg_bytes],
-        sym_counts=[np.asarray(c, dtype=np.int64) for c in cum],
-        start_source=np.asarray(start_source, dtype=np.int64),
+        start_source=np.append(start, n)[first_at],
     )
 
 
@@ -349,93 +311,6 @@ def _segment_cumsum(values: np.ndarray, bounds: np.ndarray, seg_of: np.ndarray):
     cs = np.concatenate((head, values.cumsum(axis=0)))
     base = cs[bounds[:-1]]
     return cs[1:] - base[seg_of], cs[bounds[1:]] - base
-
-
-@dataclass
-class FactorColumns:
-    """Factors of consecutive checkpoint windows as parallel columns.
-
-    ``kind`` holds LITERAL/MATCH/NRUN/RESERVOIR, ``start`` the source
-    position and ``advance`` the source symbols of each factor;
-    ``position`` is the reference position (MATCH) or reservoir offset
-    (RESERVOIR), else 0.  ``pieces`` holds the piece lengths, zero past
-    a factor's last piece (a literal run's or N-run's length is its one
-    piece); ``lit_off`` indexes ``lits`` at a literal run's symbols or a
-    match's gap symbols.
-    """
-
-    kind: np.ndarray  # (n,) int8
-    start: np.ndarray  # (n,) int64
-    advance: np.ndarray  # (n,) int64
-    position: np.ndarray  # (n,) int64
-    pieces: np.ndarray  # (n, 3) int64
-    lit_off: np.ndarray  # (n,) int64
-    lits: np.ndarray  # uint8 symbols
-
-    def __len__(self) -> int:
-        return len(self.kind)
-
-    def slice(self, lo: int, hi: int) -> "FactorColumns":
-        """Factors [lo, hi) as views sharing ``lits``."""
-        return FactorColumns(
-            self.kind[lo:hi],
-            self.start[lo:hi],
-            self.advance[lo:hi],
-            self.position[lo:hi],
-            self.pieces[lo:hi],
-            self.lit_off[lo:hi],
-            self.lits,
-        )
-
-    @classmethod
-    def concat(cls, parts: list["FactorColumns"]) -> "FactorColumns":
-        if len(parts) == 1:
-            return parts[0]
-        shift = np.cumsum([0] + [len(p.lits) for p in parts[:-1]])
-        return cls(
-            np.concatenate([p.kind for p in parts]),
-            np.concatenate([p.start for p in parts]),
-            np.concatenate([p.advance for p in parts]),
-            np.concatenate([p.position for p in parts]),
-            np.concatenate([p.pieces for p in parts]),
-            np.concatenate([p.lit_off + s for p, s in zip(parts, shift.tolist())]),
-            np.concatenate([p.lits for p in parts]),
-        )
-
-    def to_factors(self) -> list[Factor]:
-        """The factors as :class:`Factor` objects (tests and debugging)."""
-        out = []
-        lits = self.lits
-        for kind, pos, pieces, lo in zip(
-            self.kind.tolist(),
-            self.position.tolist(),
-            self.pieces.tolist(),
-            self.lit_off.tolist(),
-        ):
-            if kind == LITERAL:
-                L = pieces[0]
-                out.append(Factor(LITERAL, lengths=(L,), symbols=lits[lo : lo + L]))
-            elif kind == NRUN:
-                out.append(Factor(NRUN, lengths=(pieces[0],)))
-            else:
-                k = 3 - pieces.count(0)
-                out.append(
-                    Factor(
-                        kind,
-                        position=pos,
-                        lengths=tuple(pieces[:k]),
-                        gap_symbols=tuple(lits[lo : lo + k - 1].tolist()),
-                    )
-                )
-        return out
-
-
-def _empty_columns() -> FactorColumns:
-    z = np.zeros(0, dtype=np.int64)
-    return FactorColumns(
-        np.zeros(0, dtype=np.int8), z, z, z, np.zeros((0, 3), dtype=np.int64), z,
-        np.zeros(0, dtype=np.uint8),
-    )
 
 
 def _factor_columns(
@@ -592,11 +467,7 @@ class SequenceDecoder:
         len_vals = np.where(l0 == LEN_ESC, le_, l0.astype(np.int64) + 1)
         lit_bytes, lit_bounds, _ = decode_chains(bufs[LIT], m.lit, starts[LIT], counts[LIT])
         flg_bytes, flg_bounds, _ = decode_chains(bufs[FLG], m.flg, starts[FLG], counts[FLG])
-        lits = (
-            unpack_triplets(lit_bytes, len(lit_bytes) * 3)
-            if len(lit_bytes)
-            else np.zeros(0, np.uint8)
-        )
+        lits = unpack_triplets(lit_bytes, len(lit_bytes) * 3)
         flags = (flg_bytes[:, None] >> _FLAG_SHIFTS[None, :]).reshape(-1) & 3
         return _factor_columns(
             windows, self.coded.start_source[windows], self._ends[windows], self.interval,

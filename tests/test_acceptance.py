@@ -17,8 +17,10 @@ from rlzg.genome import N, parse_fasta
 from rlzg.kmer import KmerIndex, hash_kmers
 from rlzg.parse import LITERAL, NRUN, RESERVOIR, ParseParams, parse_sequence
 from rlzg.streams import FLG, LEN, OFF, encode_parse
-from rlzg.parse import Factor, Parse, MATCH
+from rlzg.parse import Factor, MATCH
 from rlzg.synthetic import apply_snps, make_collection, random_reference
+
+from factor_lists import parse_of
 
 PARAMS = ParseParams()
 
@@ -333,10 +335,10 @@ def test_c9_forced_byte_layouts():
     def match(position, lengths, gaps=()):
         return Factor(MATCH, position=position, lengths=tuple(lengths), gap_symbols=tuple(gaps))
 
-    raw = encode_parse(Parse([match(0, (400,))], 400), PARAMS)
+    raw = encode_parse(parse_of([match(0, (400,))], 400), PARAMS)
     assert raw.bytes_[OFF].tolist() == [125]
 
-    raw = encode_parse(Parse([match(0, (300,)), match(100, (300,))], 600), PARAMS)
+    raw = encode_parse(parse_of([match(0, (300,)), match(100, (300,))], 600), PARAMS)
     assert raw.bytes_[OFF].tolist() == [125, 252, 200, 0, 0, 0]
 
     lit_run = Factor(LITERAL, lengths=(20,), symbols=np.zeros(20, dtype=np.uint8))
@@ -346,15 +348,15 @@ def test_c9_forced_byte_layouts():
         match(0, (20, 20), gaps=(1,)),
         match(0, (20, 20, 20), gaps=(1, 2)),
     ]
-    raw = encode_parse(Parse(factors, sum(f.advance for f in factors)), PARAMS)
+    raw = encode_parse(parse_of(factors, sum(f.advance for f in factors)), PARAMS)
     assert raw.bytes_[FLG].tolist() == [228]
 
-    raw = encode_parse(Parse([Factor(NRUN, lengths=(40,))], 40), PARAMS)
+    raw = encode_parse(parse_of([Factor(NRUN, lengths=(40,))], 40), PARAMS)
     assert raw.bytes_[OFF].tolist() == [253]
     assert raw.bytes_[LEN].tolist() == [39]
 
     raw = encode_parse(
-        Parse([Factor(RESERVOIR, position=77, lengths=(33,), gap_symbols=())], 33), PARAMS
+        parse_of([Factor(RESERVOIR, position=77, lengths=(33,), gap_symbols=())], 33), PARAMS
     )
     assert raw.bytes_[OFF].tolist() == [254, 77, 0, 0, 0]
     report("C9b forced stream byte layouts", "(offset/length/flag)")

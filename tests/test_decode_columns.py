@@ -6,7 +6,7 @@ import pytest
 from rlzg import Archive, CorruptArchiveError
 from rlzg.archive import ROLE_MEMBER, ROLE_REFERENCE, Group, SequenceEntry
 from rlzg.huffman import HuffmanTable
-from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, Factor, Parse, ParseParams, apply_parse
+from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, Factor, ParseParams, apply_parse
 from rlzg.refstore import ReservoirProvenance, append_reservoir_phrase, encode_reference
 from rlzg.streams import (
     ESC_NEG,
@@ -19,6 +19,8 @@ from rlzg.streams import (
     compress_streams,
     encode_parse,
 )
+
+from factor_lists import parse_of, random_member
 
 
 def build_archive(refs, members, params, granularity="whole"):
@@ -62,42 +64,6 @@ def oracle(refs, members, params):
         ]
     res = [np.concatenate(r) if r else np.zeros(0, np.uint8) for r in reservoirs]
     return [apply_parse(parse, refs[g], res[g]) for g, parse in members]
-
-
-def random_member(rng, ref, res_len, params, n_factors):
-    """A parse mixing every factor shape; ``res_len`` is the group
-    reservoir length before it, and it may match its own earlier runs."""
-    factors = []
-    pred = 0
-    pos = 0
-    for _ in range(n_factors):
-        r = rng.random()
-        if r < 0.25:
-            L = int(rng.choice([1, 5, params.m3, 40, 300, 700]))
-            f = Factor(LITERAL, lengths=(L,), symbols=rng.integers(0, 5, L).astype(np.uint8))
-            if L >= params.m3:
-                res_len += L
-        elif r < 0.33:
-            f = Factor(NRUN, lengths=(int(rng.choice([params.m1, 90, 1000])),))
-        else:
-            k = int(rng.integers(1, 4))
-            pieces = [int(rng.choice([params.m1, 60, 256, 1200]))]
-            pieces += [int(rng.choice([params.m2, 30, 300])) for _ in range(k - 1)]
-            gaps = tuple(int(v) for v in rng.integers(0, 5, k - 1))
-            span = sum(pieces) + k - 1
-            if r < 0.45 and res_len >= span:
-                f = Factor(RESERVOIR, int(rng.integers(0, res_len - span + 1)), tuple(pieces), gaps)
-            else:
-                if rng.random() < 0.5:  # near the previous delta: one-byte offset
-                    at = pos - pred + int(rng.integers(-100, 101))
-                else:  # far away: an escaped offset
-                    at = int(rng.integers(0, len(ref) - span + 1))
-                at = min(max(at, 0), len(ref) - span)
-                f = Factor(MATCH, at, tuple(pieces), gaps)
-                pred = pos - at
-        factors.append(f)
-        pos += f.advance
-    return Parse(factors, pos)
 
 
 @pytest.mark.parametrize("interval", [8192, 96])
@@ -159,7 +125,7 @@ def test_reservoir_match_past_current_reservoir_rejected():
     ref = rng.integers(0, 4, 2000).astype(np.uint8)
     run = rng.integers(0, 4, 64).astype(np.uint8)
     # the match reads the member's own run, which only comes after it
-    parse = Parse(
+    parse = parse_of(
         [
             Factor(RESERVOIR, 0, (20,)),
             Factor(LITERAL, lengths=(64,), symbols=run),
@@ -175,7 +141,7 @@ def test_match_past_reference_end_rejected():
     rng = np.random.default_rng(141)
     p = params_small()
     ref = rng.integers(0, 4, 2000).astype(np.uint8)
-    parse = Parse([Factor(MATCH, 1990, (20,))], 20)
+    parse = parse_of([Factor(MATCH, 1990, (20,))], 20)
     arc = build_archive([ref], [(0, parse)], p)
     with pytest.raises(CorruptArchiveError, match="reference"):
         arc.decompress()
@@ -184,12 +150,12 @@ def test_match_past_reference_end_rejected():
 
 
 def _two_matches():
-    return Parse([Factor(MATCH, 0, (300,)), Factor(MATCH, 100, (300,))], 600)
+    return parse_of([Factor(MATCH, 0, (300,)), Factor(MATCH, 100, (300,))], 600)
 
 
 def _nrun_then_literal():
     run = Factor(LITERAL, lengths=(5,), symbols=np.zeros(5, np.uint8))
-    return Parse([Factor(NRUN, lengths=(40,)), run], 45)
+    return parse_of([Factor(NRUN, lengths=(40,)), run], 45)
 
 
 def _set(stream, values):

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from rlzg.errors import CorruptArchiveError
 from rlzg.huffman import MAX_CODE_LEN, HuffmanTable, decode_chains, pack_codes
-from rlzg.parse import LITERAL, Factor, Parse, ParseParams
+from rlzg.parse import LITERAL, Factor, ParseParams
 from rlzg.streams import ModelSet, compress_streams, encode_parse
+
+from factor_lists import parse_of
 
 
 def counts_from(pairs: dict[int, int]) -> np.ndarray:
@@ -162,7 +164,7 @@ def test_eight_single_symbol_bytes_one_flushed_byte():
 def test_encode_rejects_uncovered_byte():
     table = HuffmanTable.from_counts(counts_from({7: 1}))
     literal = Factor(LITERAL, lengths=(1,), symbols=np.array([2], dtype=np.uint8))
-    raw = encode_parse(Parse([literal], 1), ParseParams())
+    raw = encode_parse(parse_of([literal], 1), ParseParams())
     with pytest.raises(ValueError, match="stream byte missing from its model"):
         compress_streams(raw, ModelSet(*[table] * 6))
 

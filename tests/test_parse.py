@@ -120,6 +120,22 @@ def test_tie_break_on_repetitive_reference():
     assert got.position == 0 and got.lengths == (8,)
 
 
+def test_tie_break_prefers_cheaper_delta():
+    # two copies of one segment: both candidates cover all 40 symbols, so
+    # only the delta cost against a nonzero previous delta separates them
+    rng = np.random.default_rng(31)
+    params = make_params()
+    ref = rng.integers(0, 4, 1000).astype(np.uint8)
+    ref[600:640] = ref[100:140]
+    idx = KmerIndex(ref, params.m1)
+    seq = ref[100:140].copy()
+    for prev_delta, want in ((-600, 600), (-100, 100), (-560, 600)):
+        got = longest_at(idx, seq, 0, params, prev_delta)
+        assert got.lengths == (40,)
+        assert got.position == want
+        assert brute_force_best(ref, seq, 0, params, prev_delta)[0] == want
+
+
 def test_longest_match_against_oracle_fuzz():
     rng = np.random.default_rng(21)
     params = make_params(m1=5, m2=2)
@@ -379,7 +395,7 @@ def test_gap_bound_never_exceeded():
         idx = KmerIndex(ref, params.m1)
         parse = parse_sequence(idx, seq, params)
         for f in parse.factors:
-            assert f.gap_count <= 2
+            assert len(f.gap_symbols) <= 2
             if f.kind in (MATCH, RESERVOIR):
                 assert f.lengths[0] >= params.m1
                 assert all(L >= params.m2 for L in f.lengths[1:])
