@@ -36,6 +36,7 @@ from .parse import (
     NRUN,
     RESERVOIR,
     FactorColumns,
+    Parse,
     ParseParams,
     apply_factor,  # noqa: F401  perfbench's tracer counts calls made through this name
     parse_sequence,
@@ -863,6 +864,19 @@ class Archive:
         }
 
 
+def _parse_member(
+    index: KmerIndex, prov: ReservoirProvenance, i: int, seq: Sequence, params: ParseParams
+) -> Parse:
+    """Parse member ``i``, appending its long literal runs to its group's
+    reservoir and index."""
+
+    def sink(run, source_pos, hashes, n_free):
+        offset = append_reservoir_phrase(prov, (i, source_pos, len(run)), params.m3)
+        index.extend_with_reservoir(run, index.ref_len + offset, hashes, n_free)
+
+    return parse_sequence(index, seq.data, params, sink)
+
+
 def compress(collection: Collection, params: ParseParams | None = None) -> Archive:
     """Compress a collection into an archive.
 
@@ -897,30 +911,23 @@ def compress(collection: Collection, params: ParseParams | None = None) -> Archi
         ref_counts[0] = 1
     ref_table = HuffmanTable.from_counts(ref_counts)
 
-    indexes: list[KmerIndex] = []
-    provenances: list[ReservoirProvenance] = []
-    for grp in groups:
-        ref_data = (
-            collection.sequences[grp.reference].data
-            if grp.reference is not None
-            else np.zeros(0, dtype=np.uint8)
-        )
-        indexes.append(KmerIndex(ref_data, params.m1, params.candidate_cap))
-        provenances.append(ReservoirProvenance())
-
+    provenances = [ReservoirProvenance() for _ in groups]
+    # a group's index lives from its first member's parse to its last's
+    indexes: dict[int, KmerIndex] = {}
     raws = {}
     for i, seq in enumerate(collection.sequences):
         if role[i] != ROLE_MEMBER:
             continue
         g = group_of[i]
-        index, prov = indexes[g], provenances[g]
-
-        def sink(run, source_pos, _i=i, _index=index, _prov=prov):
-            offset = append_reservoir_phrase(_prov, (_i, source_pos, len(run)), params.m3)
-            _index.extend_with_reservoir(run, _index.ref_len + offset)
-
-        parse = parse_sequence(index, seq.data, params, sink)
-        raws[i] = encode_parse(parse, params)
+        if g not in indexes:
+            ref = groups[g].reference
+            ref_data = (
+                collection.sequences[ref].data if ref is not None else np.zeros(0, dtype=np.uint8)
+            )
+            indexes[g] = KmerIndex(ref_data, params.m1, params.candidate_cap)
+        raws[i] = encode_parse(_parse_member(indexes[g], provenances[g], i, seq, params), params)
+        if i == groups[g].members[-1]:
+            del indexes[g]
 
     if raws:
         models = build_models(list(raws.values()))

@@ -7,6 +7,18 @@ boundary are skipped, those juxtapositions occur in no real sequence).
 Hash hits are always verified against the actual symbols, so no false
 positive ever leaves a lookup.  The hash itself is a replaceable detail
 behind that contract.
+
+Layout and memory.  The reference grams sit in two ``uint32`` columns,
+hash and position, sorted by hash with position breaking ties: 8 bytes
+per indexed gram, built by one sort of packed 64-bit keys.  Positions
+are 32-bit, so a reference of 2**32 symbols or more is rejected.
+Reservoir grams go to a dict of position lists.  A presence table, one
+bit per slot of the top hash bits (a one-hash Bloom filter), holds
+every indexed gram, reference and reservoir: ``lookup`` tests it first
+and returns at once when the bit is clear, which is where most lookups
+of a sequence with novel content end.  The table takes 16 bits per
+reference gram, rounded up to a power of two, at least 1 KiB and at
+most 8 MiB (2**26 bits); reservoir grams fill it further as they come.
 """
 from __future__ import annotations
 
@@ -17,6 +29,10 @@ from .genome import N
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _FIVE = np.uint64(5)
+
+# presence table size in bits: 16 per reference gram, as a power of two
+_MIN_TABLE_BITS = 1 << 13
+_MAX_TABLE_BITS = 1 << 26
 
 
 def mix_hash(packed):
@@ -90,10 +106,13 @@ def common_prefix(a, i: int, b, j: int, limit: int) -> int:
 class KmerIndex:
     """Positions of N-free k-grams in the extended reference.
 
-    Reference positions live in sorted arrays (ascending position within
-    a bucket = insertion order); reservoir positions live in a dict that
-    grows as phrases are appended.  Lookups examine at most
-    ``candidate_cap`` bucket entries, reference entries first.
+    Reference positions live in two ``uint32`` columns sorted by (hash,
+    position), so a bucket lists its positions in ascending order;
+    reservoir positions live in ``res_buckets``, a dict of position
+    lists in insertion order that grows as phrases are appended.  A
+    presence bit table over the top hash bits answers most misses
+    before any search.  Lookups examine at most ``candidate_cap`` bucket
+    entries, reference entries first.
     """
 
     def __init__(self, reference: np.ndarray, k: int, candidate_cap: int = 128):
@@ -103,53 +122,75 @@ class KmerIndex:
         self.candidate_cap = candidate_cap
         self.ref = np.asarray(reference, dtype=np.uint8)
         self.ref_len = len(self.ref)
+        if self.ref_len >= 1 << 32:
+            raise ValueError("reference of 2**32 symbols or more exceeds the 32-bit index")
         self.ref_bytes = self.ref.tobytes()
         hashes, n_free = hash_kmers(self.ref, k)
         pos = np.flatnonzero(n_free)
-        h = hashes[pos]
-        order = np.argsort(h, kind="stable")
-        # int64 keys so plain Python ints bind to searchsorted cheaply
-        self._ref_hash = h[order].astype(np.int64)
-        self._ref_pos = pos[order].astype(np.int64)
-        if len(self._ref_hash):
-            change = np.flatnonzero(np.diff(self._ref_hash)) + 1
-            bounds = np.concatenate(([0], change, [len(self._ref_hash)]))
-            self._bucket_end = np.repeat(bounds[1:], np.diff(bounds))
-        else:
-            self._bucket_end = np.zeros(0, dtype=np.int64)
+        # position breaks hash ties, so the sort keeps each bucket in
+        # ascending position order, as a stable sort by hash would
+        keys = (hashes[pos].astype(np.uint64) << np.uint64(32)) | pos.astype(np.uint64)
+        keys.sort()
+        self._ref_hash = (keys >> np.uint64(32)).astype(np.uint32)
+        self._ref_pos = keys.astype(np.uint32)
+        table_bits = min(max(16 * len(pos), _MIN_TABLE_BITS), _MAX_TABLE_BITS)
+        log_bits = (table_bits - 1).bit_length()  # rounded up to a power of two
+        self._shift = 32 - log_bits
+        self._present = bytearray(1 << log_bits >> 3)
+        self._present_view = np.frombuffer(self._present, dtype=np.uint8)
+        self._mark_present(self._ref_hash)
         self.res = bytearray()
         self.res_buckets: dict[int, list[int]] = {}
+
+    def _mark_present(self, hashes: np.ndarray) -> None:
+        """Set the presence bits of ``hashes`` (uint32)."""
+        slot = hashes >> np.uint32(self._shift)
+        bit = np.left_shift(1, slot & np.uint32(7)).astype(np.uint8)
+        np.bitwise_or.at(self._present_view, slot >> np.uint32(3), bit)
 
     @property
     def ext_len(self) -> int:
         return self.ref_len + len(self.res)
 
-    def extend_with_reservoir(self, phrase: np.ndarray, start_offset: int) -> None:
-        """Append a reservoir phrase and index its interior k-grams."""
+    def extend_with_reservoir(
+        self, phrase: np.ndarray, start_offset: int, hashes: np.ndarray, n_free: np.ndarray
+    ) -> None:
+        """Append a reservoir phrase and index its interior k-grams, whose
+        ``hash_kmers`` columns the caller passes as ``hashes`` and
+        ``n_free``."""
         if start_offset != self.ext_len:
             raise ValueError(
                 f"reservoir offset {start_offset} != extended length {self.ext_len}"
             )
-        phrase = np.asarray(phrase, dtype=np.uint8)
-        self.res.extend(phrase.tobytes())
-        hashes, n_free = hash_kmers(phrase, self.k)
-        for j in np.flatnonzero(n_free).tolist():
-            self.res_buckets.setdefault(int(hashes[j]), []).append(start_offset + j)
+        if len(hashes) != len(n_free) or len(hashes) != max(len(phrase) - self.k + 1, 0):
+            raise ValueError("gram columns do not match the phrase")
+        self.res.extend(np.asarray(phrase, dtype=np.uint8).tobytes())
+        at = np.flatnonzero(n_free)
+        h = hashes[at]
+        self._mark_present(h)
+        buckets = self.res_buckets
+        for key, p in zip(h.tolist(), (at + start_offset).tolist()):
+            buckets.setdefault(key, []).append(p)
 
     def lookup(self, h: int, gram: bytes) -> list[int]:
         """Extended-reference positions whose k symbols equal ``gram``,
         an N-free k-gram whose hash is ``h``, in bucket order and at most
         ``candidate_cap`` of them."""
+        slot = h >> self._shift
+        if not self._present[slot >> 3] >> (slot & 7) & 1:
+            return []
         k = self.k
         out: list[int] = []
         budget = self.candidate_cap
-        lo = np.searchsorted(self._ref_hash, h, "left")
-        if lo < len(self._ref_hash) and self._ref_hash[lo] == h:
-            hi = int(self._bucket_end[lo])
-            take = min(hi - int(lo), budget)
+        ref_hash = self._ref_hash
+        key = np.uint32(h)  # a Python int key would cast the whole column
+        hi = int(ref_hash.searchsorted(key, "right"))
+        if hi and ref_hash[hi - 1] == key:
+            lo = int(ref_hash.searchsorted(key, "left"))
+            take = min(hi - lo, budget)
             budget -= take
             ref_bytes = self.ref_bytes
-            for p in self._ref_pos[lo : int(lo) + take].tolist():
+            for p in self._ref_pos[lo : lo + take].tolist():
                 if ref_bytes[p : p + k] == gram:
                     out.append(p)
         if budget > 0 and self.res_buckets:

@@ -280,15 +280,12 @@ def choose_factor(
     return best
 
 
-def _n_run_lengths(s: np.ndarray) -> np.ndarray:
-    """Array holding, at each N-run start, the maximal run length."""
-    out = np.zeros(len(s), dtype=np.int64)
-    isn = s == N
-    if isn.any():
-        starts = np.flatnonzero(isn & np.concatenate(([True], ~isn[:-1])))
-        ends = np.flatnonzero(isn & np.concatenate((~isn[1:], [True]))) + 1
-        out[starts] = ends - starts
-    return out
+def _n_runs(s: np.ndarray, min_len: int) -> dict[int, int]:
+    """Start -> length of every maximal N-run of at least ``min_len``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], (s == N).view(np.int8), [0]))))
+    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    keep = lengths >= min_len
+    return dict(zip(starts[keep].tolist(), lengths[keep].tolist()))
 
 
 def parse_sequence(
@@ -299,10 +296,11 @@ def parse_sequence(
 ) -> Parse:
     """Factorize ``seq`` left to right against the extended reference.
 
-    ``reservoir_sink(run_symbols, source_start)`` is invoked for every
-    closing literal run of length >= m3, in source order; it is expected
-    to append the run to the reservoir (and its grams to the index) so
-    later positions can match it.
+    ``reservoir_sink(run_symbols, source_start, hashes, n_free)`` is
+    invoked for every closing literal run of length >= m3, in source
+    order, with the ``hash_kmers`` columns of the run's interior grams;
+    it is expected to append the run to the reservoir (and its grams to
+    the index) so later positions can match it.
     """
     s = np.asarray(seq, dtype=np.uint8)
     n = len(s)
@@ -311,7 +309,7 @@ def parse_sequence(
     interval = params.checkpoint_interval
 
     qhash, qfree = hash_kmers(s, k)
-    run_len_at = _n_run_lengths(s)
+    n_run_at = _n_runs(s, params.m1)
     last_gram = len(qhash) - 1
 
     # (kind, start, position, three pieces) of each factor as it is chosen
@@ -328,12 +326,13 @@ def parse_sequence(
             L = upto - lit_start
             rows.append((LITERAL, lit_start, 0, L, 0, 0))
             if reservoir_sink is not None and L >= params.m3:
-                reservoir_sink(s[lit_start:upto], lit_start)
+                grams = slice(lit_start, upto - k + 1)
+                reservoir_sink(s[lit_start:upto], lit_start, qhash[grams], qfree[grams])
         lit_start = upto
 
     while pos < n:
-        rl = int(run_len_at[pos])
-        if rl >= params.m1:
+        rl = n_run_at.get(pos)
+        if rl is not None:
             close_literal(pos)
             rows.append((NRUN, pos, 0, rl, 0, 0))
             pos += rl
@@ -341,8 +340,8 @@ def parse_sequence(
             continue
 
         chosen = None
-        if pos <= last_gram and qfree[pos]:
-            positions = index.lookup(int(qhash[pos]), sb[pos : pos + k])
+        if pos <= last_gram and qfree.item(pos):
+            positions = index.lookup(qhash.item(pos), sb[pos : pos + k])
             if positions:
                 pred = last_match_delta if pos // interval == last_match_window else 0
                 best, cheap = _evaluate(index, sb, pos, n, params, pred, positions)

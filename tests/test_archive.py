@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -313,6 +314,50 @@ def test_per_record_orphans_get_reference_less_group():
     groups = matching_groups(coll)
     assert groups[-1].reference is None and groups[-1].members == [2]
     roundtrip(coll)
+
+
+def test_per_record_interleaved_groups_with_orphans_roundtrip():
+    """Members of three groups, one reference-less, interleave in
+    collection order, so each group's index is built at its first member
+    and released after its last; the second plasmid matches the first
+    one's reservoir phrase."""
+    rng = np.random.default_rng(78)
+    chr1 = random_reference(rng, 5000)
+    chr2 = random_reference(rng, 4000)
+    plasmid = random_reference(rng, 3000)
+    novel = random_reference(rng, 400)
+    seqs = [Sequence("ref/chr1", chr1, record_name="chr1", file_tag="ref"),
+            Sequence("ref/chr2", chr2, record_name="chr2", file_tag="ref")]
+    records = [
+        ("g1", "chr1", np.concatenate((apply_snps(rng, chr1, 0.01), novel))),
+        ("g1", "chr2", apply_snps(rng, chr2, 0.01)),
+        ("g1", "plasmid", plasmid),
+        ("g2", "chr2", apply_snps(rng, chr2, 0.01)),
+        ("g2", "chr1", np.concatenate((novel, apply_snps(rng, chr1, 0.01)))),
+        ("g2", "plasmid", apply_snps(rng, plasmid, 0.01)),
+    ]
+    seqs += [Sequence(f"{t}/{r}", d, record_name=r, file_tag=t) for t, r, d in records]
+    coll = Collection(seqs, reference_index=0, granularity="record")
+    groups = matching_groups(coll)
+    assert [(g.reference, g.members) for g in groups] == [(0, [2, 6]), (1, [3, 5]), (None, [4, 7])]
+    arc = roundtrip(coll)
+    for name in ("g2/chr1", "g2/plasmid"):
+        assert RESERVOIR in [f.kind for _, f in arc.iter_factors(name)], name
+
+
+def test_archive_bytes_pinned():
+    """The archive bytes of a small seeded collection are the contract: a
+    parser, index or codec change that moves them must update this pin
+    and say why."""
+    coll = make_collection(
+        np.random.default_rng(3), ref_len=40_000, n_derived=3, novel_pool=1, novel_len=(500, 1500)
+    )
+    arc = compress(coll)
+    kinds = [f.kind for s in coll.sequences[1:] for _, f in arc.iter_factors(s.name)]
+    assert kinds.count(RESERVOIR) == 4
+    assert hashlib.sha256(arc.to_bytes()).hexdigest() == (
+        "9affb9fe553f6304d275cce20a0aec77d16d02ae196c5cb8ebe41b975df02ee4"
+    )
 
 
 def test_empty_and_tiny_sequences():

@@ -5,17 +5,6 @@ from rlzg.genome import N, encode_symbols
 from rlzg.kmer import KmerIndex, common_prefix, hash_kmers, mix_hash
 
 
-def naive_positions(ref: np.ndarray, k: int, query: np.ndarray) -> list[int]:
-    out = []
-    for p in range(len(ref) - k + 1):
-        gram = ref[p : p + k]
-        if (gram == N).any():
-            continue
-        if np.array_equal(gram, query):
-            out.append(p)
-    return out
-
-
 def find(idx, query):
     """Positions the index returns for one k-gram, looked up by its hash
     and raw symbols as the parser does."""
@@ -81,21 +70,74 @@ def test_index_size_equals_n_free_gram_count():
         assert n_indexed(idx) == expect
 
 
+def add_phrase(idx, phrase):
+    """Append a reservoir phrase with its gram columns, as the parser's
+    sink does."""
+    idx.extend_with_reservoir(phrase, idx.ext_len, *hash_kmers(phrase, idx.k))
+
+
+def naive_map(segments, k):
+    """Gram -> positions over the extended reference, scanned position by
+    position; grams holding N or straddling two segments (reference,
+    phrases) are skipped."""
+    out = {}
+    base = 0
+    for seg in segments:
+        raw = seg.tobytes()
+        for p in range(len(seg) - k + 1):
+            if N not in seg[p : p + k]:
+                out.setdefault(raw[p : p + k], []).append(base + p)
+        base += len(seg)
+    return out
+
+
 def test_soundness_and_completeness_vs_naive_scan():
     rng = np.random.default_rng(9)
-    for _ in range(300):
+    for trial in range(60):
         n = int(rng.integers(10, 300))
         ref = rng.integers(0, 5, n).astype(np.uint8)
         k = int(rng.integers(4, 8))
-        idx = KmerIndex(ref, k, candidate_cap=1000)
-        for _ in range(5):
-            if rng.random() < 0.5 and n >= k:
-                p = int(rng.integers(0, n - k + 1))
-                query = ref[p : p + k].copy()
-            else:
+        cap = int(rng.choice([1, 3, 1000]))
+        idx = KmerIndex(ref, k, candidate_cap=cap)
+        segments = [ref]
+        n_phrases = int(rng.integers(2, 5))
+        for j in range(n_phrases + 1):
+            if j:
+                phrase = rng.integers(0, 4, int(rng.integers(k, 60))).astype(np.uint8)
+                if j == 1:
+                    phrase[int(rng.integers(0, len(phrase)))] = N
+                add_phrase(idx, phrase)
+                segments.append(phrase)
+            want = naive_map(segments, k)
+            ext = np.concatenate(segments)
+            grams = {ext[p : p + k].tobytes() for p in range(len(ext) - k + 1)}
+            for gram in grams:
+                query = np.frombuffer(gram, dtype=np.uint8)
+                assert find(idx, query) == want.get(gram, [])[:cap], (trial, j)
+            absent = 0
+            for _ in range(100_000):  # random grams until 200 absent ones
                 query = rng.integers(0, 4, k).astype(np.uint8)
-            want = naive_positions(ref, k, query)
-            assert find(idx, query) == want
+                assert find(idx, query) == want.get(query.tobytes(), [])[:cap]
+                absent += query.tobytes() not in want
+                if absent == 200:
+                    break
+            assert absent == 200
+
+
+def test_capped_bucket_keeps_ascending_order():
+    rng = np.random.default_rng(15)
+    k, cap = 13, 128
+    motif = rng.integers(0, 4, 50).astype(np.uint8)
+    parts = []
+    for _ in range(300):
+        parts += [rng.integers(0, 4, int(rng.integers(0, 40))).astype(np.uint8), motif]
+    ref = np.concatenate(parts)
+    idx = KmerIndex(ref, k, candidate_cap=cap)
+    want = naive_map([ref], k)
+    for j in (0, 17, 50 - k):
+        gram = motif[j : j + k]
+        assert len(want[gram.tobytes()]) > cap
+        assert find(idx, gram) == want[gram.tobytes()][:cap]
 
 
 def test_candidate_cap_limits_and_keeps_order():
@@ -108,8 +150,7 @@ def test_extend_with_reservoir_counts():
     rng = np.random.default_rng(10)
     idx = KmerIndex(rng.integers(0, 4, 50).astype(np.uint8), 13)
     before = n_indexed(idx)
-    phrase = rng.integers(0, 4, 40).astype(np.uint8)
-    idx.extend_with_reservoir(phrase, idx.ext_len)
+    add_phrase(idx, rng.integers(0, 4, 40).astype(np.uint8))
     assert n_indexed(idx) - before == 40 - 13 + 1
 
 
@@ -117,7 +158,7 @@ def test_reservoir_phrase_with_central_n():
     idx = KmerIndex(np.zeros(0, dtype=np.uint8), 13)
     phrase = np.ones(32, dtype=np.uint8)
     phrase[16] = N
-    idx.extend_with_reservoir(phrase, 0)
+    add_phrase(idx, phrase)
     expect = sum(
         1 for p in range(32 - 13 + 1) if not (phrase[p : p + 13] == N).any()
     )
@@ -128,8 +169,7 @@ def test_reservoir_only_gram_found():
     rng = np.random.default_rng(11)
     ref = rng.integers(0, 2, 60).astype(np.uint8)  # A/C only
     idx = KmerIndex(ref, 13)
-    phrase = np.full(40, 3, dtype=np.uint8)  # T-run, absent from reference
-    idx.extend_with_reservoir(phrase, idx.ext_len)
+    add_phrase(idx, np.full(40, 3, dtype=np.uint8))  # T-run, absent from reference
     got = find(idx, np.full(13, 3, dtype=np.uint8))
     assert got and all(p >= idx.ref_len for p in got)
     assert got[0] == idx.ref_len
@@ -137,8 +177,11 @@ def test_reservoir_only_gram_found():
 
 def test_reservoir_offset_mismatch_rejected():
     idx = KmerIndex(encode_symbols("ACGT"), 4)
+    phrase = np.zeros(40, dtype=np.uint8)
     with pytest.raises(ValueError):
-        idx.extend_with_reservoir(np.zeros(40, dtype=np.uint8), 99)
+        idx.extend_with_reservoir(phrase, 99, *hash_kmers(phrase, 4))
+    with pytest.raises(ValueError):  # gram columns of another phrase
+        idx.extend_with_reservoir(phrase, idx.ext_len, *hash_kmers(phrase[:-1], 4))
 
 
 def test_crafted_hash_collision_is_filtered():
@@ -163,6 +206,13 @@ def test_crafted_hash_collision_is_filtered():
     idx = KmerIndex(a, k)
     assert find(idx, a) == [0]
     assert find(idx, b) == []  # collides in hash, filtered by symbols
+    add_phrase(idx, b)
+    assert find(idx, a) == [0]
+    assert find(idx, b) == [k]
+    idx = KmerIndex(np.zeros(0, dtype=np.uint8), k)
+    add_phrase(idx, a)
+    assert find(idx, a) == [0]
+    assert find(idx, b) == []
 
 
 def test_common_prefix():

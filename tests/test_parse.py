@@ -239,12 +239,14 @@ class SinkRecorder:
         self.seq_index = seq_index
         self.calls = []
 
-    def __call__(self, run, source_pos):
+    def __call__(self, run, source_pos, hashes, n_free):
         self.calls.append((self.seq_index, source_pos, len(run)))
+        want_hashes, want_free = hash_kmers(run, self.index.k)
+        assert np.array_equal(hashes, want_hashes) and np.array_equal(n_free, want_free)
         offset = append_reservoir_phrase(
             self.prov, (self.seq_index, source_pos, len(run)), 32
         )
-        self.index.extend_with_reservoir(run, self.index.ref_len + offset)
+        self.index.extend_with_reservoir(run, self.index.ref_len + offset, hashes, n_free)
 
 
 def test_novel_segment_enters_reservoir_and_later_sequence_matches_it():
