@@ -15,6 +15,13 @@ The archive is self-describing: decompression and extraction need no
 side information.  Reservoir content is never stored twice; a reservoir
 match resolves through the provenance table to a literal run of its
 origin sequence (recursion depth exactly 1).
+
+Compression and decompression each walk the matching groups once.  A
+group's members are parsed, and later rebuilt, in collection order
+against the group's reference and its reservoir, which grows by each
+member's literal runs of at least m3 symbols.  Decompression decodes a
+member's factor columns in one batch and checks the runs it replays
+against the provenance table.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ import numpy as np
 
 from .errors import CorruptArchiveError, UnsupportedVersionError
 from .genome import N, Collection, Sequence
-from .huffman import HuffmanTable, _cat_ranges
+from .huffman import HuffmanTable, _cat_ranges, _placeholder
 from .kmer import KmerIndex, n_free_grams
 from .parse import (
     GAP_LIMIT,
@@ -36,7 +43,6 @@ from .parse import (
     NRUN,
     RESERVOIR,
     FactorColumns,
-    Parse,
     ParseParams,
     apply_factor,  # noqa: F401  perfbench's tracer counts calls made through this name
     parse_sequence,
@@ -54,6 +60,7 @@ from .refstore import (
 from .streams import (
     CodedSequence,
     ModelSet,
+    RawStreams,
     SequenceDecoder,
     build_models,
     compress_streams,
@@ -255,27 +262,6 @@ class SequenceEntry:
     refblocks: RefBlocks | None = None
     coded: CodedSequence | None = None
     meta_bytes: int = 0  # serialized sequence-table entry size
-
-
-class _GrowBuf:
-    """Append-only uint8 buffer with amortized growth."""
-
-    def __init__(self):
-        self.arr = np.empty(1024, dtype=np.uint8)
-        self.n = 0
-
-    def append(self, data: np.ndarray) -> None:
-        need = self.n + len(data)
-        if need > len(self.arr):
-            cap = max(len(self.arr) * 2, need)
-            arr = np.empty(cap, dtype=np.uint8)
-            arr[: self.n] = self.arr[: self.n]
-            self.arr = arr
-        self.arr[self.n : need] = data
-        self.n = need
-
-    def view(self) -> np.ndarray:
-        return self.arr[: self.n]
 
 
 @dataclass
@@ -592,12 +578,6 @@ class Archive:
         ref = self.groups[group].reference
         return None if ref is None else self.entries[ref].refblocks
 
-    def _reference_symbols(self, group: int) -> np.ndarray:
-        rb = self._group_ref_blocks(group)
-        if rb is None:
-            return np.zeros(0, dtype=np.uint8)
-        return decode_reference_range(rb, 0, rb.n_symbols)
-
     def _decoder(self, i: int) -> SequenceDecoder:
         dec = self._decoders.get(i)
         if dec is None:
@@ -609,11 +589,7 @@ class Archive:
     def _member_columns(self, i: int) -> FactorColumns:
         """Every factor of member ``i`` from one batched decode, on a
         decoder of its own so a decompression leaves no cache behind."""
-        e = self.entries[i]
-        dec = SequenceDecoder(e.coded, self.models, self.params)
-        dec.prefetch_all()
-        cols, _ = dec.factors_from(0, e.length)
-        return cols
+        return SequenceDecoder(self.entries[i].coded, self.models, self.params).prefetch_all()
 
     def iter_factors(self, name: str):
         """Yield (source_start, factor) for one member sequence (debug
@@ -627,38 +603,39 @@ class Archive:
     def decompress(self, threads: int = 1) -> Collection:
         """Reconstruct the exact original collection.
 
-        Members decode to factor columns independently, in a pool of
-        ``threads`` workers when that is above 1, and are rebuilt in
-        collection order, since each appends its long literal runs to
-        its group's reservoir for the members after it.
+        Group by group: the reference decodes once, then the members are
+        rebuilt in collection order, since each appends its literal runs
+        of at least m3 symbols to the group's reservoir for the members
+        after it.  Their factor columns decode in a pool of ``threads``
+        workers when that is above 1.  The replayed runs must equal the
+        group's provenance table, which ``extract`` trusts.
         """
-        out: list[Sequence | None] = [None] * len(self.entries)
-        ref_symbols = [self._reference_symbols(g) for g in range(len(self.groups))]
-        for i, e in enumerate(self.entries):
-            if e.role == ROLE_REFERENCE:
-                out[i] = Sequence(e.name, ref_symbols[e.group], e.record_name, e.file_tag)
-
-        members = [i for i, e in enumerate(self.entries) if e.role == ROLE_MEMBER]
-        reservoirs = [_GrowBuf() for _ in self.groups]
+        symbols: list[np.ndarray | None] = [None] * len(self.entries)
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
-            columns = (pool.map if pool else map)(self._member_columns, members)
-            for i, cols in zip(members, columns):
-                e = self.entries[i]
-                data = self._rebuild_member(
-                    cols, e.length, ref_symbols[e.group], reservoirs[e.group]
-                )
-                out[i] = Sequence(e.name, data, e.record_name, e.file_tag)
+            for g, grp in enumerate(self.groups):
+                ref = res = np.zeros(0, dtype=np.uint8)
+                if grp.reference is not None:
+                    rb = self.entries[grp.reference].refblocks
+                    ref = symbols[grp.reference] = decode_reference_range(rb, 0, rb.n_symbols)
+                rows: list[tuple[int, int, int]] = []
+                columns = (pool.map if pool else map)(self._member_columns, grp.members)
+                for i, cols in zip(grp.members, columns):
+                    symbols[i], res = self._rebuild_member(i, cols, ref, res, rows)
+                if rows != self.provenances[g].entries:
+                    raise CorruptArchiveError("provenance disagrees with the members' literal runs")
         finally:
             if pool:
                 pool.shutdown(cancel_futures=True)
+        out = [Sequence(e.name, d, e.record_name, e.file_tag) for e, d in zip(self.entries, symbols)]
         return Collection(out, self.reference_index, self.granularity)
 
     def _rebuild_member(
-        self, cols: FactorColumns, length: int, ref: np.ndarray, res: _GrowBuf
-    ) -> np.ndarray:
-        """One member's symbols from its factor columns.  Appends the
-        member's literal runs of at least m3 symbols to ``res``."""
+        self, i: int, cols: FactorColumns, ref: np.ndarray, res: np.ndarray, rows: list
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Member ``i``'s symbols from its factor columns, and the
+        reservoir ``res`` grown by the member's literal runs of at least
+        m3 symbols, whose (member, start, length) rows go to ``rows``."""
         kind, start, adv, pos = cols.kind, cols.start, cols.advance, cols.position
         is_match = kind == MATCH
         is_res = kind == RESERVOIR
@@ -666,23 +643,20 @@ class Archive:
             raise CorruptArchiveError("match points outside the reference")
         # a reservoir match sees the reservoir as it stood at its factor
         grown = np.where((kind == LITERAL) & (adv >= self.params.m3), adv, 0)
-        res_before = res.n + np.cumsum(grown) - grown
+        res_before = len(res) + np.cumsum(grown) - grown
         if (is_res & (pos + adv > res_before)).any():
             raise CorruptArchiveError("reservoir match beyond the reservoir")
-        lits = cols.lits
         grew = grown > 0
-        for lo, L in zip(cols.lit_off[grew].tolist(), adv[grew].tolist()):
-            res.append(lits[lo : lo + L])
+        rows.extend((i, s, a) for s, a in zip(start[grew].tolist(), adv[grew].tolist()))
+        lits, lit_off = cols.lits, cols.lit_off
 
-        # Every factor but an N-run is one slice of this buffer; gap
-        # symbols then overwrite the reference symbols copied under them.
-        src = np.concatenate((ref, res.view(), lits))
-        src_off = np.where(
-            is_match,
-            pos,
-            np.where(is_res, len(ref) + pos, len(ref) + res.n + cols.lit_off),
-        )
-        out = np.empty(length, dtype=np.uint8)
+        # Every factor but an N-run is one slice of this buffer, whose
+        # middle is the grown reservoir; gap symbols then overwrite the
+        # reference symbols copied under them.
+        src = np.concatenate((ref, res, lits[_cat_ranges(lit_off[grew], adv[grew])], lits))
+        res_end = len(ref) + len(res) + int(grown.sum())
+        src_off = np.where(is_match, pos, np.where(is_res, len(ref) + pos, res_end + lit_off))
+        out = np.empty(self.entries[i].length, dtype=np.uint8)
         cp = kind != NRUN
         s, o, a = start[cp], src_off[cp], adv[cp]
         # memoryview slices copy with far less per-call cost than ndarray ones
@@ -694,8 +668,8 @@ class Archive:
         pieces = cols.pieces
         for j in (1, 2):
             g = pieces[:, j] > 0
-            out[start[g] + pieces[g, :j].sum(axis=1) + (j - 1)] = lits[cols.lit_off[g] + (j - 1)]
-        return out
+            out[start[g] + pieces[g, :j].sum(axis=1) + (j - 1)] = lits[lit_off[g] + (j - 1)]
+        return out, src[len(ref) : res_end]
 
     def _materialize_reservoir(
         self, group: int, offset: int, length: int, depth: int, touched: _Touched
@@ -864,89 +838,72 @@ class Archive:
         }
 
 
-def _parse_member(
-    index: KmerIndex, prov: ReservoirProvenance, i: int, seq: Sequence, params: ParseParams
-) -> Parse:
-    """Parse member ``i``, appending its long literal runs to its group's
-    reservoir and index."""
+def _parse_group(
+    ref: np.ndarray, members: list[int], seqs: list[Sequence], params: ParseParams
+) -> tuple[list[RawStreams], ReservoirProvenance]:
+    """Raw streams of a group's members, parsed in collection order
+    against the reference ``ref``, and the provenance of the reservoir
+    their long literal runs grow.  The group's index lives only for
+    this call."""
+    prov = ReservoirProvenance()
+    if not members:
+        return [], prov
+    index = KmerIndex(ref, params.m1, params.candidate_cap)
+    raws = []
+    for i in members:
 
-    def sink(run, source_pos, hashes, n_free):
-        offset = append_reservoir_phrase(prov, (i, source_pos, len(run)), params.m3)
-        index.extend_with_reservoir(run, index.ref_len + offset, hashes, n_free)
+        def sink(run, source_pos, hashes, n_free, i=i):
+            offset = append_reservoir_phrase(prov, (i, source_pos, len(run)), params.m3)
+            index.extend_with_reservoir(run, index.ref_len + offset, hashes, n_free)
 
-    return parse_sequence(index, seq.data, params, sink)
+        raws.append(encode_parse(parse_sequence(index, seqs[i].data, params, sink), params))
+    return raws, prov
 
 
 def compress(collection: Collection, params: ParseParams | None = None) -> Archive:
     """Compress a collection into an archive.
 
-    The reference records are stored via the blocked triplet codec with
-    one shared Huffman table; every member sequence is parsed in
-    collection order (the reservoir grows as a side effect), statistics
-    are gathered in a first pass, and one shared model set codes all
-    member streams in the second pass.
+    Group by group, the members are parsed in collection order against
+    the group's reference and its growing reservoir.  Then one shared
+    Huffman table codes every reference record with the blocked triplet
+    codec, and one shared model set, built from every member's raw
+    streams, codes the member streams.
     """
     params = params or ParseParams()
     params.validate()
     collection.validate()
+    seqs = collection.sequences
     groups = matching_groups(collection)
 
-    role = {}
-    group_of = {}
+    ref_counts = np.zeros(256, dtype=np.int64)
+    provenances = []
+    raws: dict[int, RawStreams] = {}
+    for grp in groups:
+        if grp.reference is None:
+            ref = np.zeros(0, dtype=np.uint8)
+        else:
+            ref = seqs[grp.reference].data
+            ref_counts += packed_block_counts(ref)
+        group_raws, prov = _parse_group(ref, grp.members, seqs, params)
+        raws.update(zip(grp.members, group_raws))
+        provenances.append(prov)
+    ref_table = HuffmanTable.from_counts(_placeholder(ref_counts))
+    models = build_models(list(raws.values()))
+
+    entries: list[SequenceEntry | None] = [None] * len(seqs)
+
+    def entry(i: int, role: int, g: int) -> SequenceEntry:
+        s = seqs[i]
+        entries[i] = SequenceEntry(s.name, s.record_name, s.file_tag, len(s.data), role, g)
+        return entries[i]
+
     for g, grp in enumerate(groups):
         if grp.reference is not None:
-            role[grp.reference] = ROLE_REFERENCE
-            group_of[grp.reference] = g
-        for i in grp.members:
-            role[i] = ROLE_MEMBER
-            group_of[i] = g
-    if len(role) != len(collection.sequences):
-        raise ValueError("grouping did not cover the collection")
-
-    ref_counts = np.zeros(256, dtype=np.int64)
-    for grp in groups:
-        if grp.reference is not None:
-            ref_counts += packed_block_counts(collection.sequences[grp.reference].data)
-    if not ref_counts.any():
-        ref_counts[0] = 1
-    ref_table = HuffmanTable.from_counts(ref_counts)
-
-    provenances = [ReservoirProvenance() for _ in groups]
-    # a group's index lives from its first member's parse to its last's
-    indexes: dict[int, KmerIndex] = {}
-    raws = {}
-    for i, seq in enumerate(collection.sequences):
-        if role[i] != ROLE_MEMBER:
-            continue
-        g = group_of[i]
-        if g not in indexes:
-            ref = groups[g].reference
-            ref_data = (
-                collection.sequences[ref].data if ref is not None else np.zeros(0, dtype=np.uint8)
+            entry(grp.reference, ROLE_REFERENCE, g).refblocks = encode_reference(
+                seqs[grp.reference].data, ref_table
             )
-            indexes[g] = KmerIndex(ref_data, params.m1, params.candidate_cap)
-        raws[i] = encode_parse(_parse_member(indexes[g], provenances[g], i, seq, params), params)
-        if i == groups[g].members[-1]:
-            del indexes[g]
-
-    if raws:
-        models = build_models(list(raws.values()))
-    else:
-        dummy = np.zeros(256, dtype=np.int64)
-        dummy[0] = 1
-        table = HuffmanTable.from_counts(dummy)
-        models = ModelSet(table, table, table, table, table, table)
-
-    entries = []
-    for i, seq in enumerate(collection.sequences):
-        entry = SequenceEntry(
-            seq.name, seq.record_name, seq.file_tag, len(seq.data), role[i], group_of[i]
-        )
-        if role[i] == ROLE_REFERENCE:
-            entry.refblocks = encode_reference(seq.data, ref_table)
-        else:
-            entry.coded = compress_streams(raws[i], models)
-        entries.append(entry)
+        for i in grp.members:
+            entry(i, ROLE_MEMBER, g).coded = compress_streams(raws[i], models)
 
     return Archive(
         params,

@@ -54,6 +54,16 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _placeholder(counts: np.ndarray) -> np.ndarray:
+    """``counts``, or one count of byte 0 when they are all zero, so a
+    stream or reference with no bytes still gets a valid table."""
+    if counts.any():
+        return counts
+    out = np.zeros_like(counts)
+    out[0] = 1
+    return out
+
+
 class HuffmanTable:
     """Canonical Huffman code, immutable once built."""
 

@@ -18,7 +18,10 @@ every indexed gram, reference and reservoir: ``lookup`` tests it first
 and returns at once when the bit is clear, which is where most lookups
 of a sequence with novel content end.  The table takes 16 bits per
 reference gram, rounded up to a power of two, at least 1 KiB and at
-most 8 MiB (2**26 bits); reservoir grams fill it further as they come.
+most 8 MiB (2**26 bits).  Reservoir grams fill it further as they come;
+when the indexed grams pass an eighth of its bits, it is rebuilt four
+times larger (up to the same cap), so a reference-less index stays
+sparse too.
 """
 from __future__ import annotations
 
@@ -31,8 +34,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _FIVE = np.uint64(5)
 
 # presence table size in bits: 16 per reference gram, as a power of two
-_MIN_TABLE_BITS = 1 << 13
-_MAX_TABLE_BITS = 1 << 26
+_MIN_LOG_BITS, _MAX_LOG_BITS = 13, 26
 
 
 def mix_hash(packed):
@@ -133,14 +135,19 @@ class KmerIndex:
         keys.sort()
         self._ref_hash = (keys >> np.uint64(32)).astype(np.uint32)
         self._ref_pos = keys.astype(np.uint32)
-        table_bits = min(max(16 * len(pos), _MIN_TABLE_BITS), _MAX_TABLE_BITS)
-        log_bits = (table_bits - 1).bit_length()  # rounded up to a power of two
+        self.res = bytearray()
+        self.res_buckets: dict[int, list[int]] = {}
+        self._n_grams = len(pos)
+        log_bits = (16 * len(pos) - 1).bit_length()  # rounded up to a power of two
+        self._new_table(min(max(log_bits, _MIN_LOG_BITS), _MAX_LOG_BITS))
+
+    def _new_table(self, log_bits: int) -> None:
+        """A presence table of 2**log_bits bits holding every indexed gram."""
         self._shift = 32 - log_bits
         self._present = bytearray(1 << log_bits >> 3)
         self._present_view = np.frombuffer(self._present, dtype=np.uint8)
         self._mark_present(self._ref_hash)
-        self.res = bytearray()
-        self.res_buckets: dict[int, list[int]] = {}
+        self._mark_present(np.fromiter(self.res_buckets, dtype=np.uint32))
 
     def _mark_present(self, hashes: np.ndarray) -> None:
         """Set the presence bits of ``hashes`` (uint32)."""
@@ -171,6 +178,10 @@ class KmerIndex:
         buckets = self.res_buckets
         for key, p in zip(h.tolist(), (at + start_offset).tolist()):
             buckets.setdefault(key, []).append(p)
+        # past an eighth of the bits (a gram per byte), grow the table fourfold
+        self._n_grams += len(h)
+        if self._n_grams > len(self._present) and 32 - self._shift < _MAX_LOG_BITS:
+            self._new_table(min(34 - self._shift, _MAX_LOG_BITS))
 
     def lookup(self, h: int, gram: bytes) -> list[int]:
         """Extended-reference positions whose k symbols equal ``gram``,

@@ -47,6 +47,7 @@ import numpy as np
 from .errors import CorruptArchiveError
 from .huffman import (
     HuffmanTable,
+    _placeholder,
     decode_chains,
     follow_chains,  # noqa: F401  perfbench's tracer looks this name up to wrap it
     pack_codes,
@@ -246,19 +247,12 @@ def stream_tallies(raw: RawStreams, counts: np.ndarray | None = None) -> np.ndar
 
 
 def build_models(raws: list[RawStreams]) -> ModelSet:
-    """One shared model set from every sequence's raw streams."""
-    if not raws:
-        raise ValueError("cannot build models from an empty collection")
+    """One shared model set from every sequence's raw streams (none
+    gives six placeholder tables)."""
     counts = np.zeros((6, 256), dtype=np.int64)
     for raw in raws:
         stream_tallies(raw, counts)
-    tables = []
-    for row in counts:
-        if not row.any():
-            row = row.copy()
-            row[0] = 1  # placeholder so empty streams still get a valid table
-        tables.append(HuffmanTable.from_counts(row))
-    return ModelSet(*tables)
+    return ModelSet(*(HuffmanTable.from_counts(_placeholder(row)) for row in counts))
 
 
 def _mixed_lens_codes(bytes_: np.ndarray, first: np.ndarray, t0: HuffmanTable, t1: HuffmanTable):
@@ -316,11 +310,11 @@ def _segment_cumsum(values: np.ndarray, bounds: np.ndarray, seg_of: np.ndarray):
 def _factor_columns(
     windows, win_start, win_end, interval,
     flags, flag_bounds, o_first, o_ext, off_bounds, len_vals, len_bounds, lits, lit_bounds,
-) -> tuple[FactorColumns, np.ndarray]:
+) -> FactorColumns:
     """Factor columns of a batch of windows from their decoded streams
-    (``*_bounds`` split each stream's values by window), plus each
-    window's factor boundaries.  Raises :class:`CorruptArchiveError`
-    unless the streams agree and the factors tile every window.
+    (``*_bounds`` split each stream's values by window).  Raises
+    :class:`CorruptArchiveError` unless the streams agree and the
+    factors tile every window.
 
     A window is usually decoded alone on the random-access path, so this
     keeps to few numpy calls (``count_nonzero`` over ``any``, slices over
@@ -396,19 +390,19 @@ def _factor_columns(
     position[nl] = o_ext  # the reservoir offset; 0 for an N-run
     position[mi] = start[mi] - within[mi, 1]
     lit_off = lit_bounds[:-1][win] + within[:, 2] - sums[:, 2]
-    return FactorColumns(kind, start, advance, position, pieces, lit_off, lits), fac_bounds
+    return FactorColumns(kind, start, advance, position, pieces, lit_off, lits)
 
 
 class SequenceDecoder:
     """Window-addressed decoding of one sequence's coded streams.
 
-    Decoding a window yields its factors as :class:`FactorColumns`,
-    derived with array operations from the window's four streams and
-    checked for exact tiling; they are cached per window.
-    ``prefetch_all`` decodes every window in one batched pass (the
-    full-decompression path); otherwise windows decode on first access
-    (the random-access path).  ``factors_from`` returns the columns of
-    the windows a source range needs.
+    Decoding windows yields their factors as :class:`FactorColumns`,
+    derived with array operations from the windows' four streams and
+    checked for exact tiling.  ``prefetch_all`` returns every factor
+    from one batched decode of all windows (the full-decompression
+    path) and caches nothing.  ``factors_from`` returns the columns of
+    the windows a source range needs, decoding each window alone on
+    first access and caching its columns (the random-access path).
 
     ``last_touched`` holds, per thread, the windows of the calling
     thread's last ``factors_from``; ``touched_payload_bytes`` counts
@@ -428,8 +422,7 @@ class SequenceDecoder:
         self._ends = np.append(coded.start_source[1:], coded.length)
         self._start_list = coded.start_source.tolist()
         self._end_list = self._ends.tolist()
-        # window -> (columns of the batch it was decoded in, first, end factor)
-        self._cache: dict[int, tuple[FactorColumns, int, int]] = {}
+        self._cache: dict[int, FactorColumns] = {}  # window -> its columns
         self._local = threading.local()
 
     @property
@@ -440,18 +433,17 @@ class SequenceDecoder:
     def last_touched(self, windows: set[int]) -> None:
         self._local.touched = windows
 
-    def prefetch_all(self) -> None:
-        W = self.coded.n_windows
-        if W == 0:
-            return
-        cols, bounds = self._decode_windows(np.arange(W))
-        lo = bounds.tolist()
-        for w in range(W):
-            self._cache[w] = (cols, lo[w], lo[w + 1])
+    def prefetch_all(self) -> FactorColumns:
+        """Every factor of the sequence.  The batch's tiling checks
+        prove that the windows tile [0, length): the first starts at 0,
+        each window's factors run from its start to the next's, and
+        every factor advances at least one symbol."""
+        if self.coded.n_windows == 0:
+            return _empty_columns()
+        return self._decode_windows(np.arange(self.coded.n_windows))
 
-    def _decode_windows(self, windows: np.ndarray) -> tuple[FactorColumns, np.ndarray]:
-        """Factor columns of ``windows`` (ascending) in one batch, plus
-        each window's factor boundaries in them."""
+    def _decode_windows(self, windows: np.ndarray) -> FactorColumns:
+        """Factor columns of ``windows`` (ascending) in one batch."""
         m = self.models
         counts = self._sym[:, windows + 1] - self._sym[:, windows]
         starts = self._offs[:, windows] * 8
@@ -475,12 +467,11 @@ class SequenceDecoder:
             lits, lit_bounds * 3,
         )
 
-    def _window(self, w: int) -> tuple[FactorColumns, int, int]:
-        entry = self._cache.get(w)
-        if entry is None:
-            cols, bounds = self._decode_windows(np.array([w]))
-            entry = self._cache.setdefault(w, (cols, 0, int(bounds[1])))
-        return entry
+    def _window(self, w: int) -> FactorColumns:
+        cols = self._cache.get(w)
+        if cols is None:
+            cols = self._cache.setdefault(w, self._decode_windows(np.array([w])))
+        return cols
 
     def touched_payload_bytes(self) -> int:
         """Coded bytes of the windows in ``last_touched``."""
@@ -504,24 +495,21 @@ class SequenceDecoder:
         if c.n_windows == 0:
             return _empty_columns(), 0
         stop = min(until, c.length)
-        runs: list[list] = []  # [batch columns, first factor, end factor]
+        parts: list[FactorColumns] = []
         w, pos = window, self._start_list[window]
         while pos < stop:
             if w >= c.n_windows or self._start_list[w] != pos:
                 raise CorruptArchiveError("checkpoint windows do not tile the sequence")
-            cols, lo, hi = self._window(w)
-            if hi > lo:
+            cols = self._window(w)
+            if len(cols):
                 touched.add(w)
-                if runs and runs[-1][0] is cols and runs[-1][2] == lo:
-                    runs[-1][2] = hi
-                else:
-                    runs.append([cols, lo, hi])
+                parts.append(cols)
             # the next factor starts where this window's factors end, in the
             # window holding that position; windows a long factor spans are empty
             pos = self._end_list[w]
             w = max(w + 1, pos // self.interval)
-        if not runs:
+        if not parts:
             return _empty_columns(), self._start_list[window]
-        out = FactorColumns.concat([cols.slice(lo, hi) for cols, lo, hi in runs])
+        out = FactorColumns.concat(parts)
         n = int(np.searchsorted(out.start, until))
         return out.slice(0, n), self._start_list[window]

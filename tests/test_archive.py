@@ -144,6 +144,26 @@ def test_damaged_provenance_rejected(row):
         Archive.from_bytes(arc.to_bytes())
 
 
+def test_shifted_provenance_row_fails_decompress():
+    # a row one symbol off still names a literal run of a member, so
+    # from_bytes accepts it; decompress replays the runs and must refuse
+    rng = np.random.default_rng(70)
+    ref = random_reference(rng, 30_000)
+    novel = random_reference(rng, 400)
+    a = np.concatenate([ref[:10_000], novel, ref[10_000:]])
+    b = np.concatenate([ref[5_000:25_000], novel, ref[25_000:]])
+    coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
+    arc = compress(coll)
+    prov = arc.provenances[0]
+    assert prov.entries, "expected a reservoir phrase"
+    assert Archive.from_bytes(arc.to_bytes()).decompress() == coll
+    seq, pos, length = prov.entries[0]
+    prov.entries[0] = (seq, pos + 1, length)
+    damaged = Archive.from_bytes(arc.to_bytes())
+    with pytest.raises(CorruptArchiveError, match="provenance"):
+        damaged.decompress()
+
+
 def test_group_reference_mismatch_rejected():
     # two reference records; a group naming the other group's reference
     # would hand extract the wrong reference symbols
@@ -318,9 +338,10 @@ def test_per_record_orphans_get_reference_less_group():
 
 def test_per_record_interleaved_groups_with_orphans_roundtrip():
     """Members of three groups, one reference-less, interleave in
-    collection order, so each group's index is built at its first member
-    and released after its last; the second plasmid matches the first
-    one's reservoir phrase."""
+    collection order; compress parses them group by group, and the
+    second plasmid matches the first one's reservoir phrase.  The pinned
+    bytes show that the group order leaves the archive as it was when
+    members were parsed in collection order."""
     rng = np.random.default_rng(78)
     chr1 = random_reference(rng, 5000)
     chr2 = random_reference(rng, 4000)
@@ -340,6 +361,9 @@ def test_per_record_interleaved_groups_with_orphans_roundtrip():
     coll = Collection(seqs, reference_index=0, granularity="record")
     groups = matching_groups(coll)
     assert [(g.reference, g.members) for g in groups] == [(0, [2, 6]), (1, [3, 5]), (None, [4, 7])]
+    assert hashlib.sha256(compress(coll).to_bytes()).hexdigest() == (
+        "305b2058e88ed0a46a259667f56360c2d915873cc2af190a8cf6b6701547dabc"
+    )
     arc = roundtrip(coll)
     for name in ("g2/chr1", "g2/plasmid"):
         assert RESERVOIR in [f.kind for _, f in arc.iter_factors(name)], name

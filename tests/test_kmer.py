@@ -124,6 +124,27 @@ def test_soundness_and_completeness_vs_naive_scan():
             assert absent == 200
 
 
+def test_reference_less_index_grows_its_presence_table():
+    """Without a reference the table starts at its 8,192-bit minimum;
+    reservoir grams must grow it, not saturate it."""
+    rng = np.random.default_rng(16)
+    k = 13
+    idx = KmerIndex(np.zeros(0, dtype=np.uint8), k)
+    segments = []
+    for _ in range(200):
+        phrase = rng.integers(0, 4, 250).astype(np.uint8)
+        add_phrase(idx, phrase)
+        segments.append(phrase)
+    bits = np.unpackbits(np.frombuffer(bytes(idx._present), dtype=np.uint8))
+    assert len(bits) > 8192 and bits.mean() < 0.25
+    want = naive_map(segments, k)
+    for gram, positions in want.items():
+        assert find(idx, np.frombuffer(gram, dtype=np.uint8)) == positions[: idx.candidate_cap]
+    for _ in range(2000):
+        query = rng.integers(0, 4, k).astype(np.uint8)
+        assert find(idx, query) == want.get(query.tobytes(), [])
+
+
 def test_capped_bucket_keeps_ascending_order():
     rng = np.random.default_rng(15)
     k, cap = 13, 128

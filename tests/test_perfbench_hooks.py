@@ -16,9 +16,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import layers  # noqa: E402
+import run  # noqa: E402
 import tracer  # noqa: E402
 
-from rlzg import Collection, Sequence, archive  # noqa: E402
+from rlzg import Collection, Sequence, archive, streams  # noqa: E402
 from rlzg.genome import N  # noqa: E402
 from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR  # noqa: E402
 from rlzg.synthetic import apply_snps, random_reference  # noqa: E402
@@ -82,3 +83,51 @@ def test_tracer_wraps_compress_and_restores_every_hook():
     back = archive.Archive.from_bytes(data).decompress()
     for got, expect in zip(back.sequences, coll.sequences):
         assert np.array_equal(got.data, expect.data)
+
+
+def test_tracer_and_recorder_wrap_decode_and_restore_every_hook():
+    coll = _collection()
+    data = archive.compress(coll).to_bytes()
+    before = {(id(owner), attr): owner.__dict__[attr] for owner, attr in _hooks()}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        back = archive.Archive.from_bytes(data).decompress()
+        reader = archive.Archive.from_bytes(data)
+        # "b" ends in the reservoir phrase "a" put there
+        got = [reader.extract(s.name, 0, len(s.data)) for s in coll.sequences]
+        _, reported = reader.extract_report("a", 4000, 13_000)
+    finally:
+        t.uninstall()
+    for owner, attr in _hooks():
+        assert owner.__dict__[attr] is before[(id(owner), attr)], attr
+    for seq, expect in zip(back.sequences, coll.sequences):
+        assert np.array_equal(seq.data, expect.data)
+    for sym, expect in zip(got, coll.sequences):
+        assert np.array_equal(sym, expect.data)
+    assert reported > 0
+
+    spans = t.spans()
+    names = set(spans.by_name(0, len(spans.dur)))
+    want = {
+        "archive.from_bytes", "archive.decompress", "archive.extract", "archive.ref_range",
+        "streams.prefetch_all", "streams.decode_windows", "streams.factors_from",
+        "refstore.decode_reference_range", "refstore.resolve_reservoir_range",
+        "huffman.decode_chains",
+    }
+    assert want <= names
+
+    # the extract-byte recorder patches two more names and puts them back
+    range_bytes = archive.range_payload_bytes
+    touched = streams.SequenceDecoder.touched_payload_bytes
+    recorder = run.Recorder(archive, streams)
+    recorder.install()
+    try:
+        out, reported = reader.extract_report("a", 4000, 13_000)
+        distinct = recorder.take()
+    finally:
+        recorder.uninstall()
+    assert archive.range_payload_bytes is range_bytes
+    assert streams.SequenceDecoder.touched_payload_bytes is touched
+    assert np.array_equal(out, coll.sequences[1].data[4000:13_000])
+    assert 0 < distinct <= reported

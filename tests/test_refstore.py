@@ -3,7 +3,7 @@ import pytest
 
 from rlzg.errors import CorruptArchiveError
 from rlzg.genome import N, encode_symbols
-from rlzg.huffman import HuffmanTable
+from rlzg.huffman import HuffmanTable, _placeholder
 from rlzg.refstore import (
     BLOCK_SIZE,
     ReservoirProvenance,
@@ -18,10 +18,8 @@ from rlzg.refstore import (
 
 def encode(symbols):
     """encode_reference with the table compress builds for one reference."""
-    counts = packed_block_counts(symbols)
-    if not counts.any():
-        counts[0] = 1
-    return encode_reference(symbols, HuffmanTable.from_counts(counts))
+    table = HuffmanTable.from_counts(_placeholder(packed_block_counts(symbols)))
+    return encode_reference(symbols, table)
 
 
 def random_ref(rng, n, n_run_prob=0.0):

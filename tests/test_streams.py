@@ -65,10 +65,8 @@ def roundtrip_factors(parse, p=None):
     raw = encode_parse(parse, p)
     models = build_models([raw])
     coded = compress_streams(raw, models)
-    dec = SequenceDecoder(coded, models, p)
-    dec.prefetch_all()
-    cols, start = dec.factors_from(0, parse.source_length)
-    assert start == 0
+    cols = SequenceDecoder(coded, models, p).prefetch_all()
+    assert len(cols) == 0 or cols.start[0] == 0
     return cols.to_factors(), coded, models
 
 
@@ -220,9 +218,7 @@ def test_decode_window_mid_sequence():
     models = build_models([raw])
     coded = compress_streams(raw, models)
 
-    full = SequenceDecoder(coded, models, p)
-    full.prefetch_all()
-    cols, _ = full.factors_from(0, pos)
+    cols = SequenceDecoder(coded, models, p).prefetch_all()
     all_factors = cols.to_factors()
     assert all_factors == factors
 
@@ -261,9 +257,7 @@ def test_reencoding_decoded_factors_is_byte_identical():
     raw = encode_parse(parse, p)
     models = build_models([raw])
     coded = compress_streams(raw, models)
-    dec = SequenceDecoder(coded, models, p)
-    dec.prefetch_all()
-    cols, _ = dec.factors_from(0, parse.source_length)
+    cols = SequenceDecoder(coded, models, p).prefetch_all()
     factors = cols.to_factors()
     raw2 = encode_parse(parse_of(factors, parse.source_length), p)
     for s in range(4):
