@@ -37,7 +37,9 @@ from .genome import N, Collection, Sequence
 from .huffman import HuffmanTable, _cat_ranges, _placeholder
 from .kmer import KmerIndex, n_free_grams
 from .parse import (
+    CHEAP_OFFSET_BOUND,
     GAP_LIMIT,
+    LENGTH_SLACK,
     LITERAL,
     MATCH,
     NRUN,
@@ -232,7 +234,9 @@ def matching_groups(collection: Collection) -> list[Group]:
 def reference_scores(collection: Collection, m1: int = 13) -> list[int]:
     """Per sequence, the score :func:`select_reference` maximizes: its
     N-free m1-windows, or in record granularity those of all records of
-    its file (``file_tag``)."""
+    its file (``file_tag``).  Raises ValueError when ``m1`` < 1."""
+    if m1 < 1:
+        raise ValueError(f"m1 must be positive, got {m1}")
     seqs = collection.sequences
     counts = [int(n_free_grams(s.data, m1).sum()) for s in seqs]
     if collection.granularity == "whole":
@@ -364,8 +368,8 @@ class Archive:
             params.m2,
             params.m3,
             GAP_LIMIT,
-            params.cheap_offset_bound,
-            params.length_slack,
+            CHEAP_OFFSET_BOUND,
+            LENGTH_SLACK,
             params.candidate_cap,
             params.checkpoint_interval,
             BLOCK_SIZE,
@@ -431,15 +435,17 @@ class Archive:
         m1, m2, m3, gap, cheap, slack, cap, interval, block_size = struct.unpack(
             "<HHIBIIIII", body
         )
-        params = ParseParams(m1, m2, m3, cheap, slack, cap, interval)
+        params = ParseParams(m1, m2, m3, cap, interval)
         try:
             params.validate()
         except ValueError as exc:
             raise CorruptArchiveError(f"invalid stored parameters: {exc}") from exc
-        if gap != GAP_LIMIT:
-            raise CorruptArchiveError(f"stored gap limit {gap}, the format fixes {GAP_LIMIT}")
-        if block_size < 1:
-            raise CorruptArchiveError("stored reference block size is 0")
+        fixed = (GAP_LIMIT, CHEAP_OFFSET_BOUND, LENGTH_SLACK, BLOCK_SIZE)
+        if (gap, cheap, slack, block_size) != fixed:
+            raise CorruptArchiveError(
+                f"stored gap limit, offset-cost bound, length slack and block size "
+                f"{(gap, cheap, slack, block_size)}, the format fixes {fixed}"
+            )
 
         blob = sections[_SEC_MODELS]
         if len(blob) != 7 * 128:
@@ -473,7 +479,7 @@ class Archive:
             if role == ROLE_REFERENCE:
                 base = t.varint()
                 n_blocks = t.varint()
-                if n_blocks != -(-length // block_size):
+                if n_blocks != -(-length // BLOCK_SIZE):
                     raise CorruptArchiveError("block count does not match length")
                 raw = t.take((n_blocks + 1) * 8)
                 offsets = np.frombuffer(raw, dtype="<u8").astype(np.int64)
@@ -487,7 +493,6 @@ class Archive:
                     offsets,
                     ref_payload[base : base + payload_len],
                     ref_table,
-                    block_size,
                 )
             elif role == ROLE_MEMBER:
                 plens = [t.varint() for _ in range(4)]

@@ -40,15 +40,26 @@ def _file_stem(path: Path) -> str:
     return stem
 
 
+def _output_name(tag: str) -> str:
+    """The FASTA file ``decompress`` writes a file tag's sequences to."""
+    return (tag.replace("/", "_").replace("\\", "_") or "unnamed") + ".fa"
+
+
+def _check_output_names(what: str, labelled_tags) -> None:
+    """Raise ValueError when two of the (label, tag) pairs would write
+    one output file."""
+    seen: dict[str, str] = {}
+    for label, tag in labelled_tags:
+        name = _output_name(tag)
+        if name in seen:
+            raise ValueError(f"{what} {seen[name]} and {label} would both be written to {name}")
+        seen[name] = label
+
+
 def _load_inputs(paths: list[Path], per_record: bool) -> list[Sequence]:
-    """Every input's sequences, tagged with its file stem; two inputs
-    with one stem would share a tag and so an output file."""
-    seen: dict[str, Path] = {}
-    for path in paths:
-        stem = _file_stem(path)
-        if stem in seen:
-            raise ValueError(f"inputs {seen[stem]} and {path} share the file stem {stem!r}")
-        seen[stem] = path
+    """Every input's sequences, tagged with its file stem; inputs whose
+    stems give one output file are refused."""
+    _check_output_names("inputs", ((str(p), _file_stem(p)) for p in paths))
     return [s for p in paths for s in _load_file_sequences(p, per_record)]
 
 
@@ -139,6 +150,8 @@ def _cmd_compress(args) -> int:
 
 def _cmd_decompress(args) -> int:
     arc = Archive.load(args.archive)
+    tags = dict.fromkeys(e.file_tag for e in arc.entries)
+    _check_output_names("file tags", ((repr(t), t) for t in tags))
     t0 = time.perf_counter()
     coll = arc.decompress(threads=args.threads)
     elapsed = time.perf_counter() - t0
@@ -148,8 +161,7 @@ def _cmd_decompress(args) -> int:
     for s in coll.sequences:
         by_tag.setdefault(s.file_tag, []).append(s)
     for tag, seqs in by_tag.items():
-        safe = tag.replace("/", "_").replace("\\", "_") or "unnamed"
-        with open(outdir / f"{safe}.fa", "wb") as fh:
+        with open(outdir / _output_name(tag), "wb") as fh:
             for s in seqs:
                 fh.write(write_fasta(Sequence(s.record_name, s.data), args.width))
     symbols = sum(len(s.data) for s in coll.sequences)
@@ -194,7 +206,7 @@ def _cmd_extract(args) -> int:
 def _cmd_select_ref(args) -> int:
     sequences = _load_inputs([Path(p) for p in args.inputs], args.per_record)
     coll = Collection(sequences, 0, "record" if args.per_record else "whole")
-    m1 = args.m1 or 13
+    m1 = 13 if args.m1 is None else args.m1
     best = select_reference(coll, m1)
     _print_stats(
         {

@@ -6,8 +6,10 @@ Matches extend contiguously as far as symbols agree, then may skip one
 mismatching symbol on both sides (a "gap", the SNP case) up to twice,
 keeping a gap only when the following piece reaches the extension
 minimum.  Among the surviving candidates, a shorter match wins when its
-delta-coded offset fits the one-byte form and the longer match's does
-not, unless the longer one is ahead by more than the length slack.
+delta-coded offset is cheap (below ``CHEAP_OFFSET_BOUND``) and the
+longer match's is not, unless the longer one is ahead by more than
+``LENGTH_SLACK`` symbols.  Like ``GAP_LIMIT``, both are format
+constants: the archive stores them and a reader rejects other values.
 
 Literal runs long enough for the reservoir are handed to the sink as
 they close, so later sequences (and later positions of this one) can
@@ -32,6 +34,8 @@ from .kmer import KmerIndex, common_prefix, hash_kmers
 LITERAL, MATCH, NRUN, RESERVOIR = 0, 1, 2, 3
 
 GAP_LIMIT = 2  # gaps per match, fixed by the quaternary flag encoding
+CHEAP_OFFSET_BOUND = 64  # a delta difference below this is a cheap offset
+LENGTH_SLACK = 28  # symbols a cheap match may fall short of the longest
 
 _INF = float("inf")
 
@@ -43,8 +47,6 @@ class ParseParams:
     m1: int = 13  # minimum first-piece match length (20 for human-scale data)
     m2: int = 4  # minimum gap-extension piece length
     m3: int = 32  # minimum literal-run length for the reservoir
-    cheap_offset_bound: int = 64
-    length_slack: int = 28
     candidate_cap: int = 128
     checkpoint_interval: int = 8192
 
@@ -53,12 +55,12 @@ class ParseParams:
             raise ValueError("require m1 > m2 >= 1")
         if self.m3 < self.m1:
             raise ValueError("require m3 >= m1")
-        for name in ("cheap_offset_bound", "length_slack", "candidate_cap", "checkpoint_interval"):
+        for name in ("candidate_cap", "checkpoint_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.m1 > 0xFFFF or self.m2 > 0xFFFF:
             raise ValueError("m1/m2 exceed the archive header field width")
-        for name in ("m3", "cheap_offset_bound", "length_slack", "candidate_cap", "checkpoint_interval"):
+        for name in ("m3", "candidate_cap", "checkpoint_interval"):
             if getattr(self, name) > 0xFFFFFFFF:
                 raise ValueError(f"{name} exceeds the archive header field width")
 
@@ -252,7 +254,7 @@ def _evaluate(index, sb, pos, n, params, prev_delta, positions):
         key = (-f.advance, absd, p)
         if best_key is None or key < best_key:
             best, best_key = f, key
-        if absd < params.cheap_offset_bound and (cheap_key is None or key < cheap_key):
+        if absd < CHEAP_OFFSET_BOUND and (cheap_key is None or key < cheap_key):
             cheap, cheap_key = f, key
     return best, cheap
 
@@ -262,7 +264,6 @@ def choose_factor(
     alt: Factor | None,
     prev_delta: int,
     pos: int,
-    params: ParseParams,
 ) -> Factor | None:
     """Arbitrate covered length against offset cost.
 
@@ -274,8 +275,7 @@ def choose_factor(
         return best
     d_best = _delta_cost(best, pos, prev_delta)
     d_alt = _delta_cost(alt, pos, prev_delta)
-    bound = params.cheap_offset_bound
-    if d_best >= bound and d_alt < bound and best.advance - alt.advance <= params.length_slack:
+    if d_best >= CHEAP_OFFSET_BOUND > d_alt and best.advance - alt.advance <= LENGTH_SLACK:
         return alt
     return best
 
@@ -345,7 +345,7 @@ def parse_sequence(
             if positions:
                 pred = last_match_delta if pos // interval == last_match_window else 0
                 best, cheap = _evaluate(index, sb, pos, n, params, pred, positions)
-                chosen = choose_factor(best, cheap, pred, pos, params)
+                chosen = choose_factor(best, cheap, pred, pos)
 
         if chosen is not None:
             close_literal(pos)

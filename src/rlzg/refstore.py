@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class RefBlocks:
     offsets: np.ndarray  # byte offsets, one per block plus a terminator
     payload: bytes
     table: HuffmanTable
-    block_size: int = BLOCK_SIZE
+    block_size: ClassVar[int] = BLOCK_SIZE
 
     @property
     def n_blocks(self) -> int:
@@ -125,9 +126,6 @@ class ReservoirProvenance:
     @property
     def total_length(self) -> int:
         return self.starts[-1]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def append_reservoir_phrase(

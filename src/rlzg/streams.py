@@ -86,10 +86,6 @@ class RawStreams:
     sym_counts: list[np.ndarray]  # (W+1,) cumulative checkpoint symbol counts
     start_source: np.ndarray  # (W,) source position where each window resumes
 
-    @property
-    def n_windows(self) -> int:
-        return len(self.start_source)
-
 
 @dataclass
 class ModelSet:
@@ -231,10 +227,9 @@ def encode_parse(parse: Parse, params: ParseParams) -> RawStreams:
     )
 
 
-def stream_tallies(raw: RawStreams, counts: np.ndarray | None = None) -> np.ndarray:
-    """Accumulate (6, 256) byte frequencies for the shared models."""
-    if counts is None:
-        counts = np.zeros((6, 256), dtype=np.int64)
+def stream_tallies(raw: RawStreams, counts: np.ndarray) -> np.ndarray:
+    """Add ``raw``'s byte frequencies to the (6, 256) ``counts`` of the
+    shared models."""
     ob, lb = raw.bytes_[OFF], raw.bytes_[LEN]
     of, lf = raw.first[OFF], raw.first[LEN]
     counts[0] += np.bincount(ob[of], minlength=256)

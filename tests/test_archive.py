@@ -18,7 +18,7 @@ from rlzg import (
 )
 from rlzg.genome import N, encode_symbols
 from rlzg.kmer import n_free_grams
-from rlzg.parse import MATCH, RESERVOIR
+from rlzg.parse import MATCH, NRUN, RESERVOIR
 from rlzg.refstore import resolve_reservoir_range
 from rlzg.synthetic import make_collection, random_reference, apply_snps
 from rlzg.archive import (
@@ -105,7 +105,11 @@ def test_bad_magic_and_version():
 _PARAMS_FORMAT = "<HHIBIIIII"  # m1 m2 m3 gap cheap slack cap interval block size
 
 
-@pytest.mark.parametrize("field, value", [(3, 3), (8, 0)], ids=["gap-limit-3", "block-size-0"])
+@pytest.mark.parametrize(
+    "field, value",
+    [(3, 3), (4, 65), (5, 29), (8, 0), (8, 4096)],
+    ids=["gap-limit-3", "offset-bound-65", "length-slack-29", "block-size-0", "block-size-4096"],
+)
 def test_damaged_params_rejected(field, value):
     # the checksum does not cover the params section, the first one written
     rng = np.random.default_rng(65)
@@ -202,6 +206,46 @@ def test_extract_matches_decompressed_slices():
         hi = int(rng.integers(lo, min(n, lo + 3000) + 1))
         got = arc.extract(s.name, lo, hi)
         assert np.array_equal(got, full[s.name][lo:hi]), (s.name, lo, hi)
+
+
+def test_extract_clips_at_factor_edges():
+    # one- and two-gap matches, an N-run, and in b a reservoir match over
+    # the tail of a's first literal run and the head of its second
+    rng = np.random.default_rng(72)
+    ref = random_reference(rng, 20_000)
+    n1, n2 = random_reference(rng, 200), random_reference(rng, 200)
+    # neither run may start with the symbol the reference has there, or
+    # the match before it would take that symbol and shift the row
+    n1[0], n2[0] = (ref[8000] + 1) % 4, (ref[9000] + 1) % 4
+    a = np.concatenate(
+        [
+            apply_snps(rng, ref[:8000], 0.01),
+            n1,
+            ref[8000:9000],
+            n2,
+            np.full(300, N, dtype=np.uint8),
+            apply_snps(rng, ref[9000:15_000], 0.01),
+        ]
+    )
+    b = np.concatenate([ref[2000:6000], n1[100:], n2[:100], apply_snps(rng, ref[15_000:], 0.02)])
+    coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
+    arc = roundtrip(coll)
+    full = {s.name: s.data for s in coll.sequences}
+    seen = set()
+    for name in ("a", "b"):
+        n = len(full[name])
+        for start, f in arc.iter_factors(name):
+            end = start + f.advance
+            if f.kind == RESERVOIR:
+                rows = resolve_reservoir_range(arc.provenances[0], f.position, f.advance)
+                seen.add(("reservoir rows", min(len(rows), 2)))
+            seen.add((f.kind, len(f.gap_symbols)))
+            gaps = start + np.cumsum(f.lengths[:-1]) + np.arange(len(f.gap_symbols))
+            ranges = [(start, start + 1), (end - 1, end)] + [(g, g + 1) for g in gaps.tolist()]
+            ranges += [(max(start - 1, 0), start + 1), (end - 1, min(end + 1, n))]
+            for lo, hi in ranges:
+                assert np.array_equal(arc.extract(name, lo, hi), full[name][lo:hi]), (name, lo, hi)
+    assert {(MATCH, 1), (MATCH, 2), (NRUN, 0), ("reservoir rows", 2)} <= seen, seen
 
 
 def test_extract_bounded_work():

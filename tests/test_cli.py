@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from rlzg.archive import compress
 from rlzg.cli import main
-from rlzg.genome import Sequence, parse_fasta, write_fasta
+from rlzg.genome import Collection, Sequence, parse_fasta, write_fasta
 from rlzg.synthetic import apply_snps, random_reference
 
 
@@ -214,3 +215,42 @@ def test_inputs_sharing_a_file_stem_exit_2(fasta_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert str(fasta_dir / "a.fa") in err and str(twin) in err
     assert not arc.exists()
+
+
+def test_decompress_refuses_tags_sharing_an_output_file(tmp_path, capsys):
+    rng = np.random.default_rng(81)
+    ref = random_reference(rng, 5_000)
+    coll = Collection(
+        [
+            Sequence("r", ref, file_tag="ref"),
+            Sequence("s1", apply_snps(rng, ref, 0.01), file_tag="a/b"),
+            Sequence("s2", apply_snps(rng, ref, 0.01), file_tag="a_b"),
+        ]
+    )
+    arc = tmp_path / "tags.rlzg"
+    arc.write_bytes(compress(coll).to_bytes())
+    outdir = tmp_path / "dec"
+    outdir.mkdir()
+    assert main(["decompress", str(arc), "-o", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "'a/b'" in err and "'a_b'" in err
+    assert list(outdir.iterdir()) == []
+
+
+def test_compress_refuses_inputs_sharing_an_output_file(fasta_dir, tmp_path, capsys):
+    inputs = [tmp_path / "x\\y.fa", tmp_path / "x_y.fa"]
+    for path in inputs:
+        path.write_bytes((fasta_dir / "a.fa").read_bytes())
+    arc = tmp_path / "out.rlzg"
+    argv = ["compress", "--ref", str(fasta_dir / "chr1.fa"), *map(str, inputs), "-o", str(arc)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(inputs[0]) in err and str(inputs[1]) in err
+    assert not arc.exists()
+
+
+@pytest.mark.parametrize("m1", ["0", "-5"])
+def test_select_ref_rejects_nonpositive_m1(fasta_dir, capsys, m1):
+    argv = ["select-ref", str(fasta_dir / "a.fa"), str(fasta_dir / "b.fa"), "--m1", m1]
+    assert main(argv) == 2
+    assert "m1" in capsys.readouterr().err

@@ -163,37 +163,45 @@ def _cand(position, cover):
 
 
 def test_choose_factor_prefers_cheap_offset_within_slack():
-    params = make_params()
     # previous delta 300; best len 60 at distance 2000 -> |d| = 1700;
     # alt len 40 at distance 345 -> |d| = 45; 60-40 <= 28 -> prefer alt
     pos = 5000
     best = _cand(pos - 2000, 60)
     alt = _cand(pos - 345, 40)
-    assert choose_factor(best, alt, 300, pos, params) is alt
+    assert choose_factor(best, alt, 300, pos) is alt
 
 
 def test_choose_factor_slack_exceeded():
-    params = make_params()
     pos = 5000
     best = _cand(pos - 2000, 60)
     alt = _cand(pos - 345, 20)  # 60 - 20 > 28: keep the long match
-    assert choose_factor(best, alt, 300, pos, params) is best
+    assert choose_factor(best, alt, 300, pos) is best
 
 
 def test_choose_factor_twin_rule():
-    params = make_params()
     pos = 5000
     best = _cand(pos - 2000, 80)  # expensive but longer by > 28
     alt = _cand(pos - 345, 40)
-    assert choose_factor(best, alt, 300, pos, params) is best
+    assert choose_factor(best, alt, 300, pos) is best
 
 
 def test_choose_factor_keeps_cheap_best():
-    params = make_params()
     pos = 100
     best = _cand(60, 50)  # |d| = 40 < 64 already cheap
     alt = _cand(50, 45)
-    assert choose_factor(best, alt, 0, pos, params) is best
+    assert choose_factor(best, alt, 0, pos) is best
+
+
+def test_choose_factor_bounds_are_exact():
+    # previous delta 300: |d| = 63 is cheap and 64 is not; a length
+    # deficit of 28 is within the slack and 29 is not
+    pos = 5000
+    best = _cand(pos - 2000, 68)
+    cheap = _cand(pos - 363, 40)
+    assert choose_factor(best, cheap, 300, pos) is cheap
+    assert choose_factor(best, _cand(pos - 364, 40), 300, pos) is best
+    assert choose_factor(best, _cand(pos - 363, 39), 300, pos) is best
+    assert choose_factor(_cand(pos - 364, 68), cheap, 300, pos) is cheap
 
 
 def test_identical_sequence_single_factor():

@@ -299,7 +299,7 @@ def test_total_coded_bits_match_model_lengths():
     raw = encode_parse(parse_of(factors, pos), p)
     models = build_models([raw])
     coded = compress_streams(raw, models)
-    tallies = stream_tallies(raw)
+    tallies = stream_tallies(raw, np.zeros((6, 256), dtype=np.int64))
     expect_bits = int(
         sum((t.lengths.astype(np.int64) * tallies[i]).sum() for i, t in enumerate(models.tables()))
     )
@@ -339,7 +339,7 @@ def test_corrupt_payload_detected():
 def test_empty_parse_empty_streams():
     raw = encode_parse(parse_of([], 0), params())
     assert all(len(b) == 0 for b in raw.bytes_)
-    assert raw.n_windows == 0
+    assert len(raw.start_source) == 0
     models = build_models([raw])
     coded = compress_streams(raw, models)
     assert all(p == b"" for p in coded.payloads)
