@@ -15,6 +15,7 @@ from rlzg.refstore import (
     BLOCK_SIZE,
     decode_reference_range,
     encode_reference,
+    pack_reference,
     packed_block_counts,
     range_payload_bytes,
 )
@@ -25,7 +26,8 @@ ref = random_reference(rng, 6 * BLOCK_SIZE)
 ref[2 * BLOCK_SIZE : 4 * BLOCK_SIZE] = N  # two whole blocks of N
 
 # one Huffman table over the packed bytes of the non-all-N blocks, as compress builds it
-rb = encode_reference(ref, HuffmanTable.from_counts(packed_block_counts(ref)))
+packed = pack_reference(ref)
+rb = encode_reference(packed, HuffmanTable.from_counts(packed_block_counts(packed)))
 print(f"{rb.n_blocks} blocks, payload {len(rb.payload)} bytes "
       f"({8 * len(rb.payload) / len(ref):.3f} bits per base)")
 print("block start offsets:", rb.offsets.tolist())

@@ -56,6 +56,7 @@ from .refstore import (
     append_reservoir_phrase,
     decode_reference_range,
     encode_reference,
+    pack_reference,
     packed_block_counts,
     range_payload_bytes,
 )
@@ -881,6 +882,7 @@ def compress(collection: Collection, params: ParseParams | None = None) -> Archi
     groups = matching_groups(collection)
 
     ref_counts = np.zeros(256, dtype=np.int64)
+    packed_refs = {}
     provenances = []
     raws: dict[int, RawStreams] = {}
     for grp in groups:
@@ -888,7 +890,8 @@ def compress(collection: Collection, params: ParseParams | None = None) -> Archi
             ref = np.zeros(0, dtype=np.uint8)
         else:
             ref = seqs[grp.reference].data
-            ref_counts += packed_block_counts(ref)
+            packed_refs[grp.reference] = pack_reference(ref)
+            ref_counts += packed_block_counts(packed_refs[grp.reference])
         group_raws, prov = _parse_group(ref, grp.members, seqs, params)
         raws.update(zip(grp.members, group_raws))
         provenances.append(prov)
@@ -905,7 +908,7 @@ def compress(collection: Collection, params: ParseParams | None = None) -> Archi
     for g, grp in enumerate(groups):
         if grp.reference is not None:
             entry(grp.reference, ROLE_REFERENCE, g).refblocks = encode_reference(
-                seqs[grp.reference].data, ref_table
+                packed_refs[grp.reference], ref_table
             )
         for i in grp.members:
             entry(i, ROLE_MEMBER, g).coded = compress_streams(raws[i], models)

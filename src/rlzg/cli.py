@@ -149,6 +149,11 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
+    # checked before anything is read or written, so a bad flag leaves no output
+    if args.width < 1:
+        raise ValueError(f"--width must be >= 1, got {args.width}")
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     arc = Archive.load(args.archive)
     tags = dict.fromkeys(e.file_tag for e in arc.entries)
     _check_output_names("file tags", ((repr(t), t) for t in tags))

@@ -22,6 +22,13 @@ most 8 MiB (2**26 bits).  Reservoir grams fill it further as they come;
 when the indexed grams pass an eighth of its bits, it is rebuilt four
 times larger (up to the same cap), so a reference-less index stays
 sparse too.
+
+Hashing on demand.  ``hash_kmers`` hashes every gram of an array in
+vector passes; ``gram_hash`` hashes one gram in pure Python to the same
+value, for a parser that probes one position and then jumps a match
+ahead.  ``may_contain`` is the presence test of ``lookup`` over a
+column of hashes, so a parser can skip the grams whose lookup would
+come back empty without making it.
 """
 from __future__ import annotations
 
@@ -35,6 +42,9 @@ _FIVE = np.uint64(5)
 
 # presence table size in bits: 16 per reference gram, as a power of two
 _MIN_LOG_BITS, _MAX_LOG_BITS = 13, 26
+
+_MASK64 = (1 << 64) - 1
+_BASE5_DIGITS = bytes.maketrans(bytes(range(5)), b"01234")
 
 
 def mix_hash(packed):
@@ -73,6 +83,18 @@ def hash_kmers(symbols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             packed = packed[:valid] * _FIVE + s64[done : done + valid]
             done += 1
     return mix_hash(packed[:m]), n_free_grams(symbols, k)
+
+
+def gram_hash(gram: bytes) -> int:
+    """The ``hash_kmers`` hash of one gram (symbol bytes, N included):
+    its base-5 value mod 2**64 through the splitmix64 finalizer, top 32
+    bits."""
+    z = int(gram.translate(_BASE5_DIGITS), 5) & _MASK64
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _MASK64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _MASK64
+    return (z ^ z >> 31) >> 32
 
 
 def n_free_grams(symbols: np.ndarray, k: int) -> np.ndarray:
@@ -183,6 +205,13 @@ class KmerIndex:
         if self._n_grams > len(self._present) and 32 - self._shift < _MAX_LOG_BITS:
             self._new_table(min(34 - self._shift, _MAX_LOG_BITS))
 
+    def may_contain(self, hashes: np.ndarray) -> np.ndarray:
+        """Mask over ``hashes`` (uint32): True where the presence bit is
+        set.  A gram whose bit is clear has an empty ``lookup``."""
+        slot = hashes >> np.uint32(self._shift)
+        byte = self._present_view[slot >> np.uint32(3)]
+        return (byte >> (slot & np.uint32(7)).astype(np.uint8)) & np.uint8(1) != 0
+
     def lookup(self, h: int, gram: bytes) -> list[int]:
         """Extended-reference positions whose k symbols equal ``gram``,
         an N-free k-gram whose hash is ``h``, in bucket order and at most
@@ -210,12 +239,3 @@ class KmerIndex:
                 if self.res[off : off + k] == gram:
                     out.append(p)
         return out
-
-    def extension_buffer(self, pos: int) -> tuple[bytes | bytearray, int, int]:
-        """(buffer, offset, room) for extending a match that starts at
-        ``pos``: reference matches stop at the reference end, reservoir
-        matches may run to the current reservoir end."""
-        if pos < self.ref_len:
-            return self.ref_bytes, pos, self.ref_len - pos
-        off = pos - self.ref_len
-        return self.res, off, len(self.res) - off

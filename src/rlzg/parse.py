@@ -15,6 +15,17 @@ Literal runs long enough for the reservoir are handed to the sink as
 they close, so later sequences (and later positions of this one) can
 match them.
 
+The parser hashes only the grams it probes.  After a factor it hashes
+the one gram at the next position; a literal run that goes on has the
+grams ahead hashed in ``hash_kmers`` windows, and the parser jumps
+within a window from one gram whose presence bit is set to the next,
+since the grams between have empty lookups.  Candidates extend along
+their diagonal (extended-reference position minus source position):
+``_Diagonals`` keeps each diagonal's mismatch positions, found by
+vector compares over windows that grow fourfold, so a match's pieces
+and gaps are read off its next mismatches and the factor after a SNP
+reuses them.
+
 A parse is held as :class:`FactorColumns`, the one factor form the
 encoder and the decoder share: the parser appends each chosen factor's
 kind, start, position and pieces to a list and builds the columns once
@@ -23,13 +34,15 @@ the per-factor view that ``apply_parse`` (the oracle) reads.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CorruptArchiveError
 from .genome import N
-from .kmer import KmerIndex, common_prefix, hash_kmers
+from .kmer import common_prefix  # noqa: F401  perfbench's tracer times calls through this name
+from .kmer import KmerIndex, gram_hash, hash_kmers
 
 LITERAL, MATCH, NRUN, RESERVOIR = 0, 1, 2, 3
 
@@ -38,6 +51,16 @@ CHEAP_OFFSET_BOUND = 64  # a delta difference below this is a cheap offset
 LENGTH_SLACK = 28  # symbols a cheap match may fall short of the longest
 
 _INF = float("inf")
+
+# Hashing ahead: a literal run's first grams are hashed one at a time;
+# from this length on, in windows as long as the run so far, within
+# these bounds (a hash_kmers call costs about as much as 1024 grams).
+_HASH_AHEAD_AFTER = 16
+_MIN_HASH_WINDOW, _MAX_HASH_WINDOW = 1024, 1 << 16
+# Diagonal windows: the symbols of a diagonal's first compare, the most
+# that one compare covers, and the windows kept before all are dropped.
+_FIRST_DIAGONAL_WINDOW, _MAX_DIAGONAL_WINDOW = 64, 1 << 16
+_MAX_DIAGONALS = 1024
 
 
 @dataclass
@@ -204,28 +227,84 @@ class Parse:
         return self.columns.to_factors()
 
 
-def _extend(index: KmerIndex, sb: bytes, pos: int, cand: int, n: int, params: ParseParams):
-    """Grow a verified k-gram hit into contiguous pieces plus gaps."""
-    buf, boff, room = index.extension_buffer(cand)
-    pieces = []
-    gaps = []
-    sp, bp = pos, 0
-    L = common_prefix(buf, boff, sb, sp, min(n - sp, room))
-    pieces.append(L)
-    sp += L
-    bp += L
-    while len(gaps) < GAP_LIMIT:
-        if sp >= n or bp >= room:
-            break  # ran off an end, no mismatch to skip
-        gap_sym = sb[sp]
-        sp2, bp2 = sp + 1, bp + 1
-        L = common_prefix(buf, boff + bp2, sb, sp2, min(n - sp2, room - bp2))
-        if L < params.m2:
-            break
-        gaps.append(gap_sym)
-        pieces.append(L)
-        sp, bp = sp2 + L, bp2 + L
-    return tuple(pieces), tuple(gaps)
+class _Diagonals:
+    """Mismatch lists along the diagonals of one source.
+
+    A candidate at extended-reference position ``cand`` for source
+    position ``pos`` lies on diagonal ``cand - pos``.  A diagonal's
+    window ``[lo, hi, mismatches, step]`` covers source positions
+    [lo, hi) and lists, ascending, those where the source and the
+    buffer along the diagonal differ.  It grows by one vector compare
+    at a time, first over ``_FIRST_DIAGONAL_WINDOW`` symbols, then four
+    times more each time up to ``_MAX_DIAGONAL_WINDOW``, so the factor
+    after a SNP extends from the lists its predecessor filled.  A
+    diagonal that runs off the reference end goes on into the
+    reservoir; each compare reads the buffer its candidate lies in.
+
+    ``release()`` must run before the reservoir grows: the array view
+    of the reservoir kept for the compares would stop its bytearray
+    from growing.
+    """
+
+    def __init__(self, index: KmerIndex, s: np.ndarray):
+        self.index = index
+        self.s = s
+        self.windows: dict[int, list] = {}
+        self._res = None
+
+    def release(self) -> None:
+        self._res = None
+
+    def extend(self, pos: int, cand: int, m2: int) -> tuple[tuple, tuple]:
+        """Pieces and gap symbols of the match of source ``pos`` at
+        ``cand``: contiguous as far as symbols agree, then up to
+        ``GAP_LIMIT`` times one mismatching symbol skipped on both sides
+        when the piece after it reaches ``m2``.  A match stops at the
+        source end and at the end of its buffer (the reference, or the
+        reservoir as it is now)."""
+        index = self.index
+        d = cand - pos
+        in_ref = cand < index.ref_len
+        end = min(len(self.s), (index.ref_len if in_ref else index.ext_len) - d)
+        w = self.windows.get(d)
+        if w is None or not w[0] <= pos <= w[1]:
+            if len(self.windows) >= _MAX_DIAGONALS:
+                self.windows.clear()  # mostly windows the parser has left behind
+            w = self.windows[d] = [pos, pos, [], _FIRST_DIAGONAL_WINDOW]
+        m = self._next_mismatch(w, d, pos, end, in_ref)
+        pieces = [m - pos]
+        gaps = []
+        while len(gaps) < GAP_LIMIT and m < end:
+            after = self._next_mismatch(w, d, m + 1, end, in_ref)
+            if after - m - 1 < m2:
+                break
+            gaps.append(self.s.item(m))
+            pieces.append(after - m - 1)
+            m = after
+        return tuple(pieces), tuple(gaps)
+
+    def _next_mismatch(self, w: list, d: int, p: int, end: int, in_ref: bool) -> int:
+        """The first mismatch at or after source position ``p`` on
+        diagonal ``d`` (window ``w``), or ``end`` when there is none
+        before it."""
+        mism = w[2]
+        i = bisect_left(mism, p)
+        while i == len(mism):
+            hi = w[1]
+            if hi >= end:
+                return end
+            b = min(hi + w[3], end)
+            if in_ref:
+                buf, at = self.index.ref, hi + d
+            else:
+                if self._res is None:
+                    self._res = np.frombuffer(self.index.res, dtype=np.uint8)
+                buf, at = self._res, hi + d - self.index.ref_len
+            mism += ((self.s[hi:b] != buf[at : at + b - hi]).nonzero()[0] + hi).tolist()
+            w[1] = b
+            w[3] = min(4 * w[3], _MAX_DIAGONAL_WINDOW)
+            i = bisect_left(mism, p, i)
+        return mism[i]
 
 
 def _delta_cost(f: Factor, pos: int, prev_delta: int):
@@ -234,16 +313,16 @@ def _delta_cost(f: Factor, pos: int, prev_delta: int):
     return abs((pos - f.position) - prev_delta)
 
 
-def _evaluate(index, sb, pos, n, params, prev_delta, positions):
+def _evaluate(diagonals: _Diagonals, pos, params, prev_delta, positions):
     """Extend every candidate into a MATCH factor, or a RESERVOIR factor
     at its reservoir offset; return (the longest, the longest with a
     cheap offset).  Ties break toward the smaller delta cost, then the
     smaller extended-reference position."""
     best = cheap = None
     best_key = cheap_key = None
-    ref_len = index.ref_len
+    ref_len = diagonals.index.ref_len
     for p in positions:
-        pieces, gaps = _extend(index, sb, pos, p, n, params)
+        pieces, gaps = diagonals.extend(pos, p, params.m2)
         if pieces[0] < params.m1:
             continue
         if p < ref_len:
@@ -281,9 +360,14 @@ def choose_factor(
 
 
 def _n_runs(s: np.ndarray, min_len: int) -> dict[int, int]:
-    """Start -> length of every maximal N-run of at least ``min_len``."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], (s == N).view(np.int8), [0]))))
-    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    """Start -> length of every maximal N-run of at least ``min_len``,
+    ascending."""
+    at = np.flatnonzero(s == N)
+    if not len(at):
+        return {}
+    cut = np.flatnonzero(np.diff(at) != 1) + 1
+    starts = at[np.concatenate(([0], cut))]
+    lengths = at[np.concatenate((cut - 1, [len(at) - 1]))] + 1 - starts
     keep = lengths >= min_len
     return dict(zip(starts[keep].tolist(), lengths[keep].tolist()))
 
@@ -301,6 +385,17 @@ def parse_sequence(
     order, with the ``hash_kmers`` columns of the run's interior grams;
     it is expected to append the run to the reservoir (and its grams to
     the index) so later positions can match it.
+
+    Grams are hashed only where the parser goes.  The probe after a
+    factor hashes its one gram with ``gram_hash``; once a literal run
+    is ``_HASH_AHEAD_AFTER`` symbols long, the grams ahead are hashed in
+    a ``hash_kmers`` window as long as the run so far (at least
+    ``_MIN_HASH_WINDOW``), and the parser jumps from one gram whose
+    presence bit is set to the next, or to an N-run start: the grams it
+    skips would have empty lookups, so they are literals.  A sink call
+    sets presence bits, so the window's hits are then found again.
+    Each literal gram's hash and N-free flag are kept as they are made,
+    for the sink.
     """
     s = np.asarray(seq, dtype=np.uint8)
     n = len(s)
@@ -308,9 +403,13 @@ def parse_sequence(
     sb = s.tobytes()
     interval = params.checkpoint_interval
 
-    qhash, qfree = hash_kmers(s, k)
+    last_gram = n - k
+    qhash = np.empty(max(last_gram + 1, 0), dtype=np.uint32)
+    qfree = np.empty(max(last_gram + 1, 0), dtype=bool)
     n_run_at = _n_runs(s, params.m1)
-    last_gram = len(qhash) - 1
+    n_run_starts = list(n_run_at) + [n]
+    next_run = 0  # index of the first N-run start at or after pos
+    diagonals = _Diagonals(index, s)
 
     # (kind, start, position, three pieces) of each factor as it is chosen
     rows: list[tuple] = []
@@ -319,33 +418,75 @@ def parse_sequence(
     lit_start = 0
     last_match_delta = 0
     last_match_window = -1
+    # the window of hashed grams ends at ``win_hi``; ``hits`` lists the
+    # grams ahead in it that are N-free with their presence bit set
+    win_hi = 0
+    hits: list[int] = []
+    stale = False  # a sink call set presence bits since ``hits`` was made
 
     def close_literal(upto: int) -> None:
-        nonlocal lit_start
+        nonlocal lit_start, stale
         if upto > lit_start:
             L = upto - lit_start
             rows.append((LITERAL, lit_start, 0, L, 0, 0))
             if reservoir_sink is not None and L >= params.m3:
+                diagonals.release()
                 grams = slice(lit_start, upto - k + 1)
                 reservoir_sink(s[lit_start:upto], lit_start, qhash[grams], qfree[grams])
+                stale = True
         lit_start = upto
 
     while pos < n:
-        rl = n_run_at.get(pos)
-        if rl is not None:
+        while n_run_starts[next_run] < pos:
+            next_run += 1
+        run_at = n_run_starts[next_run]
+        if pos == run_at:
+            rl = n_run_at[pos]
             close_literal(pos)
             rows.append((NRUN, pos, 0, rl, 0, 0))
             pos += rl
             lit_start = pos
             continue
+        if pos > last_gram:
+            break  # no gram and no N-run starts here: the rest is literal
+
+        if pos < win_hi:
+            if stale:
+                ahead = slice(pos, win_hi)
+                hits = (
+                    np.flatnonzero(index.may_contain(qhash[ahead]) & qfree[ahead]) + pos
+                ).tolist()
+                stale = False
+            i = bisect_left(hits, pos)
+            if i == len(hits):
+                pos = min(win_hi, run_at)
+                continue
+            if hits[i] > pos:
+                if hits[i] > run_at:  # a hit's gram is N-free: never == run_at
+                    pos = run_at
+                    continue
+                pos = hits[i]
+            h = qhash.item(pos)
+        elif pos - lit_start < _HASH_AHEAD_AFTER:
+            gram = sb[pos : pos + k]
+            h = qhash[pos] = gram_hash(gram)
+            qfree[pos] = free = N not in gram
+            if not free:
+                pos += 1
+                continue
+        else:
+            size = min(max(pos - lit_start, _MIN_HASH_WINDOW), _MAX_HASH_WINDOW)
+            win_hi = min(pos + size, last_gram + 1)
+            qhash[pos:win_hi], qfree[pos:win_hi] = hash_kmers(s[pos : win_hi + k - 1], k)
+            stale = True
+            continue
 
         chosen = None
-        if pos <= last_gram and qfree.item(pos):
-            positions = index.lookup(qhash.item(pos), sb[pos : pos + k])
-            if positions:
-                pred = last_match_delta if pos // interval == last_match_window else 0
-                best, cheap = _evaluate(index, sb, pos, n, params, pred, positions)
-                chosen = choose_factor(best, cheap, pred, pos)
+        positions = index.lookup(h, sb[pos : pos + k])
+        if positions:
+            pred = last_match_delta if pos // interval == last_match_window else 0
+            best, cheap = _evaluate(diagonals, pos, params, pred, positions)
+            chosen = choose_factor(best, cheap, pred, pos)
 
         if chosen is not None:
             close_literal(pos)

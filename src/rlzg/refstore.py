@@ -45,29 +45,37 @@ class RefBlocks:
         return self.offsets[b] == self.offsets[b + 1]
 
 
-def _packed_blocks(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triplet bytes of the blocks that are not all N, each block padded
-    on its own, plus the packed bytes of every block (0 when all N)."""
+@dataclass
+class PackedReference:
+    """A reference's blocks, triplet-packed once for both the shared
+    table's counts and the coding."""
+
+    n_symbols: int
+    packed: np.ndarray  # triplet bytes of the non-all-N blocks, each padded on its own
+    block_bytes: np.ndarray  # packed bytes of every block (0 when all N)
+
+
+def pack_reference(symbols: np.ndarray) -> PackedReference:
+    """Triplet-pack the blocks of a reference that are not all N."""
     symbols = np.asarray(symbols, dtype=np.uint8)
     starts = np.arange(0, len(symbols), BLOCK_SIZE)
     sizes = np.minimum(len(symbols) - starts, BLOCK_SIZE)
     all_n = np.logical_and.reduceat(symbols == N, starts)
     padded, seg = pad_segments(symbols[np.repeat(~all_n, sizes)], np.where(all_n, 0, sizes), 3)
-    return pack_triplets(padded), seg // 3
+    return PackedReference(len(symbols), pack_triplets(padded), seg // 3)
 
 
-def packed_block_counts(symbols: np.ndarray) -> np.ndarray:
-    """Byte frequencies of the triplet-packed non-all-N blocks (for
-    building the Huffman table shared by every reference record)."""
-    return np.bincount(_packed_blocks(symbols)[0], minlength=256)
+def packed_block_counts(ref: PackedReference) -> np.ndarray:
+    """Byte frequencies of the packed blocks (for building the Huffman
+    table shared by every reference record)."""
+    return np.bincount(ref.packed, minlength=256)
 
 
-def encode_reference(symbols: np.ndarray, table: HuffmanTable) -> RefBlocks:
-    """Encode a reference sequence into blocked, Huffman-coded triplets
+def encode_reference(ref: PackedReference, table: HuffmanTable) -> RefBlocks:
+    """Encode a packed reference into blocked, Huffman-coded triplets
     with ``table``, built from :func:`packed_block_counts`."""
-    packed, seg_bytes = _packed_blocks(symbols)
-    payload, off = pack_codes(table.lengths[packed], table.codes[packed], seg_bytes)
-    return RefBlocks(len(symbols), off, payload, table)
+    payload, off = pack_codes(table.lengths[ref.packed], table.codes[ref.packed], ref.block_bytes)
+    return RefBlocks(ref.n_symbols, off, payload, table)
 
 
 def decode_reference_range(rb: RefBlocks, start: int, end: int) -> np.ndarray:

@@ -254,3 +254,15 @@ def test_select_ref_rejects_nonpositive_m1(fasta_dir, capsys, m1):
     argv = ["select-ref", str(fasta_dir / "a.fa"), str(fasta_dir / "b.fa"), "--m1", m1]
     assert main(argv) == 2
     assert "m1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--width", "0"], ["--threads", "0"], ["--threads", "-1"]])
+def test_decompress_rejects_bad_flags_before_writing(fasta_dir, tmp_path, capsys, flag):
+    arc = tmp_path / "out.rlzg"
+    argv = ["compress", "--ref", str(fasta_dir / "chr1.fa"), str(fasta_dir / "a.fa"), "-o", str(arc)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    outdir = tmp_path / "dec"
+    assert main(["decompress", str(arc), "-o", str(outdir), *flag]) == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not outdir.exists()

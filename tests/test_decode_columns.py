@@ -7,7 +7,12 @@ from rlzg import Archive, CorruptArchiveError
 from rlzg.archive import ROLE_MEMBER, ROLE_REFERENCE, Group, SequenceEntry
 from rlzg.huffman import HuffmanTable
 from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, Factor, ParseParams, apply_parse
-from rlzg.refstore import ReservoirProvenance, append_reservoir_phrase, encode_reference
+from rlzg.refstore import (
+    ReservoirProvenance,
+    append_reservoir_phrase,
+    encode_reference,
+    pack_reference,
+)
 from rlzg.streams import (
     ESC_NEG,
     ESC_POS,
@@ -46,7 +51,7 @@ def build_archive(refs, members, params, granularity="whole"):
     counts = np.ones(256, dtype=np.int64)
     ref_table = HuffmanTable.from_counts(counts)
     for g, ref in enumerate(refs):
-        entries[groups[g].reference].refblocks = encode_reference(ref, ref_table)
+        entries[groups[g].reference].refblocks = encode_reference(pack_reference(ref), ref_table)
     members_at = [i for i, e in enumerate(entries) if e.role == ROLE_MEMBER]
     for i, raw in zip(members_at, raws):
         entries[i].coded = compress_streams(raw, models)

@@ -87,6 +87,7 @@ def test_partial_all_n_tail_block():
         BLOCK_SIZE,
         decode_reference_range,
         encode_reference,
+        pack_reference,
         packed_block_counts,
     )
 
@@ -94,7 +95,8 @@ def test_partial_all_n_tail_block():
     data = np.concatenate(
         [random_reference(rng, BLOCK_SIZE), np.full(100, N, dtype=np.uint8)]
     )
-    rb = encode_reference(data, HuffmanTable.from_counts(packed_block_counts(data)))
+    packed = pack_reference(data)
+    rb = encode_reference(packed, HuffmanTable.from_counts(packed_block_counts(packed)))
     assert rb.block_is_all_n(1)
     assert np.array_equal(decode_reference_range(rb, 0, len(data)), data)
     assert (decode_reference_range(rb, BLOCK_SIZE, BLOCK_SIZE + 100) == N).all()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rlzg.genome import N, encode_symbols
-from rlzg.kmer import KmerIndex, common_prefix, hash_kmers, mix_hash
+from rlzg.kmer import KmerIndex, common_prefix, gram_hash, hash_kmers, mix_hash
 
 
 def find(idx, query):
@@ -272,3 +272,32 @@ def test_doubling_pack_matches_plain_horner():
             horner += s[j : j + m]
         got, _ = hash_kmers(s, k)
         assert np.array_equal(got, mix_hash(horner)), (n, k)
+
+
+@pytest.mark.parametrize("k", [4, 13, 27, 28, 40])
+def test_gram_hash_equals_hash_kmers(k):
+    # 5**27 < 2**64 < 5**28: k = 28 and 40 reduce mod 2**64
+    rng = np.random.default_rng(15 + k)
+    for p_n in (0.0, 0.1):
+        s = rng.integers(0, 4, 600).astype(np.uint8)
+        s[rng.random(600) < p_n] = N
+        hashes, _ = hash_kmers(s, k)
+        raw = s.tobytes()
+        assert [gram_hash(raw[j : j + k]) for j in range(len(hashes))] == hashes.tolist()
+
+
+def test_may_contain_is_the_lookup_presence_test():
+    rng = np.random.default_rng(16)
+    ref = rng.integers(0, 4, 3000).astype(np.uint8)
+    idx = KmerIndex(ref, 8)
+    add_phrase(idx, rng.integers(0, 4, 200).astype(np.uint8))
+    for part in (idx.ref, np.frombuffer(bytes(idx.res), dtype=np.uint8)):
+        hashes, n_free = hash_kmers(part, idx.k)
+        assert idx.may_contain(hashes[n_free]).all()  # every indexed gram
+    queries = rng.integers(0, 4, (4000, idx.k)).astype(np.uint8)
+    qh = np.array([gram_hash(q.tobytes()) for q in queries], dtype=np.uint32)
+    maybe = idx.may_contain(qh)
+    assert 0 < maybe.sum() < len(qh)
+    for q, h, m in zip(queries, qh.tolist(), maybe.tolist()):
+        if not m:
+            assert idx.lookup(h, q.tobytes()) == []

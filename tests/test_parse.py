@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import rlzg.parse
 from rlzg.genome import N, encode_symbols
-from rlzg.kmer import KmerIndex, hash_kmers
+from rlzg.kmer import KmerIndex, common_prefix, hash_kmers
 from rlzg.parse import (
     GAP_LIMIT,
     LITERAL,
@@ -10,14 +11,25 @@ from rlzg.parse import (
     NRUN,
     RESERVOIR,
     Factor,
+    Parse,
     ParseParams,
+    _Diagonals,
     _evaluate,
+    _n_runs,
+    _parse_columns,
     apply_parse,
     choose_factor,
     parse_sequence,
     validate_parse,
 )
 from rlzg.refstore import ReservoirProvenance, append_reservoir_phrase
+from rlzg.synthetic import (
+    apply_indels,
+    apply_n_runs,
+    apply_snps,
+    insert_segments,
+    random_reference,
+)
 
 
 def make_params(**kw):
@@ -36,7 +48,7 @@ def longest_at(idx, seq, pos, params, prev_delta=0):
         return None
     sb = seq.tobytes()
     positions = idx.lookup(int(hashes[pos]), sb[pos : pos + params.m1])
-    best, _ = _evaluate(idx, sb, pos, len(seq), params, prev_delta, positions)
+    best, _ = _evaluate(_Diagonals(idx, seq), pos, params, prev_delta, positions)
     return best
 
 
@@ -241,10 +253,11 @@ def test_short_n_run_stays_literal():
 
 
 class SinkRecorder:
-    def __init__(self, index, seq_index=0):
+    def __init__(self, index, seq_index=0, m3=32):
         self.index = index
         self.prov = ReservoirProvenance()
         self.seq_index = seq_index
+        self.m3 = m3
         self.calls = []
 
     def __call__(self, run, source_pos, hashes, n_free):
@@ -252,7 +265,7 @@ class SinkRecorder:
         want_hashes, want_free = hash_kmers(run, self.index.k)
         assert np.array_equal(hashes, want_hashes) and np.array_equal(n_free, want_free)
         offset = append_reservoir_phrase(
-            self.prov, (self.seq_index, source_pos, len(run)), 32
+            self.prov, (self.seq_index, source_pos, len(run)), self.m3
         )
         self.index.extend_with_reservoir(run, self.index.ref_len + offset, hashes, n_free)
 
@@ -409,3 +422,276 @@ def test_gap_bound_never_exceeded():
             if f.kind in (MATCH, RESERVOIR):
                 assert f.lengths[0] >= params.m1
                 assert all(L >= params.m2 for L in f.lengths[1:])
+
+
+def scalar_extend(index, sb, pos, cand, n, m2):
+    """Oracle for the diagonal windows: one candidate extended by scalar
+    ``common_prefix`` calls.  Reference matches stop at the reference
+    end, reservoir matches at the reservoir's current end."""
+    if cand < index.ref_len:
+        buf, boff = index.ref_bytes, cand
+    else:
+        buf, boff = index.res, cand - index.ref_len
+    room = len(buf) - boff
+    pieces, gaps = [], []
+    sp, bp = pos, 0
+    L = common_prefix(buf, boff, sb, sp, min(n - sp, room))
+    pieces.append(L)
+    sp += L
+    bp += L
+    while len(gaps) < GAP_LIMIT:
+        if sp >= n or bp >= room:
+            break
+        L = common_prefix(buf, boff + bp + 1, sb, sp + 1, min(n - sp - 1, room - bp - 1))
+        if L < m2:
+            break
+        gaps.append(sb[sp])
+        pieces.append(L)
+        sp, bp = sp + 1 + L, bp + 1 + L
+    return tuple(pieces), tuple(gaps)
+
+
+def scalar_parse(index, seq, params, reservoir_sink=None) -> Parse:
+    """Oracle for parse_sequence: the parse loop that hashes every gram
+    of the source up front, looks up every position it visits and
+    extends every candidate with ``scalar_extend``."""
+    s = np.asarray(seq, dtype=np.uint8)
+    n, k, sb = len(s), params.m1, s.tobytes()
+    qhash, qfree = hash_kmers(s, k)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], (s == N).view(np.int8), [0]))))
+    n_run_at = {a: b - a for a, b in zip(edges[0::2].tolist(), edges[1::2].tolist()) if b - a >= k}
+    rows = []
+    pos = lit_start = 0
+    last_match_delta, last_match_window = 0, -1
+
+    def close_literal(upto):
+        nonlocal lit_start
+        if upto > lit_start:
+            rows.append((LITERAL, lit_start, 0, upto - lit_start, 0, 0))
+            if reservoir_sink is not None and upto - lit_start >= params.m3:
+                grams = slice(lit_start, upto - k + 1)
+                reservoir_sink(s[lit_start:upto], lit_start, qhash[grams], qfree[grams])
+        lit_start = upto
+
+    while pos < n:
+        if pos in n_run_at:
+            close_literal(pos)
+            rows.append((NRUN, pos, 0, n_run_at[pos], 0, 0))
+            pos += n_run_at[pos]
+            lit_start = pos
+            continue
+        chosen = None
+        if pos < len(qhash) and qfree[pos]:
+            positions = index.lookup(int(qhash[pos]), sb[pos : pos + k])
+            pred = last_match_delta if pos // params.checkpoint_interval == last_match_window else 0
+            best = cheap = best_key = cheap_key = None
+            for p in positions:
+                pieces, gaps = scalar_extend(index, sb, pos, p, n, params.m2)
+                if p < index.ref_len:
+                    f, absd = Factor(MATCH, p, pieces, gaps), abs(pos - p - pred)
+                else:
+                    f, absd = Factor(RESERVOIR, p - index.ref_len, pieces, gaps), float("inf")
+                key = (-f.advance, absd, p)
+                if best_key is None or key < best_key:
+                    best, best_key = f, key
+                if absd < 64 and (cheap_key is None or key < cheap_key):
+                    cheap, cheap_key = f, key
+            chosen = choose_factor(best, cheap, pred, pos)
+        if chosen is None:
+            pos += 1
+            continue
+        close_literal(pos)
+        rows.append((chosen.kind, pos, chosen.position) + (chosen.lengths + (0, 0))[:3])
+        if chosen.kind == MATCH:
+            last_match_delta = pos - chosen.position
+            last_match_window = pos // params.checkpoint_interval
+        pos += chosen.advance
+        lit_start = pos
+    close_literal(n)
+    return Parse(_parse_columns(s, rows), n)
+
+
+def differential_collection(rng):
+    """A reference with tandem repeats and N stretches, and members with
+    SNPs, indels, N-runs and novel segments, long ones included, drawn
+    from a pool they share."""
+    ref = random_reference(rng, int(rng.integers(3000, 20000)))
+    for _ in range(3):
+        at, unit = int(rng.integers(0, len(ref) - 600)), int(rng.integers(1, 8))
+        ref[at : at + 600] = np.tile(ref[at : at + unit], -(-600 // unit))[:600]
+    ref = apply_n_runs(rng, ref, int(rng.integers(0, 3)), 60)
+    pool = [random_reference(rng, int(L)) for L in rng.choice([20, 40, 90, 700, 3000], 5)]
+    novel = random_reference(rng, 1500)
+    forced = [
+        # an N-run amid novel symbols, where the parser skips ahead
+        np.concatenate([novel[:300], np.full(30, N, dtype=np.uint8), novel[300:700]]),
+        # a phrase that enters the reservoir and recurs in the same
+        # hashed window, after the match that closed its run
+        np.concatenate([novel, ref[100:300], novel]),
+    ]
+    members = []
+    for i in range(3):
+        m = apply_snps(rng, ref, float(rng.choice([0.0, 0.001, 0.01, 0.04])))
+        m = apply_indels(rng, m, int(rng.integers(0, 6)))
+        segments = [pool[j] for j in rng.integers(0, len(pool), 3)]
+        m = insert_segments(rng, m, segments + (forced if i == 0 else []))
+        members.append(apply_n_runs(rng, m, int(rng.integers(0, 4)), 80))
+    return ref, members
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_matches_scalar_parse(seed):
+    rng = np.random.default_rng(500 + seed)
+    ref, members = differential_collection(rng)
+    m1 = int(rng.choice([8, 13, 20]))
+    params = make_params(
+        m1=m1,
+        m2=int(rng.integers(2, 6)),
+        m3=m1 + int(rng.choice([0, 19, 60])),
+        candidate_cap=int(rng.choice([2, 4, 128])),
+        checkpoint_interval=int(rng.choice([64, 8192])),
+    )
+    sides = []
+    for parse_fn in (parse_sequence, scalar_parse):
+        idx = KmerIndex(ref, params.m1, params.candidate_cap)
+        sink = SinkRecorder(idx, m3=params.m3)
+        parses = []
+        for i, m in enumerate(members):
+            sink.seq_index = i
+            parses.append(parse_fn(idx, m, params, sink))
+        sides.append((parses, sink.calls, idx))
+    (got, got_calls, idx), (want, want_calls, _) = sides
+    assert got_calls == want_calls
+    for g, w, m in zip(got, want, members):
+        for name in ("kind", "start", "advance", "position", "pieces", "lit_off", "lits"):
+            assert np.array_equal(getattr(g.columns, name), getattr(w.columns, name)), name
+        res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
+        assert np.array_equal(apply_parse(g, ref, res), m)
+    kinds = np.concatenate([g.columns.kind for g in got])
+    assert {LITERAL, MATCH} <= set(kinds.tolist())
+
+
+def test_differential_collections_reach_every_case():
+    """The differential's collections produce reservoir matches, N-runs,
+    capped lookups and literal runs long enough for hashed windows that
+    double."""
+    kinds, capped, longest = set(), 0, 0
+    for seed in range(8):
+        rng = np.random.default_rng(500 + seed)
+        ref, members = differential_collection(rng)
+        params = make_params(candidate_cap=2)
+        idx = KmerIndex(ref, params.m1, params.candidate_cap)
+        sizes = []
+        lookup = idx.lookup
+
+        def counted(h, gram):
+            out = lookup(h, gram)
+            sizes.append(len(out))
+            return out
+
+        idx.lookup = counted
+        sink = SinkRecorder(idx)
+        for i, m in enumerate(members):
+            sink.seq_index = i
+            c = parse_sequence(idx, m, params, sink).columns
+            kinds |= set(c.kind.tolist())
+            longest = max([longest] + c.pieces[c.kind == LITERAL, 0].tolist())
+        capped += sizes.count(params.candidate_cap)
+    assert kinds == {LITERAL, MATCH, NRUN, RESERVOIR}
+    assert capped and longest > 2 * rlzg.parse._MIN_HASH_WINDOW
+
+
+def test_n_runs_are_maximal_runs():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        s = rng.integers(0, 4, int(rng.integers(0, 80))).astype(np.uint8)
+        s[rng.random(len(s)) < rng.random()] = N
+        min_len = int(rng.integers(1, 6))
+        want, run = {}, None
+        for i, c in enumerate(s.tolist() + [0]):
+            if c == N and run is None:
+                run = i
+            elif c != N and run is not None:
+                if i - run >= min_len:
+                    want[run] = i - run
+                run = None
+        assert _n_runs(s, min_len) == want
+
+
+def test_extension_across_window_refills_matches_oracle():
+    rng = np.random.default_rng(43)
+    params = make_params()
+    ref = random_reference(rng, 150_000)
+    seq = ref.copy()
+    for at in (66_000, 140_000, 140_010, 140_500):
+        seq[at] = (seq[at] + 1) % 4
+    seq[145_000:145_040] = random_reference(rng, 40)
+    idx = KmerIndex(ref, params.m1)
+    diagonals = _Diagonals(idx, seq)
+    pos = 0
+    while pos < len(seq):
+        # the parser's order: one factor after another along the diagonal
+        want = brute_force_extend(ref, seq, pos, pos, params)
+        got = diagonals.extend(pos, pos, params.m2)
+        assert got == want, pos
+        pos += sum(got[0]) + len(got[1]) + 1
+    first = brute_force_extend(ref, seq, 0, 0, params)[0]
+    assert first == (66_000, 140_000 - 66_001, 9)  # two pieces past 64 Ki
+    assert len(diagonals.windows) == 1
+
+
+def test_extension_on_random_diagonals_matches_oracle():
+    rng = np.random.default_rng(44)
+    params = make_params(m1=6, m2=2)
+    ref = random_reference(rng, 3000)
+    ref[1000:1400] = np.tile(ref[1000:1003], 134)[:400]
+    seq = apply_snps(rng, ref, 0.02)
+    idx = KmerIndex(ref, params.m1)
+    diagonals = _Diagonals(idx, seq)
+    for pos in sorted(rng.integers(0, len(seq), 300).tolist()):
+        for d in (0, 1, -3, 2):
+            if 0 <= pos + d < len(ref):
+                want = brute_force_extend(ref, seq, pos, pos + d, params)
+                assert diagonals.extend(pos, pos + d, params.m2) == want
+
+
+def test_reservoir_diagonal_filled_before_the_reservoir_grew():
+    rng = np.random.default_rng(45)
+    params = make_params()
+    idx = KmerIndex(random_reference(rng, 1000), params.m1)
+    first, second = random_reference(rng, 300), random_reference(rng, 400)
+    seq = np.concatenate([first, second, random_reference(rng, 100)])
+    seq[450] = (seq[450] + 1) % 4
+    idx.extend_with_reservoir(first, idx.ext_len, *hash_kmers(first, params.m1))
+    diagonals = _Diagonals(idx, seq)
+    res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
+    # the reservoir ends where ``first`` does: so does the match
+    got = diagonals.extend(0, idx.ref_len, params.m2)
+    assert got == brute_force_extend(res, seq, 0, 0, params) == ((300,), ())
+    diagonals.release()  # as parse_sequence does before a sink call
+    idx.extend_with_reservoir(second, idx.ext_len, *hash_kmers(second, params.m1))
+    res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
+    got = diagonals.extend(100, idx.ref_len + 100, params.m2)
+    assert got == brute_force_extend(res, seq, 100, 100, params) == ((350, 249), (int(seq[450]),))
+
+
+def test_parse_hashes_only_what_it_probes(monkeypatch):
+    """A member close to its reference is parsed with hashed windows
+    covering under a tenth of it: no whole-member hashing."""
+    rng = np.random.default_rng(46)
+    params = make_params()
+    ref = random_reference(rng, 200_000)
+    seq = apply_snps(rng, ref, 0.001)
+    idx = KmerIndex(ref, params.m1)
+    hashed = []
+    real = rlzg.parse.hash_kmers
+
+    def counting(symbols, k):
+        out = real(symbols, k)
+        hashed.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(rlzg.parse, "hash_kmers", counting)
+    parse = parse_sequence(idx, seq, params)
+    assert np.array_equal(apply_parse(parse, ref), seq)
+    assert sum(hashed) < 0.1 * len(seq)

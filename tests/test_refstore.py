@@ -10,6 +10,7 @@ from rlzg.refstore import (
     append_reservoir_phrase,
     decode_reference_range,
     encode_reference,
+    pack_reference,
     packed_block_counts,
     range_payload_bytes,
     resolve_reservoir_range,
@@ -18,8 +19,9 @@ from rlzg.refstore import (
 
 def encode(symbols):
     """encode_reference with the table compress builds for one reference."""
-    table = HuffmanTable.from_counts(_placeholder(packed_block_counts(symbols)))
-    return encode_reference(symbols, table)
+    packed = pack_reference(symbols)
+    table = HuffmanTable.from_counts(_placeholder(packed_block_counts(packed)))
+    return encode_reference(packed, table)
 
 
 def random_ref(rng, n, n_run_prob=0.0):
