@@ -424,10 +424,9 @@ class Archive:
             if required not in sections:
                 raise CorruptArchiveError(f"missing archive section {required}")
 
-        digest = hashlib.blake2b(
-            sections[_SEC_REFPAYLOAD] + sections[_SEC_STREAMPAYLOAD], digest_size=8
-        ).digest()
-        if digest != sections[_SEC_CHECKSUM]:
+        digest = hashlib.blake2b(sections[_SEC_REFPAYLOAD], digest_size=8)
+        digest.update(sections[_SEC_STREAMPAYLOAD])
+        if digest.digest() != sections[_SEC_CHECKSUM]:
             raise CorruptArchiveError("payload checksum mismatch")
 
         body = sections[_SEC_PARAMS]

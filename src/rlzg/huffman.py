@@ -2,7 +2,9 @@
 
 Tables are fully determined by their code lengths (max 15 bits), which
 package-merge builds optimal under that cap, and serialize as 128
-bytes, two 4-bit lengths per byte.  Bitstreams are MSB-first within
+bytes, two 4-bit lengths per byte.  Codes and decode tables come from
+one stable sort of the lengths (Moffat & Turpin 1997), the decode
+tables on a table's first decode.  Bitstreams are MSB-first within
 bytes.  There is one encoder and one decoder, both vectorized so they
 run at numpy speed rather than per-symbol Python speed:
 :func:`pack_codes` scatters the code bits of whole segments at once,
@@ -40,18 +42,14 @@ def _package_merge_lengths(counts: np.ndarray, maxlen: int) -> np.ndarray:
     return lengths
 
 
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    codes = np.zeros(256, dtype=np.uint16)
-    syms = np.flatnonzero(lengths)
-    order = sorted(syms, key=lambda s: (lengths[s], s))
-    code = 0
-    prev = int(lengths[order[0]])
-    for s in order:
-        code <<= int(lengths[s]) - prev
-        prev = int(lengths[s])
-        codes[s] = code
-        code += 1
-    return codes
+def _canonical_spans(lengths: np.ndarray):
+    """The coded symbols in canonical order (by length, then symbol), their
+    lengths, and each code's span in the 15-bit window space: it starts at
+    the running sum of 2^(15 - length) over the symbols before it."""
+    syms = np.argsort(lengths, kind="stable")[np.count_nonzero(lengths == 0) :]
+    lens = lengths[syms].astype(np.int64)
+    width = 1 << (MAX_CODE_LEN - lens)
+    return syms, lens, width, np.cumsum(width) - width
 
 
 def _placeholder(counts: np.ndarray) -> np.ndarray:
@@ -71,7 +69,9 @@ class HuffmanTable:
 
     def __init__(self, lengths: np.ndarray):
         self.lengths = np.asarray(lengths, dtype=np.uint8)
-        self.codes = _canonical_codes(self.lengths)
+        syms, lens, _, start = _canonical_spans(self.lengths)
+        self.codes = np.zeros(256, dtype=np.uint16)
+        self.codes[syms] = start >> (MAX_CODE_LEN - lens)
         self.max_code_len = int(self.lengths.max())
         self._dec = None
 
@@ -125,15 +125,13 @@ class HuffmanTable:
         return cls.from_lengths(lengths)
 
     def _decode_tables(self):
+        """Symbol and code length per 15-bit window (-1 and 0 past the
+        Kraft sum), built on first use."""
         if self._dec is None:
-            dsym = np.full(_NWIN, -1, dtype=np.int16)
-            dlen = np.zeros(_NWIN, dtype=np.uint8)
-            for s in np.flatnonzero(self.lengths):
-                ln = int(self.lengths[s])
-                lo = int(self.codes[s]) << (MAX_CODE_LEN - ln)
-                hi = lo + (1 << (MAX_CODE_LEN - ln))
-                dsym[lo:hi] = s
-                dlen[lo:hi] = ln
+            syms, lens, width, _ = _canonical_spans(self.lengths)
+            spans = np.append(width, _NWIN - width.sum())
+            dsym = np.repeat(np.append(syms, -1).astype(np.int16), spans)
+            dlen = np.repeat(np.append(lens, 0).astype(np.uint8), spans)
             self._dec = (dsym, dlen)
         return self._dec
 
@@ -216,9 +214,9 @@ def follow_chains(
     chain runs off the table.
 
     Two strategies with the same result: jump doubling costs
-    O(log(maxcount) * len(jump)), a lockstep walk over all chains costs
-    O(maxcount) vector steps of len(chains); the cheaper one is picked
-    per call (many short chains -> lockstep, one long chain -> doubling).
+    O(log(maxcount)) rounds over the whole jump table, a lockstep walk
+    O(maxcount) vector steps over the chains; each is priced with its fixed
+    numpy work per round or step, and the cheaper one is picked per call.
     """
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
     bounds[1:] = np.cumsum(counts)
@@ -230,7 +228,7 @@ def follow_chains(
     if maxcount <= 1:
         return out_pos, bounds
 
-    doubling_cost = max(maxcount.bit_length(), 1) * len(jump)
+    doubling_cost = maxcount.bit_length() * (1000 + len(jump))
     lockstep_cost = maxcount * (400 + len(counts))
     if lockstep_cost <= doubling_cost:
         cur = starts.astype(np.int64).copy()

@@ -259,6 +259,19 @@ def test_extract_bounded_work():
     assert bytes_read < stats["total_bytes"] / 20
 
 
+def test_open_builds_decode_tables_on_first_use():
+    # a one-shot extract pays only for the tables its ranges decode through
+    rng = np.random.default_rng(71)
+    ref = random_reference(rng, 30_000)
+    coll = Collection([Sequence("ref", ref), Sequence("m", apply_snps(rng, ref, 0.01))], 0)
+    arc = Archive.from_bytes(compress(coll).to_bytes())
+    models = arc.models.tables()
+    assert all(t._dec is None for t in [arc.ref_table, *models])
+    assert np.array_equal(arc.extract("ref", 1000, 2000), ref[1000:2000])
+    assert arc.ref_table._dec is not None
+    assert all(t._dec is None for t in models)
+
+
 def test_extract_errors():
     rng = np.random.default_rng(69)
     coll = make_collection(rng, ref_len=3000, n_derived=1)

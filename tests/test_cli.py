@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rlzg.archive import compress
+from rlzg.archive import Archive, compress
 from rlzg.cli import main
 from rlzg.genome import Collection, Sequence, parse_fasta, write_fasta
+from rlzg.parse import MATCH
 from rlzg.synthetic import apply_snps, random_reference
 
 
@@ -76,6 +77,31 @@ def test_extract_equals_slice(fasta_dir, tmp_path, capsys):
     assert rec.name == "b:100:200"
     (full,) = parse_fasta((fasta_dir / "b.fa").read_bytes())
     assert np.array_equal(rec.data, full.data[100:200])
+
+
+def test_extract_on_a_fresh_archive_through_escapes(tmp_path, capsys):
+    # the member opens with a 2,000-base match 20,000 bases away from its
+    # start: window 0 holds an offset escape and a length escape, whose
+    # tables a one-shot extract builds on first use
+    rng = np.random.default_rng(81)
+    ref = random_reference(rng, 30_000)
+    member = np.concatenate([ref[20_000:22_000], apply_snps(rng, ref[:20_000], 0.005)])
+    for name, data in (("chr1", ref), ("m", member)):
+        (tmp_path / f"{name}.fa").write_bytes(write_fasta(Sequence(name, data)))
+    arc = tmp_path / "out.rlzg"
+    args = ["compress", "--ref", str(tmp_path / "chr1.fa"), str(tmp_path / "m.fa")]
+    assert main(args + ["-o", str(arc)]) == 0
+    loaded = Archive.load(arc)
+    window0 = [(start, f) for start, f in loaded.iter_factors("m") if start < 8192]
+    assert any(
+        f.kind == MATCH and max(f.lengths) > 255 and abs(start - f.position) > 125
+        for start, f in window0
+    )
+    capsys.readouterr()
+    for name, lo, hi, want in (("chr1", 9_000, 9_500, ref), ("m", 1_500, 2_600, member)):
+        assert main(["extract", str(arc), "--seq", name, "--range", f"{lo}:{hi}"]) == 0
+        (rec,) = parse_fasta(capsys.readouterr().out.encode())
+        assert np.array_equal(rec.data, want[lo:hi])
 
 
 def test_compress_missing_input_exits_3(tmp_path, capsys):

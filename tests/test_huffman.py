@@ -267,6 +267,97 @@ def test_deserialize_rejects_kraft_violation():
         HuffmanTable.deserialize(table.serialize())
 
 
+def scalar_canonical_codes(lengths: np.ndarray) -> np.ndarray:
+    """Canonical codes assigned one symbol at a time in (length, symbol)
+    order: the oracle for :attr:`HuffmanTable.codes`."""
+    codes = np.zeros(256, dtype=np.uint16)
+    syms = np.flatnonzero(lengths)
+    order = sorted(syms, key=lambda s: (lengths[s], s))
+    code = 0
+    prev = int(lengths[order[0]])
+    for s in order:
+        code <<= int(lengths[s]) - prev
+        prev = int(lengths[s])
+        codes[s] = code
+        code += 1
+    return codes
+
+
+def scalar_decode_tables(lengths: np.ndarray, codes: np.ndarray):
+    """Each code's span of 15-bit windows filled one symbol at a time:
+    the oracle for ``HuffmanTable._decode_tables``."""
+    dsym = np.full(1 << MAX_CODE_LEN, -1, dtype=np.int16)
+    dlen = np.zeros(1 << MAX_CODE_LEN, dtype=np.uint8)
+    for s in np.flatnonzero(lengths):
+        ln = int(lengths[s])
+        lo = int(codes[s]) << (MAX_CODE_LEN - ln)
+        hi = lo + (1 << (MAX_CODE_LEN - ln))
+        dsym[lo:hi] = s
+        dlen[lo:hi] = ln
+    return dsym, dlen
+
+
+def kraft_tight_lengths(rng, n_leaves: int, deepest: bool) -> np.ndarray:
+    """Code lengths of a random full binary tree of ``n_leaves`` leaves
+    at most 15 deep, on random symbols.  ``deepest`` always splits the
+    deepest leaf that may split, which reaches length 15 early."""
+    depths = [1, 1]
+    while len(depths) < n_leaves:
+        free = [i for i, d in enumerate(depths) if d < MAX_CODE_LEN]
+        i = max(free, key=lambda j: depths[j]) if deepest else free[rng.integers(len(free))]
+        d = depths.pop(i)
+        depths += [d + 1, d + 1]
+    lengths = np.zeros(256, dtype=np.uint8)
+    lengths[rng.choice(256, n_leaves, replace=False)] = depths
+    return lengths
+
+
+def oracle_tables() -> list[np.ndarray]:
+    rng = np.random.default_rng(43)
+    lone = np.zeros(256, dtype=np.uint8)
+    lone[200] = 1
+    ladder = np.zeros(256, dtype=np.uint8)
+    ladder[:16] = list(range(1, 16)) + [15]  # lengths 1..15, then 15 again
+    cases = [lone, np.full(256, 8, dtype=np.uint8), ladder]
+    for n in (2, 3, 17, 100, 255, 256):
+        cases += [kraft_tight_lengths(rng, n, deepest) for deepest in (False, True)]
+    cases += [
+        kraft_tight_lengths(rng, int(rng.integers(2, 257)), bool(rng.integers(2)))
+        for _ in range(40)
+    ]
+    return cases
+
+
+def test_tables_match_the_per_symbol_oracle():
+    cases = oracle_tables()
+    assert any(c.max() == MAX_CODE_LEN for c in cases)
+    assert any(np.count_nonzero(c) == 256 for c in cases)
+    for lengths in cases:
+        table = HuffmanTable.from_lengths(lengths)  # the cases are valid tables
+        want_codes = scalar_canonical_codes(lengths)
+        assert np.array_equal(table.codes, want_codes)
+        want_sym, want_len = scalar_decode_tables(lengths, want_codes)
+        dsym, dlen = table._decode_tables()
+        assert dsym.dtype == want_sym.dtype and dlen.dtype == want_len.dtype
+        assert np.array_equal(dsym, want_sym)
+        assert np.array_equal(dlen, want_len)
+
+
+def test_every_window_decodes_to_the_code_that_prefixes_it():
+    window = np.arange(1 << MAX_CODE_LEN)
+    for lengths in oracle_tables():
+        table = HuffmanTable.from_lengths(lengths)
+        dsym, dlen = table._decode_tables()
+        hit = dsym >= 0
+        sym, ln = dsym[hit], dlen[hit].astype(np.int64)
+        assert np.array_equal(ln, table.lengths[sym])
+        assert np.array_equal(window[hit] >> (MAX_CODE_LEN - ln), table.codes[sym])
+        # only a lone symbol's one-bit code leaves windows that start no code
+        lone = np.count_nonzero(lengths) == 1
+        assert np.count_nonzero(~hit) == (1 << (MAX_CODE_LEN - 1) if lone else 0)
+        assert not dlen[~hit].any()
+
+
 def test_canonical_determinism():
     counts = counts_from({10: 5, 20: 5, 30: 5, 40: 7})
     t1 = HuffmanTable.from_counts(counts)
@@ -302,30 +393,38 @@ def test_decode_chains_many_small_windows():
     assert np.array_equal(vals, data)
 
 
+def walk_chains(jump, starts, counts) -> np.ndarray:
+    """One chain at a time, one step at a time: the oracle for
+    :func:`follow_chains`."""
+    out = []
+    for p, n in zip(starts.tolist(), counts.tolist()):
+        for _ in range(n):
+            out.append(p)
+            p = int(jump[p])
+    return np.array(out, dtype=np.int64)
+
+
 def test_follow_chains_strategies_agree():
     from rlzg.huffman import follow_chains
 
     rng = np.random.default_rng(31)
-    for _ in range(50):
-        size = int(rng.integers(2, 400))
+    # short tables with chains of up to 49 records mostly take jump
+    # doubling; 1-4-record chains over thousands of positions, the shape
+    # of a checkpoint window's chains, walk in lockstep
+    shapes = [(2, 400, 0, 50)] * 50 + [(1000, 8000, 1, 5)] * 50
+    for lo, hi, min_count, max_count in shapes:
+        size = int(rng.integers(lo, hi))
         jump = np.minimum(
             np.arange(size, dtype=np.int64) + rng.integers(1, 9, size), size
         )
         jump = np.append(jump, size)  # sentinel
         n_chains = int(rng.integers(1, 12))
         starts = rng.integers(0, size, n_chains)
-        counts = rng.integers(0, 50, n_chains)
-        # lockstep walk
-        want = np.empty(int(counts.sum()), dtype=np.int64)
-        base = np.concatenate([[0], np.cumsum(counts)])
-        for c in range(n_chains):
-            p = int(starts[c])
-            for j in range(int(counts[c])):
-                want[base[c] + j] = p
-                p = int(jump[p])
+        starts[0] = size - 1  # a chain that runs off the table
+        counts = rng.integers(min_count, max_count, n_chains)
         got, bounds = follow_chains(jump, starts.astype(np.int64), counts.astype(np.int64))
-        assert np.array_equal(got, want)
-        assert np.array_equal(bounds, base)
+        assert np.array_equal(got, walk_chains(jump, starts, counts))
+        assert np.array_equal(bounds, np.concatenate([[0], np.cumsum(counts)]))
 
 
 def test_decode_mid_byte_start():
