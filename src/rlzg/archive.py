@@ -358,9 +358,8 @@ class Archive:
                 _write_varint(prov, length)
 
         models = self.ref_table.serialize() + self.models.serialize()
-        checksum = hashlib.blake2b(
-            bytes(ref_payload) + bytes(stream_payload), digest_size=8
-        ).digest()
+        checksum = hashlib.blake2b(ref_payload, digest_size=8)
+        checksum.update(stream_payload)
 
         params = self.params
         params_body = struct.pack(
@@ -378,12 +377,12 @@ class Archive:
 
         sections = [
             (_SEC_PARAMS, params_body),
-            (_SEC_CHECKSUM, checksum),
+            (_SEC_CHECKSUM, checksum.digest()),
             (_SEC_MODELS, models),
-            (_SEC_SEQTABLE, bytes(seqtable)),
-            (_SEC_PROVENANCE, bytes(prov)),
-            (_SEC_REFPAYLOAD, bytes(ref_payload)),
-            (_SEC_STREAMPAYLOAD, bytes(stream_payload)),
+            (_SEC_SEQTABLE, seqtable),
+            (_SEC_PROVENANCE, prov),
+            (_SEC_REFPAYLOAD, ref_payload),
+            (_SEC_STREAMPAYLOAD, stream_payload),
         ]
         out = bytearray()
         out.extend(MAGIC)

@@ -7,11 +7,12 @@ one stable sort of the lengths (Moffat & Turpin 1997), the decode
 tables on a table's first decode.  Bitstreams are MSB-first within
 bytes.  There is one encoder and one decoder, both vectorized so they
 run at numpy speed rather than per-symbol Python speed:
-:func:`pack_codes` scatters the code bits of whole segments at once,
-each segment flushed to a byte boundary, and :func:`decode_chains`
-follows the codeword chains of many segments together with jump-table
-doubling.  A chain's records may carry escapes: four codewords of a
-second table after a marked first codeword.
+:func:`pack_codes` places whole codewords with one scatter-add, each
+segment flushed to a byte boundary, and :func:`decode_chains`
+follows the codeword chains of many segments through one jump table,
+in lockstep or by jump doubling (:func:`follow_chains`).  A chain's
+records may carry escapes: four codewords of a second table after a
+marked first codeword.
 """
 from __future__ import annotations
 
@@ -65,14 +66,13 @@ def _placeholder(counts: np.ndarray) -> np.ndarray:
 class HuffmanTable:
     """Canonical Huffman code, immutable once built."""
 
-    __slots__ = ("lengths", "codes", "max_code_len", "_dec")
+    __slots__ = ("lengths", "codes", "_dec")
 
     def __init__(self, lengths: np.ndarray):
         self.lengths = np.asarray(lengths, dtype=np.uint8)
         syms, lens, _, start = _canonical_spans(self.lengths)
         self.codes = np.zeros(256, dtype=np.uint16)
         self.codes[syms] = start >> (MAX_CODE_LEN - lens)
-        self.max_code_len = int(self.lengths.max())
         self._dec = None
 
     @classmethod
@@ -173,15 +173,14 @@ def pack_codes(lens: np.ndarray, codes: np.ndarray, seg_sizes) -> tuple[bytes, n
     off[1:] = np.cumsum((seg_bits + 7) >> 3)
     if n == 0:
         return b"", off
-    rel = cum[:-1] - np.repeat(cum[seg_start], seg_sizes)
-    gstart = rel + np.repeat(off[:-1] * 8, seg_sizes)
-    bits = np.zeros(int(off[-1]) * 8, dtype=np.uint8)
-    lens16 = lens.astype(np.int16)
-    codes16 = codes.astype(np.uint16)
-    for b in range(int(lens.max())):
-        m = lens16 > b
-        bits[gstart[m] + b] = (codes16[m] >> (lens16[m] - 1 - b)).astype(np.uint8) & 1
-    return np.packbits(bits).tobytes(), off
+    at = cum[:-1] + np.repeat(off[:-1] * 8 - cum[seg_start], seg_sizes)
+    # a codeword of at most 15 bits from bit `at` lies in the 24 bits from
+    # byte at >> 3; codewords share no bit, so these sums act as ORs
+    word = codes.astype(np.int64) << (24 - (at & 7) - lens)
+    s = np.bincount(at >> 3, word, int(off[-1])).astype(np.int64)
+    s[1:] += (s[:-1] << 8) & 0xFF0000  # middle bytes of the words one byte back
+    s[2:] += (s[:-2] & 0xFF) << 16  # low bytes of the words two bytes back
+    return (s >> 16).astype(np.uint8).tobytes(), off
 
 
 def bit_windows(seg: np.ndarray) -> np.ndarray:
@@ -217,6 +216,8 @@ def follow_chains(
     O(log(maxcount)) rounds over the whole jump table, a lockstep walk
     O(maxcount) vector steps over the chains; each is priced with its fixed
     numpy work per round or step, and the cheaper one is picked per call.
+    Neither alone will do: lockstep walks one reference block in ~2,700
+    steps, and doubling takes twice as long over a whole reference.
     """
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
     bounds[1:] = np.cumsum(counts)
@@ -278,10 +279,11 @@ def decode_chains(
     bit positions, ``counts`` the number of records per chain.  Returns
     (record values, record boundaries per chain, escape integers), the
     last as int64 with 0 for unescaped records, or None without
-    ``escape``.  The heavy lifting (per-bit-position jump table plus
-    jump doubling) is shared across all chains, which is what makes many
-    small checkpointed windows cheap to decode.  An invalid codeword, or
-    a chain whose last codeword runs past the buffer, raises
+    ``escape``.  The heavy lifting (one jump table over every bit from
+    the first chain's byte to the end of ``buf``, then one
+    :func:`follow_chains` walk) is shared across all chains; callers pass
+    a buffer that ends at their last chain's last byte.  An invalid
+    codeword, or a chain whose last codeword runs past the buffer, raises
     :class:`CorruptArchiveError`.
     """
     buf = np.asarray(buf, dtype=np.uint8)
@@ -298,13 +300,8 @@ def decode_chains(
     if (starts < 0).any() or (starts > len(buf) * 8).any():
         raise CorruptArchiveError("stream offset outside payload")
 
-    rec_bits = max(table.max_code_len, 1)
-    if escape is not None:
-        rec_bits += 4 * escape[0].max_code_len
     lo_byte = int(starts.min()) >> 3
-    hi_bit = int((starts + counts * rec_bits).max())
-    hi_byte = min(len(buf), ((hi_bit + 7) >> 3) + 1)
-    seg = buf[lo_byte:hi_byte]
+    seg = buf[lo_byte:]
     nbits = len(seg) * 8
     local = starts - lo_byte * 8
 

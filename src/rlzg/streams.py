@@ -417,7 +417,9 @@ class SequenceDecoder:
         self._ends = np.append(coded.start_source[1:], coded.length)
         self._start_list = coded.start_source.tolist()
         self._end_list = self._ends.tolist()
-        self._cache: dict[int, FactorColumns] = {}  # window -> its columns
+        # window -> its columns; extracts revisit windows, and without the
+        # cache the benchmark's shared_novel extract p99 rises about threefold
+        self._cache: dict[int, FactorColumns] = {}
         self._local = threading.local()
 
     @property

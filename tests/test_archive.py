@@ -2,6 +2,7 @@ import hashlib
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ from rlzg.archive import (
     _write_varint,
     matching_groups,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import corpus  # noqa: E402
 
 
 def roundtrip(collection, params=None):
@@ -439,6 +445,25 @@ def test_archive_bytes_pinned():
     assert hashlib.sha256(arc.to_bytes()).hexdigest() == (
         "9affb9fe553f6304d275cce20a0aec77d16d02ae196c5cb8ebe41b975df02ee4"
     )
+
+
+@pytest.mark.parametrize(
+    "workload, size, digest",
+    [
+        ("mixed", 33_852, "c49d9177b7123c38ec8f06e3d60e2fee0df7b2afe4e6e09e76ba174902334df2"),
+        ("low_snp", 28_648, "47bdbb73c41a35a0f457b37668f211d66a49020720767622c63618afb6e13da8"),
+        ("shared_novel", 23_995, "c7b94d6fbe0f2ba3808c5152ccde4b8589ac13b76e73b9aee2ed230c255bdad2"),
+    ],
+)
+def test_benchmark_corpus_bytes_pinned(workload, size, digest):
+    """The benchmark's workloads (``perfbench/corpus.py``, seed 1, at a
+    twentieth of their size) compress to these bytes.  A change that
+    moves them changes what the benchmark's size figures measure, so it
+    must update the pins and say why."""
+    c = corpus.make_corpus(workload, 1, 0.05)
+    coll = Collection([Sequence(n, a) for n, a in zip(c.names, c.arrays)], 0)
+    data = compress(coll).to_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_empty_and_tiny_sequences():

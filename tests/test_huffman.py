@@ -130,14 +130,20 @@ def test_independent_tree_oracle_large_alphabet():
     assert got_bits == oracle_bits
 
 
-def test_length_cap_on_fibonacci_counts():
-    # Fibonacci-ish counts force an unconstrained depth > 15
+def fibonacci(n: int) -> list[int]:
+    """The first ``n`` Fibonacci numbers: as counts they force an
+    unconstrained Huffman depth above 15 once ``n`` passes 16."""
     fib = [1, 1]
-    while len(fib) < 24:
+    while len(fib) < n:
         fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+def test_length_cap_on_fibonacci_counts():
+    fib = fibonacci(24)
     counts = counts_from(dict(enumerate(fib)))
     table = HuffmanTable.from_counts(counts)
-    assert table.max_code_len <= MAX_CODE_LEN
+    assert int(table.lengths.max()) <= MAX_CODE_LEN
     nz = table.lengths[table.lengths > 0].astype(np.int64)
     assert int(np.sum(1 << (15 - nz))) == 1 << 15  # Kraft equality holds
     data = np.repeat(np.arange(24, dtype=np.uint8), fib)
@@ -184,11 +190,33 @@ def test_roundtrip_property(raw):
     assert np.array_equal(roundtrip(data, table), data)
 
 
-def test_vectorized_encoder_matches_bit_writer():
+def _encoder_cases():
+    """(table, values, segment sizes, longest codeword the values use)."""
     rng = np.random.default_rng(9)
-    data = (rng.integers(0, 256, 700) ** 2 % 256).astype(np.uint8)
-    table = HuffmanTable.from_counts(np.bincount(data, minlength=256))
-    sizes = [300, 0, 1, 399]
+    squares = (rng.integers(0, 256, 700) ** 2 % 256).astype(np.uint8)
+    fib = HuffmanTable.from_counts(counts_from(dict(enumerate(fibonacci(24)))))
+    sixteen = HuffmanTable.from_counts(counts_from({i: 1 for i in range(16)}))
+    zero_first = HuffmanTable.from_counts(counts_from({0: 12, 1: 2, 2: 1, 3: 1}))
+    return {
+        "random": (
+            HuffmanTable.from_counts(np.bincount(squares, minlength=256)),
+            squares, [300, 0, 1, 399], 7,
+        ),
+        "lone-symbol": (HuffmanTable.from_counts(counts_from({7: 1})), [7] * 21, [5, 8, 0, 8], 1),
+        "15-bit": (fib, rng.permutation(np.repeat(np.arange(24), 3)), [30, 0, 42], 15),
+        # symbol 0 holds the all-zero codeword: a segment of it is all zero bytes
+        "zero-values": (zero_first, [0] * 17 + [1, 0, 2, 3, 0], [17, 5], 3),
+        "all-empty": (fib, [], [0, 0, 0], 0),
+        # 4-bit codes: the first three segments end on byte boundaries
+        "byte-boundary": (sixteen, rng.permutation(16), [2, 4, 1, 9], 4),
+    }
+
+
+@pytest.mark.parametrize("case", list(_encoder_cases()))
+def test_vectorized_encoder_matches_bit_writer(case):
+    table, data, sizes, longest = _encoder_cases()[case]
+    data = np.asarray(data, dtype=np.uint8)
+    assert int(table.lengths[data].max(initial=0)) == longest
     payload, off = pack_codes(table.lengths[data], table.codes[data], sizes)
     w_slow = BitWriter()
     slow_off = [0]
