@@ -34,7 +34,9 @@ def _build_encode_table() -> bytes:
 
 
 _ENCODE = _build_encode_table()
+_INVALID_BYTE = bytes([_INVALID])
 _DECODE = np.frombuffer(ALPHABET, dtype=np.uint8)
+_LETTERS = bytes.maketrans(bytes(range(ALPHABET_SIZE)), ALPHABET)  # codes to letters
 
 
 @dataclass(eq=False)
@@ -121,13 +123,70 @@ def _bad_byte_position(line: bytes, lineno: int) -> str:
 def parse_fasta(data: bytes) -> list[Sequence]:
     """Parse FASTA text into normalized sequences.
 
-    Line breaks are stripped, blank lines ignored.  Raises
-    :class:`FastaError` on empty input, a header with no name, sequence
-    data before the first header, or any non-letter byte in a sequence
-    line (position reported).
+    Line breaks are stripped, blank lines ignored, and so is whitespace
+    around a line.  Raises :class:`FastaError` on empty input, a header
+    with no name, an undecodable header or one holding a control byte,
+    sequence data before the first header, or any non-letter byte in a
+    sequence line (position reported).
+
+    Input that is only letters and LF or CRLF line breaks under ``>``
+    headers is parsed a whole record at a time; anything else (padded
+    lines, CR-only breaks, whitespace before ``>``, stray bytes) goes
+    line by line, which also finds the line and column of an error.
     """
     if isinstance(data, str):
         data = data.encode()
+    records = _parse_records(data)
+    if records is None:
+        records = _parse_lines(data)
+    if not records:
+        raise FastaError("no FASTA records in input")
+    return records
+
+
+def _header_problem(header: bytes) -> str | None:
+    """What is wrong with a stripped header (``>`` removed), or None."""
+    if not header:
+        return "header with no name"
+    try:
+        header.decode("utf-8")
+    except UnicodeDecodeError:
+        return "undecodable header"
+    if min(header) < 0x20:
+        return "control byte in header"
+    return None
+
+
+def _parse_records(data: bytes) -> list[Sequence] | None:
+    """Whole-record pass: each record body becomes codes in one
+    ``translate`` that also deletes its line breaks.  None when the text
+    is not letters and line breaks under ``>`` headers."""
+    if not data.startswith(b">"):
+        return None
+    records: list[Sequence] = []
+    start = 0  # the '>' of the current header
+    while start < len(data):
+        eol = data.find(b"\n", start)
+        if eol < 0:
+            eol = len(data)
+        end = data.find(b">", eol)  # the next header, if it starts a line
+        if end < 0:
+            end = len(data)
+        elif data[end - 1] != ord("\n"):
+            return None
+        line = data[start + 1 : eol].rstrip(b"\r")  # of a CRLF break
+        header = line.strip()
+        raw = data[eol + 1 : end].translate(_ENCODE, b"\r\n")
+        if b"\r" in line or _header_problem(header) or _INVALID_BYTE in raw:
+            return None
+        records.append(Sequence(header.decode("utf-8"), np.frombuffer(raw, dtype=np.uint8)))
+        start = end
+    return records
+
+
+def _parse_lines(data: bytes) -> list[Sequence]:
+    """Line-by-line pass: strips each line and reports the first error
+    by line (and column)."""
     records: list[Sequence] = []
     name: str | None = None
     parts: list[bytes] = []
@@ -138,7 +197,6 @@ def parse_fasta(data: bytes) -> list[Sequence]:
         raw = b"".join(parts).translate(_ENCODE)
         records.append(Sequence(name, np.frombuffer(raw, dtype=np.uint8)))
 
-    saw_header = False
     for lineno, line in enumerate(data.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -146,18 +204,13 @@ def parse_fasta(data: bytes) -> list[Sequence]:
         if line.startswith(b">"):
             close()
             header = line[1:].strip()
-            if not header:
-                raise FastaError(f"line {lineno}: header with no name")
-            try:
-                name = header.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FastaError(f"line {lineno}: undecodable header") from exc
-            if any(c < 0x20 for c in header):
-                raise FastaError(f"line {lineno}: control byte in header")
-            saw_header = True
+            problem = _header_problem(header)
+            if problem:
+                raise FastaError(f"line {lineno}: {problem}")
+            name = header.decode("utf-8")
             parts = []
         else:
-            if not saw_header:
+            if name is None:
                 raise FastaError(f"line {lineno}: sequence data before first header")
             if not line.isalpha():
                 raise FastaError(
@@ -165,8 +218,6 @@ def parse_fasta(data: bytes) -> list[Sequence]:
                 )
             parts.append(line)
     close()
-    if not records:
-        raise FastaError("no FASTA records in input")
     return records
 
 
@@ -175,16 +226,24 @@ def write_fasta(seq: Sequence, line_width: int = 70) -> bytes:
 
     Inverse of :func:`parse_fasta` for already-normalized sequences:
     ``parse_fasta(write_fasta(s, w))[0] == s`` for any width >= 1.
+    Raises ValueError on a code above 4.
     """
     if line_width < 1:
         raise ValueError("line_width must be >= 1")
-    full, tail = divmod(len(seq.data), line_width)
-    grid = np.empty((full, line_width + 1), dtype=np.uint8)
-    letters = grid[:, :line_width]
-    np.take(_DECODE, seq.data[: full * line_width].reshape(letters.shape), out=letters)
+    codes = seq.data
+    if len(codes) and codes.max() > N:
+        raise ValueError(f"symbol code {int(codes.max())} above {N}")
+    # codes and line breaks in one buffer, turned into letters by one translate
+    full, tail = divmod(len(codes), line_width)
+    buf = bytearray(len(codes) + full + (tail > 0))
+    out = np.frombuffer(buf, dtype=np.uint8)
+    grid = out[: full * (line_width + 1)].reshape(full, line_width + 1)
+    grid[:, :line_width] = codes[: full * line_width].reshape(full, line_width)
     grid[:, line_width] = ord("\n")
-    last = _DECODE[seq.data[full * line_width :]].tobytes() + b"\n" if tail else b""
-    return b"".join((b">" + seq.name.encode("utf-8") + b"\n", grid, last))
+    if tail:
+        out[full * (line_width + 1) : -1] = codes[full * line_width :]
+        out[-1] = ord("\n")
+    return b">" + seq.name.encode("utf-8") + b"\n" + buf.translate(_LETTERS)
 
 
 def decode_symbols(data: np.ndarray) -> str:

@@ -8,10 +8,15 @@ Hash hits are always verified against the actual symbols, so no false
 positive ever leaves a lookup.  The hash itself is a replaceable detail
 behind that contract.
 
-Layout and memory.  The reference grams sit in two ``uint32`` columns,
-hash and position, sorted by hash with position breaking ties: 8 bytes
-per indexed gram, built by one sort of packed 64-bit keys.  Positions
-are 32-bit, so a reference of 2**32 symbols or more is rejected.
+Layout and memory.  Each reference gram is one little-endian 64-bit
+key, hash in the high half and position in the low half, and the keys
+are sorted in place; the hash and position columns are ``uint32``
+views of the two halves, so they are sorted by hash with position
+breaking ties: 8 bytes per indexed gram.  Grams are packed in 32 bits
+while 5**k fits there (k <= 13), and the build peaks near 24 bytes per
+reference base (1 Mbase at k = 13) before it settles at the 8 of the
+keys, the 1 of ``ref_bytes`` and the presence table.  Positions are
+32-bit, so a reference of 2**32 symbols or more is rejected.
 Reservoir grams go to a dict of position lists.  A presence table, one
 bit per slot of the top hash bits (a one-hash Bloom filter), holds
 every indexed gram, reference and reservoir: ``lookup`` tests it first
@@ -38,7 +43,6 @@ from .genome import N
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_FIVE = np.uint64(5)
 
 # presence table size in bits: 16 per reference gram, as a power of two
 _MIN_LOG_BITS, _MAX_LOG_BITS = 13, 26
@@ -49,39 +53,47 @@ _BASE5_DIGITS = bytes.maketrans(bytes(range(5)), b"01234")
 
 def mix_hash(packed):
     """splitmix64 finalizer, truncated to the top 32 bits."""
-    z = np.asarray(packed, dtype=np.uint64).copy()
+    z = np.array(packed, dtype=np.uint64)  # its own copy, mixed in place
     z ^= z >> np.uint64(30)
     z *= _M1
     z ^= z >> np.uint64(27)
     z *= _M2
     z ^= z >> np.uint64(31)
-    return (z >> np.uint64(32)).astype(np.uint32)
+    z >>= np.uint64(32)
+    return z.astype(np.uint32)
 
 
 def hash_kmers(symbols: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(hash, n_free) arrays for every k-gram start of ``symbols``.
 
-    The gram value is the base-5 packed integer (mod 2**64 for large k);
-    grams containing N are flagged out via the second array.  Packing
-    composes doubled spans (value(a+b span) = value(a)*5^b + value(b)),
-    so it takes O(log k) vector passes instead of k.
+    The gram value is the base-5 packed integer (mod 2**64 for large k),
+    packed in 32 bits while 5**k fits there (k <= 13); grams containing
+    N are flagged out via the second array.  Packing composes doubled
+    spans (value(a+b span) = value(a)*5^b + value(b)), so it takes
+    O(log k) vector passes instead of k.
     """
     symbols = np.asarray(symbols, dtype=np.uint8)
     n = len(symbols)
     m = n - k + 1
     if m <= 0:
         return np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=bool)
-    s64 = symbols.astype(np.uint64)
-    packed = s64.copy()
+    word = np.uint32 if 5**k <= 1 << 32 else np.uint64
+    digits = symbols.astype(word)
+    packed = digits
     done = 1
     for bit in bin(k)[3:]:
         valid = n - 2 * done + 1
-        packed = packed[:valid] * np.uint64(pow(5, done, 1 << 64)) + packed[done : done + valid]
+        head = packed[:valid] * word(pow(5, done, 1 << 64))
+        head += packed[done : done + valid]
+        packed = head
         done *= 2
         if bit == "1":
             valid = n - done
-            packed = packed[:valid] * _FIVE + s64[done : done + valid]
+            head = packed[:valid] * word(5)
+            head += digits[done : done + valid]
+            packed = head
             done += 1
+    del digits  # freed before mix_hash's 64-bit copy: it sets the build's peak
     return mix_hash(packed[:m]), n_free_grams(symbols, k)
 
 
@@ -99,10 +111,20 @@ def gram_hash(gram: bytes) -> int:
 
 def n_free_grams(symbols: np.ndarray, k: int) -> np.ndarray:
     """Mask over the k-gram starts of ``symbols``: True where the gram
-    holds no N."""
-    csum = np.zeros(len(symbols) + 1, dtype=np.int32)
-    np.cumsum(symbols == N, out=csum[1:])
-    return (csum[k:] - csum[:-k]) == 0
+    holds no N.  Found by OR-ing the N mask over doubled spans, as
+    ``hash_kmers`` packs."""
+    if len(symbols) < k:
+        return np.zeros(0, dtype=bool)
+    is_n = symbols == N
+    has_n = is_n
+    done = 1
+    for bit in bin(k)[3:]:
+        has_n = has_n[: len(has_n) - done] | has_n[done:]
+        done *= 2
+        if bit == "1":
+            has_n = has_n[:-1] | is_n[done:]
+            done += 1
+    return ~has_n
 
 
 def common_prefix(a, i: int, b, j: int, limit: int) -> int:
@@ -130,8 +152,9 @@ def common_prefix(a, i: int, b, j: int, limit: int) -> int:
 class KmerIndex:
     """Positions of N-free k-grams in the extended reference.
 
-    Reference positions live in two ``uint32`` columns sorted by (hash,
-    position), so a bucket lists its positions in ascending order;
+    Reference positions live in two ``uint32`` columns, the halves of
+    keys sorted by (hash, position), so a bucket lists its positions in
+    ascending order;
     reservoir positions live in ``res_buckets``, a dict of position
     lists in insertion order that grows as phrases are appended.  A
     presence bit table over the top hash bits answers most misses
@@ -150,17 +173,23 @@ class KmerIndex:
             raise ValueError("reference of 2**32 symbols or more exceeds the 32-bit index")
         self.ref_bytes = self.ref.tobytes()
         hashes, n_free = hash_kmers(self.ref, k)
-        pos = np.flatnonzero(n_free)
-        # position breaks hash ties, so the sort keeps each bucket in
-        # ascending position order, as a stable sort by hash would
-        keys = (hashes[pos].astype(np.uint64) << np.uint64(32)) | pos.astype(np.uint64)
+        # one little-endian key per gram, hash in the high half and
+        # position in the low half: position breaks hash ties, so the
+        # sort keeps each bucket in ascending position order
+        keys = np.empty(len(hashes), dtype="<u8")
+        halves = keys.view("<u4").reshape(-1, 2)
+        halves[:, 1] = hashes
+        halves[:, 0] = np.arange(len(hashes), dtype=np.uint32)
+        del hashes  # freed before the N-free rows are copied out
+        if not n_free.all():
+            keys = keys[n_free]
+            halves = keys.view("<u4").reshape(-1, 2)
         keys.sort()
-        self._ref_hash = (keys >> np.uint64(32)).astype(np.uint32)
-        self._ref_pos = keys.astype(np.uint32)
+        self._ref_pos, self._ref_hash = halves[:, 0], halves[:, 1]
         self.res = bytearray()
         self.res_buckets: dict[int, list[int]] = {}
-        self._n_grams = len(pos)
-        log_bits = (16 * len(pos) - 1).bit_length()  # rounded up to a power of two
+        self._n_grams = len(keys)
+        log_bits = (16 * len(keys) - 1).bit_length()  # rounded up to a power of two
         self._new_table(min(max(log_bits, _MIN_LOG_BITS), _MAX_LOG_BITS))
 
     def _new_table(self, log_bits: int) -> None:

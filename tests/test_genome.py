@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlzg import FastaError, Sequence, parse_fasta, write_fasta
+from rlzg import FastaError, Sequence, genome, parse_fasta, write_fasta
 from rlzg.genome import decode_symbols, encode_symbols
 
 
@@ -59,6 +61,13 @@ def test_write_fasta_empty_sequence():
     assert write_fasta(Sequence("e", np.zeros(0, dtype=np.uint8))) == b">e\n"
 
 
+def test_write_fasta_rejects_code_above_four():
+    for code in (5, 10, 255):  # 10 is the byte of a line break
+        seq = Sequence("bad", np.array([0, 1, code, 3], dtype=np.uint8))
+        with pytest.raises(ValueError, match="above 4"):
+            write_fasta(seq, 2)
+
+
 def test_write_fasta_partial_last_line():
     seq = Sequence("p", encode_symbols("ACGTN"))
     assert write_fasta(seq, 3) == b">p\nACG\nTN\n"
@@ -95,3 +104,111 @@ def test_length_preserved_no_letter_dropped():
 def test_encode_symbols_rejects_non_letter():
     with pytest.raises(ValueError, match="offset 2"):
         encode_symbols("AC-T")
+
+
+# Pieces of FASTA text for the differential test: empty names, names
+# with '>' inside and UTF-8 names; sequence letters of both cases and
+# IUPAC codes; bytes that are neither (control bytes, undecodable bytes,
+# whitespace, '>', CR), which mutations put inside lines; line breaks.
+NAME_PIECES = [b"", b"s", b"chr", b"X", b"1", b" ", b">", b"|", b"\xc3\xa9"]
+LETTERS = [bytes([b]) for b in b"ACGTNacgtnRYKMSWbdhvXz"]
+STRAY = [b"\t", b"\x0b", b"\x0c", b"\x00", b"\x01", b"-", b"*", b"1", b">", b"\r", b"\xff"]
+BREAKS = {"lf": [b"\n"], "crlf": [b"\r\n"], "mixed": [b"\n", b"\r\n", b"\r"]}
+RECORDS = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(NAME_PIECES), min_size=1, max_size=3).map(b"".join),
+        st.lists(st.lists(st.sampled_from(LETTERS), max_size=12).map(b"".join), max_size=4),
+    ),
+    max_size=4,
+)
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["pad", "indent", "space", "stray", "cr", "blank", "lead"]),
+        st.integers(0, 40),
+        st.sampled_from(STRAY),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def fasta_texts(draw):
+    """Well-formed FASTA lines, then a few mutations that only the
+    line-by-line path accepts or that are errors."""
+    lines = []
+    for name, body in draw(RECORDS):
+        lines += [b">" + name, *body]
+    for kind, at, byte in draw(MUTATIONS):
+        j = at % (len(lines) + 1)
+        line = lines[j] if j < len(lines) else b""
+        mid = len(line) // 2
+        if kind == "pad":
+            lines[j:j + 1] = [line + b" \t"]
+        elif kind == "indent":  # whitespace before '>' when it hits a header
+            lines[j:j + 1] = [b" " + line]
+        elif kind == "space":  # interior whitespace
+            lines[j:j + 1] = [line[:mid] + b" " + line[mid:]]
+        elif kind == "stray":
+            lines[j:j + 1] = [line[:mid] + byte + line[mid:]]
+        elif kind == "cr":  # a CR-only break, as '\r>' when a header follows
+            lines[j:j + 2] = [line + b"\r" + b"".join(lines[j + 1 : j + 2])]
+        elif kind == "blank":
+            lines.insert(j, b" " if at % 2 else b"")
+        else:  # sequence data before the first header
+            lines.insert(0, b"ACGT")
+    breaks = BREAKS[draw(st.sampled_from(sorted(BREAKS)))]
+    text = b"".join(line + draw(st.sampled_from(breaks)) for line in lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip(b"\r\n")
+    return text
+
+
+def outcome(data):
+    """Records as (name, codes) pairs, or the FastaError message."""
+    try:
+        return [(s.name, s.data.tolist()) for s in parse_fasta(data)]
+    except FastaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fasta_texts())
+@example(b">a\nAC GT\n")  # interior whitespace is an error
+@example(b">a\nACGT\r>b\nGT\n")  # '\r>' starts a header, not sequence
+@example(b">a\nAC>GT\n")  # '>' inside a sequence line is an error
+@example(b">\rs\r\n")  # a CR right after '>' ends a header with no name
+def test_whole_record_path_agrees_with_per_line_path(data):
+    got = outcome(data)
+    with mock.patch.object(genome, "_parse_records", lambda data: None):
+        assert got == outcome(data)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b">a\nACGT\nac\n>b c\n\n>d\nRYKM",
+        b">a\r\nACGT\r\nac\r\n>b>c\r\nNN\r\n",
+        b">a\n\nAC\n\n>b\nGT\n",
+    ],
+)
+def test_letters_and_line_breaks_take_the_whole_record_path(text):
+    records = genome._parse_records(text)
+    assert records is not None
+    with mock.patch.object(genome, "_parse_records", lambda data: None):
+        assert records == parse_fasta(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b">a\nAC \nGT\n",  # padded line
+        b">a\rACGT\r>b\rGT\r",  # CR-only breaks
+        b">\ra\nACGT\n",  # a CR after '>' ends the header line
+        b">a\nACGT\r>b\nGT\n",  # '\r>' starts a header, not sequence
+        b">a\nACGT\n >b\nGT\n",  # whitespace before '>'
+        b">a\nAC GT\n",  # interior whitespace: an error
+        b"\n>a\nACGT\n",  # a blank line before the first header
+    ],
+)
+def test_other_shapes_take_the_per_line_path(text):
+    assert genome._parse_records(text) is None

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rlzg.genome import N, encode_symbols
-from rlzg.kmer import KmerIndex, common_prefix, gram_hash, hash_kmers, mix_hash
+from rlzg.kmer import KmerIndex, common_prefix, gram_hash, hash_kmers, mix_hash, n_free_grams
 
 
 def find(idx, query):
@@ -259,6 +261,29 @@ def test_hash_kmers_marks_n_grams():
     assert n_free.tolist() == [True, False, False, False, False, True]
 
 
+def test_n_free_grams_matches_window_scan():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        n = int(rng.integers(0, 80))
+        k = int(rng.integers(1, 40))
+        s = rng.integers(0, 4, n).astype(np.uint8)
+        s[rng.random(n) < rng.random()] = N
+        want = [not (s[p : p + k] == N).any() for p in range(max(n - k + 1, 0))]
+        assert n_free_grams(s, k).tolist() == want, (n, k)
+
+
+def test_index_build_peak_memory():
+    """Building over 1 Mbase stays within 28 transient bytes per base."""
+    ref = np.random.default_rng(18).integers(0, 4, 1_000_000).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        KmerIndex(ref, 13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * len(ref)
+
+
 def test_doubling_pack_matches_plain_horner():
     rng = np.random.default_rng(14)
     for _ in range(300):
@@ -274,8 +299,9 @@ def test_doubling_pack_matches_plain_horner():
         assert np.array_equal(got, mix_hash(horner)), (n, k)
 
 
-@pytest.mark.parametrize("k", [4, 13, 27, 28, 40])
+@pytest.mark.parametrize("k", [4, 13, 14, 27, 28, 40])
 def test_gram_hash_equals_hash_kmers(k):
+    # 5**13 < 2**32 < 5**14: k = 13 is the last width packed in 32 bits;
     # 5**27 < 2**64 < 5**28: k = 28 and 40 reduce mod 2**64
     rng = np.random.default_rng(15 + k)
     for p_n in (0.0, 0.1):
