@@ -2,14 +2,31 @@
 
 File layout (all integers little-endian, varints are unsigned LEB128):
 
-    magic "RLZG" | version u8 | flags u8 (bit 0: per-record matching)
+    magic "RLZG" | version u8 (2) | flags u8 (bit 0: per-record matching)
     section count varint, then per section: id varint, length varint, body
 
-Sections: 1 params, 2 sequence table, 3 Huffman tables (reference table
-plus the six stream models, 896 bytes), 4 reservoir provenance,
-5 reference payloads, 6 stream payloads, 7 checksum (blake2b-64 of
-sections 5 and 6).  Readers skip unknown section ids, so the format can
-grow trailing sections without breaking old readers.
+Sections: 1 params, 7 metadata digest, 3 Huffman tables (reference
+table plus the six stream models, 896 bytes), 2 sequence table,
+4 reservoir provenance, 5 reference payloads, 6 stream payloads.
+Readers skip unknown section ids, so the format can grow trailing
+sections without breaking old readers.
+
+Every byte a reader uses is covered by a blake2b-64 digest (RFC 7693),
+one per unit in the manner of zstd's per-frame checksum (RFC 8878,
+3.1.1); the framing is checked by structure alone:
+
+- the metadata: the header, params, models, sequence table and
+  provenance, whose digest is section 7;
+- a member: its checkpoint block and its four stream payloads;
+- a reference block group: the payload of ``GROUP_BLOCKS`` blocks.
+
+Unit digests sit in the sequence table, next to the checkpoint block
+(whose byte length is stored, so it can be skipped) or the block index.
+``from_bytes`` checks the metadata digest and the structure, and hashes
+no payload.  A member's digest is checked, and its checkpoint block
+decoded, on its first access; a block group's before any of its blocks
+decodes.  A unit that fails raises :class:`CorruptArchiveError` on every
+touch and is never cached.
 
 The archive is self-describing: decompression and extraction need no
 side information.  Reservoir content is never stored twice; a reservoir
@@ -25,7 +42,6 @@ against the provenance table.
 """
 from __future__ import annotations
 
-import hashlib
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -51,10 +67,12 @@ from .parse import (
 )
 from .refstore import (
     BLOCK_SIZE,
+    GROUP_BLOCKS,
     RefBlocks,
     ReservoirProvenance,
     append_reservoir_phrase,
     decode_reference_range,
+    digest64,
     encode_reference,
     pack_reference,
     packed_block_counts,
@@ -71,7 +89,7 @@ from .streams import (
 )
 
 MAGIC = b"RLZG"
-VERSION = 1
+VERSION = 2
 
 _SEC_PARAMS = 1
 _SEC_SEQTABLE = 2
@@ -79,7 +97,10 @@ _SEC_MODELS = 3
 _SEC_PROVENANCE = 4
 _SEC_REFPAYLOAD = 5
 _SEC_STREAMPAYLOAD = 6
-_SEC_CHECKSUM = 7
+_SEC_DIGEST = 7
+# the sections the metadata digest covers, in digest order
+_METADATA = (_SEC_PARAMS, _SEC_MODELS, _SEC_SEQTABLE, _SEC_PROVENANCE)
+_PARAMS_FORMAT = "<HHIBIIIII"
 
 ROLE_REFERENCE = 0
 ROLE_MEMBER = 1
@@ -138,7 +159,7 @@ def _write_str(buf: bytearray, s: str) -> None:
 def _read_str(r: _Reader) -> str:
     n = r.varint()
     try:
-        return r.take(n).decode("utf-8")
+        return str(r.take(n), "utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptArchiveError("undecodable name in sequence table") from exc
 
@@ -256,6 +277,49 @@ def select_reference(collection: Collection, m1: int = 13) -> int:
     return int(np.argmax(reference_scores(collection, m1)))
 
 
+def _metadata_digest(head, bodies: dict) -> bytes:
+    """Digest of the archive header and the metadata sections, their
+    lengths first."""
+    parts = [bodies[sec] for sec in _METADATA]
+    return digest64(head, struct.pack("<4Q", *map(len, parts)), *parts)
+
+
+def _checkpoint_block(coded: CodedSequence) -> bytes:
+    """A member's checkpoint table: the window starts, then per stream
+    the symbol and byte offset deltas, nine runs of varints."""
+    block = bytearray()
+    _write_deltas(block, np.asarray(coded.start_source))
+    for s in range(4):
+        _write_deltas(block, coded.sym_counts[s][1:])
+        _write_deltas(block, coded.byte_offs[s][1:])
+    return bytes(block)
+
+
+@dataclass
+class _SealedMember:
+    """A member's checkpoint block and stream payloads as read, and the
+    digest they must match before either is used."""
+
+    digest: bytes
+    checkpoints: memoryview
+    payloads: list[memoryview]
+    interval: int
+
+    def open(self, length: int) -> CodedSequence:
+        if digest64(self.checkpoints, *self.payloads) != self.digest:
+            raise CorruptArchiveError("member digest mismatch")
+        n_windows = -(-length // self.interval)
+        r = _Reader(self.checkpoints)
+        runs = _running_sums(_read_varints(r, 9 * n_windows).reshape(9, n_windows))
+        if r.pos != len(self.checkpoints):
+            raise CorruptArchiveError("checkpoint block longer than its windows")
+        byte_offs = [runs[2 + 2 * s] for s in range(4)]
+        if [int(off[-1]) for off in byte_offs] != [len(p) for p in self.payloads]:
+            raise CorruptArchiveError("checkpoint offsets disagree with payload size")
+        sym_counts = [runs[1 + 2 * s] for s in range(4)]
+        return CodedSequence(length, list(self.payloads), runs[0, 1:], sym_counts, byte_offs)
+
+
 @dataclass
 class SequenceEntry:
     name: str
@@ -265,8 +329,22 @@ class SequenceEntry:
     role: int
     group: int
     refblocks: RefBlocks | None = None
-    coded: CodedSequence | None = None
     meta_bytes: int = 0  # serialized sequence-table entry size
+    sealed: _SealedMember | None = field(default=None, repr=False)
+    _coded: CodedSequence | None = field(default=None, init=False, repr=False)
+
+    @property
+    def coded(self) -> CodedSequence | None:
+        """A member's coded streams.  A member read from an archive stays
+        ``sealed`` until this is first read, which checks its digest and
+        decodes its checkpoint block; a failed check keeps nothing."""
+        if self._coded is None and self.sealed is not None:
+            self._coded = self.sealed.open(self.length)
+        return self._coded
+
+    @coded.setter
+    def coded(self, coded: CodedSequence) -> None:
+        self._coded = coded
 
 
 @dataclass
@@ -336,15 +414,16 @@ class Archive:
                 _write_varint(seqtable, rb.n_blocks)
                 # block index: u64 LE start offsets, one per block + terminator
                 seqtable.extend(np.asarray(rb.offsets, dtype="<u8").tobytes())
+                seqtable.extend(b"".join(rb.group_digests()))
                 ref_payload.extend(rb.payload)
             else:
                 c = e.coded
                 for s in range(4):
                     _write_varint(seqtable, len(c.payloads[s]))
-                _write_deltas(seqtable, np.asarray(c.start_source))
-                for s in range(4):
-                    _write_deltas(seqtable, c.sym_counts[s][1:])
-                    _write_deltas(seqtable, c.byte_offs[s][1:])
+                block = _checkpoint_block(c)
+                seqtable.extend(digest64(block, *c.payloads))
+                _write_varint(seqtable, len(block))
+                seqtable.extend(block)
                 for s in range(4):
                     stream_payload.extend(c.payloads[s])
             e.meta_bytes = len(seqtable) - mark
@@ -357,13 +436,9 @@ class Archive:
                 _write_varint(prov, position)
                 _write_varint(prov, length)
 
-        models = self.ref_table.serialize() + self.models.serialize()
-        checksum = hashlib.blake2b(ref_payload, digest_size=8)
-        checksum.update(stream_payload)
-
         params = self.params
         params_body = struct.pack(
-            "<HHIBIIIII",
+            _PARAMS_FORMAT,
             params.m1,
             params.m2,
             params.m3,
@@ -374,20 +449,23 @@ class Archive:
             params.checkpoint_interval,
             BLOCK_SIZE,
         )
-
+        bodies = {
+            _SEC_PARAMS: params_body,
+            _SEC_MODELS: self.ref_table.serialize() + self.models.serialize(),
+            _SEC_SEQTABLE: seqtable,
+            _SEC_PROVENANCE: prov,
+        }
+        head = MAGIC + bytes([VERSION, 1 if self.granularity == "record" else 0])
         sections = [
             (_SEC_PARAMS, params_body),
-            (_SEC_CHECKSUM, checksum.digest()),
-            (_SEC_MODELS, models),
+            (_SEC_DIGEST, _metadata_digest(head, bodies)),
+            (_SEC_MODELS, bodies[_SEC_MODELS]),
             (_SEC_SEQTABLE, seqtable),
             (_SEC_PROVENANCE, prov),
             (_SEC_REFPAYLOAD, ref_payload),
             (_SEC_STREAMPAYLOAD, stream_payload),
         ]
-        out = bytearray()
-        out.extend(MAGIC)
-        out.append(VERSION)
-        out.append(1 if self.granularity == "record" else 0)
+        out = bytearray(head)
         _write_varint(out, len(sections))
         for sec_id, body in sections:
             _write_varint(out, sec_id)
@@ -399,40 +477,33 @@ class Archive:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Archive":
+        """Open an archive: check its header, its framing and the
+        metadata digest, and parse everything but the payloads and the
+        checkpoint blocks, which are checked and decoded on first use."""
+        data = bytes(data)  # no copy of a bytes object; the views below stay valid
         if len(data) < 6 or data[:4] != MAGIC:
             raise CorruptArchiveError("not an archive (bad magic)")
         if data[4] != VERSION:
             raise UnsupportedVersionError(f"unsupported archive version {data[4]}")
         granularity = "record" if data[5] & 1 else "whole"
-        r = _Reader(data)
+        r = _Reader(memoryview(data))
         r.pos = 6
-        sections: dict[int, bytes] = {}
+        sections: dict[int, memoryview] = {}
         for _ in range(r.varint()):
             sec_id = r.varint()
             body = r.take(r.varint())
             sections.setdefault(sec_id, body)
-        for required in (
-            _SEC_PARAMS,
-            _SEC_SEQTABLE,
-            _SEC_MODELS,
-            _SEC_PROVENANCE,
-            _SEC_REFPAYLOAD,
-            _SEC_STREAMPAYLOAD,
-            _SEC_CHECKSUM,
-        ):
+        for required in (*_METADATA, _SEC_DIGEST, _SEC_REFPAYLOAD, _SEC_STREAMPAYLOAD):
             if required not in sections:
                 raise CorruptArchiveError(f"missing archive section {required}")
-
-        digest = hashlib.blake2b(sections[_SEC_REFPAYLOAD], digest_size=8)
-        digest.update(sections[_SEC_STREAMPAYLOAD])
-        if digest.digest() != sections[_SEC_CHECKSUM]:
-            raise CorruptArchiveError("payload checksum mismatch")
+        if _metadata_digest(data[:6], sections) != sections[_SEC_DIGEST]:
+            raise CorruptArchiveError("metadata digest mismatch")
 
         body = sections[_SEC_PARAMS]
-        if len(body) != struct.calcsize("<HHIBIIIII"):
+        if len(body) != struct.calcsize(_PARAMS_FORMAT):
             raise CorruptArchiveError("malformed params section")
         m1, m2, m3, gap, cheap, slack, cap, interval, block_size = struct.unpack(
-            "<HHIBIIIII", body
+            _PARAMS_FORMAT, body
         )
         params = ParseParams(m1, m2, m3, cap, interval)
         try:
@@ -462,7 +533,7 @@ class Archive:
             groups.append(Group(raw - 1 if raw else None))
         ref_payload = sections[_SEC_REFPAYLOAD]
         stream_payload = sections[_SEC_STREAMPAYLOAD]
-        stream_pos = 0
+        ref_pos = stream_pos = 0
         entries: list[SequenceEntry] = []
         for _ in range(n_seq):
             mark = t.pos
@@ -484,41 +555,34 @@ class Archive:
                 offsets = np.frombuffer(raw, dtype="<u8").astype(np.int64)
                 if (np.diff(offsets) < 0).any() or offsets[0] != 0:
                     raise CorruptArchiveError("block index offsets not non-decreasing")
-                payload_len = int(offsets[-1])
-                if base + payload_len > len(ref_payload):
+                raw = t.take(-(-n_blocks // GROUP_BLOCKS) * 8)
+                digests = [bytes(raw[k : k + 8]) for k in range(0, len(raw), 8)]
+                # reference payloads tile their section in entry order
+                if base != ref_pos or base + int(offsets[-1]) > len(ref_payload):
                     raise CorruptArchiveError("reference payload out of bounds")
+                ref_pos = base + int(offsets[-1])
                 entry.refblocks = RefBlocks(
-                    length,
-                    offsets,
-                    ref_payload[base : base + payload_len],
-                    ref_table,
+                    length, offsets, ref_payload[base:ref_pos], ref_table, digests
                 )
             elif role == ROLE_MEMBER:
                 plens = [t.varint() for _ in range(4)]
-                n_windows = -(-length // interval)
-                # start_source, then per stream the symbol and byte offset
-                # deltas: nine runs of n_windows varints
-                runs = _running_sums(_read_varints(t, 9 * n_windows).reshape(9, n_windows))
-                start_source = runs[0, 1:]
-                sym_counts = [runs[1 + 2 * s] for s in range(4)]
-                byte_offs = [runs[2 + 2 * s] for s in range(4)]
-                if [int(off[-1]) for off in byte_offs] != plens:
-                    raise CorruptArchiveError("checkpoint offsets disagree with payload size")
+                digest = bytes(t.take(8))
+                checkpoints = t.take(t.varint())
                 payloads = []
-                for s in range(4):
-                    if stream_pos + plens[s] > len(stream_payload):
+                for plen in plens:
+                    if stream_pos + plen > len(stream_payload):
                         raise CorruptArchiveError("stream payload out of bounds")
-                    payloads.append(stream_payload[stream_pos : stream_pos + plens[s]])
-                    stream_pos += plens[s]
-                entry.coded = CodedSequence(
-                    length, payloads, start_source, sym_counts, byte_offs
-                )
+                    payloads.append(stream_payload[stream_pos : stream_pos + plen])
+                    stream_pos += plen
+                entry.sealed = _SealedMember(digest, checkpoints, payloads, interval)
             else:
                 raise CorruptArchiveError(f"unknown sequence role {role}")
             entry.meta_bytes = t.pos - mark
             entries.append(entry)
         if not entries:
             raise CorruptArchiveError("archive holds no sequences")
+        if (ref_pos, stream_pos) != (len(ref_payload), len(stream_payload)):
+            raise CorruptArchiveError("payload bytes outside every sequence")
         if not 0 <= reference_index < len(entries):
             raise CorruptArchiveError("reference index out of range")
         refs = {i for i, e in enumerate(entries) if e.role == ROLE_REFERENCE}
@@ -611,8 +675,9 @@ class Archive:
         rebuilt in collection order, since each appends its literal runs
         of at least m3 symbols to the group's reservoir for the members
         after it.  Their factor columns decode in a pool of ``threads``
-        workers when that is above 1.  The replayed runs must equal the
-        group's provenance table, which ``extract`` trusts.
+        workers when that is above 1.  Every unit is touched, so every
+        digest is checked.  The replayed runs must equal the group's
+        provenance table, which ``extract`` trusts.
         """
         symbols: list[np.ndarray | None] = [None] * len(self.entries)
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -813,6 +878,20 @@ class Archive:
 
     # ------------------------------------------------------------------
     # reporting
+
+    def verify(self) -> int:
+        """Check the digest of every member and reference block group,
+        as a decompression does on its way, without decoding symbols.
+        Returns the number of units checked; a unit that fails raises
+        :class:`CorruptArchiveError`."""
+        units = 0
+        for e in self.entries:
+            if e.role == ROLE_REFERENCE:
+                e.refblocks.check_blocks(0, e.refblocks.n_blocks)
+                units += e.refblocks.n_groups
+            elif e.coded is not None:  # reading it opens a sealed member
+                units += 1
+        return units
 
     def stats(self) -> dict[str, float | int]:
         """Size breakdown (bytes) plus derived ratios; the relative part

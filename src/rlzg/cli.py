@@ -226,6 +226,7 @@ def _cmd_select_ref(args) -> int:
 def _cmd_stats(args) -> int:
     arc = Archive.load(args.archive)
     st = arc.stats()
+    st["units_verified"] = arc.verify()
     st["sections"] = len(arc.section_sizes)
     for sec_id, size in sorted(arc.section_sizes.items()):
         st[f"section_{sec_id}_bytes"] = size

@@ -3,9 +3,10 @@
 Tables are fully determined by their code lengths (max 15 bits), which
 package-merge builds optimal under that cap, and serialize as 128
 bytes, two 4-bit lengths per byte.  Codes and decode tables come from
-one stable sort of the lengths (Moffat & Turpin 1997), the decode
-tables on a table's first decode.  Bitstreams are MSB-first within
-bytes.  There is one encoder and one decoder, both vectorized so they
+one stable sort of the lengths (Moffat & Turpin 1997), each on its
+first use: a table read from an archive checks its lengths and builds
+codes only if it encodes, decode tables only if it decodes.
+Bitstreams are MSB-first within bytes.  There is one encoder and one decoder, both vectorized so they
 run at numpy speed rather than per-symbol Python speed:
 :func:`pack_codes` places whole codewords with one scatter-add, each
 segment flushed to a byte boundary, and :func:`decode_chains`
@@ -22,6 +23,8 @@ from .errors import CorruptArchiveError
 
 MAX_CODE_LEN = 15
 _NWIN = 1 << MAX_CODE_LEN
+# a code of length l spans 2^(15 - l) windows; length 0 codes nothing
+_KRAFT_UNITS = np.array([0] + [_NWIN >> ln for ln in range(1, MAX_CODE_LEN + 1)], dtype=np.int64)
 
 
 def _package_merge_lengths(counts: np.ndarray, maxlen: int) -> np.ndarray:
@@ -64,16 +67,26 @@ def _placeholder(counts: np.ndarray) -> np.ndarray:
 
 
 class HuffmanTable:
-    """Canonical Huffman code, immutable once built."""
+    """Canonical Huffman code, immutable once built.  Everything is
+    derived from the lengths on first use: the codes, which only the
+    encoder reads, and the decode tables."""
 
-    __slots__ = ("lengths", "codes", "_dec")
+    __slots__ = ("lengths", "_codes", "_dec")
 
     def __init__(self, lengths: np.ndarray):
         self.lengths = np.asarray(lengths, dtype=np.uint8)
-        syms, lens, _, start = _canonical_spans(self.lengths)
-        self.codes = np.zeros(256, dtype=np.uint16)
-        self.codes[syms] = start >> (MAX_CODE_LEN - lens)
+        self._codes = None
         self._dec = None
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Canonical code per symbol (0 for an uncoded one)."""
+        if self._codes is None:
+            syms, lens, _, start = _canonical_spans(self.lengths)
+            codes = np.zeros(256, dtype=np.uint16)
+            codes[syms] = start >> (MAX_CODE_LEN - lens)
+            self._codes = codes
+        return self._codes
 
     @classmethod
     def from_counts(cls, counts) -> "HuffmanTable":
@@ -95,14 +108,14 @@ class HuffmanTable:
         have length exactly 1).
         """
         lengths = np.asarray(lengths, dtype=np.uint8)
-        syms = np.flatnonzero(lengths)
-        if len(syms) == 0:
-            raise CorruptArchiveError("Huffman table has no symbols")
         if lengths.max() > MAX_CODE_LEN:
             raise CorruptArchiveError("Huffman code length above 15")
-        kraft = int(np.sum(1 << (MAX_CODE_LEN - lengths[syms].astype(np.int64))))
-        if len(syms) == 1:
-            if lengths[syms[0]] != 1:
+        n_syms = np.count_nonzero(lengths)
+        if n_syms == 0:
+            raise CorruptArchiveError("Huffman table has no symbols")
+        kraft = int(_KRAFT_UNITS[lengths].sum())
+        if n_syms == 1:
+            if kraft != _NWIN >> 1:
                 raise CorruptArchiveError("single-symbol table must use length 1")
         elif kraft != _NWIN:
             raise CorruptArchiveError("Huffman table violates the Kraft equality")

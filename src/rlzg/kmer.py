@@ -17,8 +17,9 @@ while 5**k fits there (k <= 13), and the build peaks near 24 bytes per
 reference base (1 Mbase at k = 13) before it settles at the 8 of the
 keys, the 1 of ``ref_bytes`` and the presence table.  Positions are
 32-bit, so a reference of 2**32 symbols or more is rejected.
-Reservoir grams go to a dict of position lists.  A presence table, one
-bit per slot of the top hash bits (a one-hash Bloom filter), holds
+Reservoir grams go to a dict of position tuples, inserted in bulk per
+phrase (a list once a gram repeats).  A presence table, one bit per
+slot of the top hash bits (a one-hash Bloom filter), holds
 every indexed gram, reference and reservoir: ``lookup`` tests it first
 and returns at once when the bit is clear, which is where most lookups
 of a sequence with novel content end.  The table takes 16 bits per
@@ -155,11 +156,11 @@ class KmerIndex:
     Reference positions live in two ``uint32`` columns, the halves of
     keys sorted by (hash, position), so a bucket lists its positions in
     ascending order;
-    reservoir positions live in ``res_buckets``, a dict of position
-    lists in insertion order that grows as phrases are appended.  A
-    presence bit table over the top hash bits answers most misses
-    before any search.  Lookups examine at most ``candidate_cap`` bucket
-    entries, reference entries first.
+    reservoir positions live in ``res_buckets``, a dict of ascending
+    positions (a one-position tuple, a list once a gram repeats) that
+    grows as phrases are appended.  A presence bit table over the top
+    hash bits answers most misses before any search.  Lookups examine
+    at most ``candidate_cap`` bucket entries, reference entries first.
     """
 
     def __init__(self, reference: np.ndarray, k: int, candidate_cap: int = 128):
@@ -187,7 +188,7 @@ class KmerIndex:
         keys.sort()
         self._ref_pos, self._ref_hash = halves[:, 0], halves[:, 1]
         self.res = bytearray()
-        self.res_buckets: dict[int, list[int]] = {}
+        self.res_buckets: dict[int, tuple[int] | list[int]] = {}
         self._n_grams = len(keys)
         log_bits = (16 * len(keys) - 1).bit_length()  # rounded up to a power of two
         self._new_table(min(max(log_bits, _MIN_LOG_BITS), _MAX_LOG_BITS))
@@ -225,12 +226,25 @@ class KmerIndex:
         self.res.extend(np.asarray(phrase, dtype=np.uint8).tobytes())
         at = np.flatnonzero(n_free)
         h = hashes[at]
+        pos = at + start_offset
+        self._n_grams += len(h)
+        # A gram whose presence bit is still clear has no bucket: unless
+        # one repeats within the phrase, those go in bulk as one-position
+        # tuples.  The others append, their bucket turning into a list.
+        seen = self.may_contain(h)
         self._mark_present(h)
         buckets = self.res_buckets
-        for key, p in zip(h.tolist(), (at + start_offset).tolist()):
-            buckets.setdefault(key, []).append(p)
+        fresh = dict(zip(h[~seen].tolist(), zip(pos[~seen].tolist())))
+        if len(fresh) == len(h) - np.count_nonzero(seen):
+            buckets.update(fresh)
+            h, pos = h[seen], pos[seen]
+        for key, p in zip(h.tolist(), pos.tolist()):
+            bucket = buckets.get(key, ())
+            if type(bucket) is list:
+                bucket.append(p)
+            else:
+                buckets[key] = [*bucket, p]
         # past an eighth of the bits (a gram per byte), grow the table fourfold
-        self._n_grams += len(h)
         if self._n_grams > len(self._present) and 32 - self._shift < _MAX_LOG_BITS:
             self._new_table(min(34 - self._shift, _MAX_LOG_BITS))
 

@@ -61,6 +61,9 @@ _MIN_HASH_WINDOW, _MAX_HASH_WINDOW = 1024, 1 << 16
 # that one compare covers, and the windows kept before all are dropped.
 _FIRST_DIAGONAL_WINDOW, _MAX_DIAGONAL_WINDOW = 64, 1 << 16
 _MAX_DIAGONALS = 1024
+# A compare that meets this many mismatches within this many symbols
+# has run into unrelated sequence: its window ends there.
+_DENSE_MISMATCHES, _DENSE_SPAN = 8, 32
 
 
 @dataclass
@@ -238,8 +241,11 @@ class _Diagonals:
     at a time, first over ``_FIRST_DIAGONAL_WINDOW`` symbols, then four
     times more each time up to ``_MAX_DIAGONAL_WINDOW``, so the factor
     after a SNP extends from the lists its predecessor filled.  A
-    diagonal that runs off the reference end goes on into the
-    reservoir; each compare reads the buffer its candidate lies in.
+    compare that runs past a match into unrelated sequence ends the
+    window at its first dense stretch of mismatches, so the lists hold
+    few positions that no extension reads.  A diagonal that runs off
+    the reference end goes on into the reservoir; each compare reads
+    the buffer its candidate lies in.
 
     ``release()`` must run before the reservoir grows: the array view
     of the reservoir kept for the compares would stop its bytearray
@@ -300,7 +306,14 @@ class _Diagonals:
                 if self._res is None:
                     self._res = np.frombuffer(self.index.res, dtype=np.uint8)
                 buf, at = self._res, hi + d - self.index.ref_len
-            mism += ((self.s[hi:b] != buf[at : at + b - hi]).nonzero()[0] + hi).tolist()
+            found = (self.s[hi:b] != buf[at : at + b - hi]).nonzero()[0]
+            if len(found) >= _DENSE_MISMATCHES:
+                span = found[_DENSE_MISMATCHES - 1 :] - found[: 1 - _DENSE_MISMATCHES]
+                dense = (span < _DENSE_SPAN).nonzero()[0]
+                if len(dense):  # the window ends where its first dense stretch does
+                    found = found[: dense[0] + _DENSE_MISMATCHES]
+                    b = hi + int(found[-1]) + 1
+            mism += (found + hi).tolist()
             w[1] = b
             w[3] = min(4 * w[3], _MAX_DIAGONAL_WINDOW)
             i = bisect_left(mism, p, i)

@@ -4,7 +4,9 @@ The reference is split into fixed blocks of 8192 symbols.  Blocks made
 entirely of N contribute no payload at all (their start offset equals
 the next block's).  Every other block is packed into base-5 triplet
 bytes and Huffman-coded, flushed to a byte boundary so the per-block
-start offsets address bytes and any block decodes standalone.
+start offsets address bytes and any block decodes standalone.  Each run
+of ``GROUP_BLOCKS`` blocks carries one digest in the archive, and a
+block read from an archive decodes only after its group's digest holds.
 
 This module also tracks the provenance of the extra-reference-phrase
 reservoir: the archive never stores reservoir content twice, only the
@@ -14,6 +16,7 @@ run, so random access can resolve a reservoir match back to its origin.
 from __future__ import annotations
 
 import bisect
+import hashlib
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -25,24 +28,72 @@ from .huffman import HuffmanTable, decode_chains, pack_codes
 from .packing import pack_triplets, pad_segments, unpack_triplets
 
 BLOCK_SIZE = 8192
+GROUP_BLOCKS = 8  # blocks per digest unit (64 Kbase)
+
+
+def digest64(*parts) -> bytes:
+    """BLAKE2b with an 8-byte digest (RFC 7693) over ``parts`` in order:
+    the check of one archive unit."""
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(part)
+    return h.digest()
 
 
 @dataclass
 class RefBlocks:
-    """Coded reference payload plus its block index."""
+    """Coded reference payload plus its block index.
+
+    ``digests`` holds one digest per group of ``GROUP_BLOCKS`` blocks
+    when the payload was read from an archive (None when it was coded
+    here).  :func:`decode_reference_range` checks a group before it
+    decodes any of its blocks; a group that matched is remembered, one
+    that did not is checked again on every touch.
+    """
 
     n_symbols: int
     offsets: np.ndarray  # byte offsets, one per block plus a terminator
     payload: bytes
     table: HuffmanTable
+    digests: list[bytes] | None = None
+    _checked: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
     block_size: ClassVar[int] = BLOCK_SIZE
 
     @property
     def n_blocks(self) -> int:
         return len(self.offsets) - 1
 
+    @property
+    def n_groups(self) -> int:
+        return -(-self.n_blocks // GROUP_BLOCKS)
+
     def block_is_all_n(self, b: int) -> bool:
         return self.offsets[b] == self.offsets[b + 1]
+
+    def _group_digest(self, g: int) -> bytes:
+        lo = g * GROUP_BLOCKS
+        hi = min(lo + GROUP_BLOCKS, self.n_blocks)
+        return digest64(self.payload[int(self.offsets[lo]) : int(self.offsets[hi])])
+
+    def group_digests(self) -> list[bytes]:
+        """The digest of every block group, after checking the stored
+        ones of a payload read from an archive."""
+        if self.digests is not None:
+            self.check_blocks(0, self.n_blocks)
+            return self.digests
+        return [self._group_digest(g) for g in range(self.n_groups)]
+
+    def check_blocks(self, b0: int, b1: int) -> None:
+        """Raise :class:`CorruptArchiveError` unless the groups holding
+        blocks [b0, b1) match their stored digests."""
+        if self.digests is None:
+            return
+        checked = self._checked
+        for g in range(b0 // GROUP_BLOCKS, -(-b1 // GROUP_BLOCKS)):
+            if g not in checked:
+                if self._group_digest(g) != self.digests[g]:
+                    raise CorruptArchiveError(f"reference block group {g} fails its digest")
+                checked.add(g)
 
 
 @dataclass
@@ -86,6 +137,7 @@ def decode_reference_range(rb: RefBlocks, start: int, end: int) -> np.ndarray:
         return np.zeros(0, dtype=np.uint8)
     bs = rb.block_size
     b0, b1 = start // bs, -(-end // bs)
+    rb.check_blocks(b0, b1)
     local = np.frombuffer(rb.payload, dtype=np.uint8)[rb.offsets[b0] : rb.offsets[b1]]
 
     blocks = np.arange(b0, b1)

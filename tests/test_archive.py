@@ -20,10 +20,14 @@ from rlzg import (
 from rlzg.genome import N, encode_symbols
 from rlzg.kmer import n_free_grams
 from rlzg.parse import MATCH, NRUN, RESERVOIR
-from rlzg.refstore import resolve_reservoir_range
+from rlzg.refstore import BLOCK_SIZE, GROUP_BLOCKS, resolve_reservoir_range
 from rlzg.synthetic import make_collection, random_reference, apply_snps
 from rlzg.archive import (
+    _SEC_PROVENANCE,
+    _SEC_REFPAYLOAD,
+    _SEC_STREAMPAYLOAD,
     ROLE_REFERENCE,
+    VERSION,
     _Reader,
     _read_varints,
     _running_sums,
@@ -35,6 +39,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import corpus  # noqa: E402
+from sealing import reseal, section_spans  # noqa: E402
 
 
 def roundtrip(collection, params=None):
@@ -103,9 +108,10 @@ def test_bad_magic_and_version():
     data = bytearray(compress(coll).to_bytes())
     with pytest.raises(CorruptArchiveError):
         Archive.from_bytes(b"XXXX" + bytes(data[4:]))
-    data[4] = 2  # version + 1
-    with pytest.raises(UnsupportedVersionError):
-        Archive.from_bytes(bytes(data))
+    for version in (VERSION + 1, 1):  # a newer format, and the old v1 one
+        data[4] = version
+        with pytest.raises(UnsupportedVersionError):
+            Archive.from_bytes(bytes(data))
 
 
 _PARAMS_FORMAT = "<HHIBIIIII"  # m1 m2 m3 gap cheap slack cap interval block size
@@ -117,7 +123,8 @@ _PARAMS_FORMAT = "<HHIBIIIII"  # m1 m2 m3 gap cheap slack cap interval block siz
     ids=["gap-limit-3", "offset-bound-65", "length-slack-29", "block-size-0", "block-size-4096"],
 )
 def test_damaged_params_rejected(field, value):
-    # the checksum does not cover the params section, the first one written
+    # the params section is written first; the digests are re-sealed so
+    # the reader's check of the fixed values is what must reject it
     rng = np.random.default_rng(65)
     data = compress(make_collection(rng, ref_len=5000, n_derived=1)).to_bytes()
     size = struct.calcsize(_PARAMS_FORMAT)
@@ -125,8 +132,10 @@ def test_damaged_params_rejected(field, value):
     values = list(struct.unpack(_PARAMS_FORMAT, data[9 : 9 + size]))
     values[field] = value
     patched = data[:9] + struct.pack(_PARAMS_FORMAT, *values) + data[9 + size :]
-    with pytest.raises(CorruptArchiveError):
+    with pytest.raises(CorruptArchiveError, match="metadata digest"):
         Archive.from_bytes(patched)
+    with pytest.raises(CorruptArchiveError, match="the format fixes"):
+        Archive.from_bytes(reseal(patched))
 
 
 @pytest.mark.parametrize(
@@ -174,6 +183,31 @@ def test_shifted_provenance_row_fails_decompress():
         damaged.decompress()
 
 
+def test_shifted_provenance_row_in_bytes_rejected():
+    # the same shift made in the archive bytes: the metadata digest
+    # covers the provenance section, so the open refuses it
+    rng = np.random.default_rng(70)
+    ref = random_reference(rng, 30_000)
+    novel = random_reference(rng, 400)
+    a = np.concatenate([ref[:10_000], novel, ref[10_000:]])
+    b = np.concatenate([ref[5_000:25_000], novel, ref[25_000:]])
+    coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
+    data = bytearray(compress(coll).to_bytes())
+    at, n = section_spans(data)[_SEC_PROVENANCE]
+    t = _Reader(bytes(data[at : at + n]))
+    assert t.varint() > 0, "expected a reservoir phrase"
+    t.varint()  # the first row's sequence
+    pos_at = at + t.pos
+    pos = t.varint()
+    assert pos & 0x7F != 0x7F  # the shifted position keeps its varint size
+    data[pos_at] += 1
+    with pytest.raises(CorruptArchiveError, match="metadata digest"):
+        Archive.from_bytes(bytes(data))
+    # re-sealed, the row still names a literal run, and decompress refuses it
+    with pytest.raises(CorruptArchiveError, match="provenance"):
+        Archive.from_bytes(reseal(data)).decompress()
+
+
 def test_group_reference_mismatch_rejected():
     # two reference records; a group naming the other group's reference
     # would hand extract the wrong reference symbols
@@ -192,12 +226,43 @@ def test_group_reference_mismatch_rejected():
 
 
 def test_payload_corruption_detected_by_checksum():
+    # the last member's payload is damaged: the open hashes no payload,
+    # and every touch of that member, never of the others, raises
     rng = np.random.default_rng(66)
     coll = make_collection(rng, ref_len=5000, n_derived=2)
     data = bytearray(compress(coll).to_bytes())
     data[-3] ^= 0xFF
-    with pytest.raises(CorruptArchiveError, match="checksum"):
-        Archive.from_bytes(bytes(data))
+    arc = Archive.from_bytes(bytes(data))
+    last = coll.sequences[-1]
+    for _ in range(2):  # nothing of a unit that failed is kept
+        with pytest.raises(CorruptArchiveError, match="member digest"):
+            arc.extract(last.name, 0, 100)
+        with pytest.raises(CorruptArchiveError, match="member digest"):
+            arc.decompress()
+    assert arc.entries[-1].sealed is not None and arc.entries[-1]._coded is None
+    for s in coll.sequences[:-1]:
+        assert np.array_equal(arc.extract(s.name, 0, len(s.data)), s.data)
+
+
+def test_reference_corruption_detected_in_its_block_group():
+    # a reference of 3 block groups, its middle group damaged: only
+    # ranges that decode a block of that group raise
+    rng = np.random.default_rng(66)
+    ref = random_reference(rng, 20 * BLOCK_SIZE)
+    coll = Collection([Sequence("ref", ref)])
+    data = bytearray(compress(coll).to_bytes())
+    offsets = Archive.from_bytes(bytes(data)).entries[0].refblocks.offsets
+    at = section_spans(data)[_SEC_REFPAYLOAD][0]
+    data[at + int(offsets[GROUP_BLOCKS]) + 5] ^= 0x01
+    arc = Archive.from_bytes(bytes(data))
+    edge = GROUP_BLOCKS * BLOCK_SIZE
+    for _ in range(2):
+        with pytest.raises(CorruptArchiveError, match="group 1"):
+            arc.extract("ref", edge - 10, edge + 10)
+    assert np.array_equal(arc.extract("ref", 0, edge), ref[:edge])
+    assert np.array_equal(arc.extract("ref", 2 * edge, len(ref)), ref[2 * edge :])
+    with pytest.raises(CorruptArchiveError, match="group 1"):
+        arc.verify()
 
 
 def test_extract_matches_decompressed_slices():
@@ -272,10 +337,32 @@ def test_open_builds_decode_tables_on_first_use():
     coll = Collection([Sequence("ref", ref), Sequence("m", apply_snps(rng, ref, 0.01))], 0)
     arc = Archive.from_bytes(compress(coll).to_bytes())
     models = arc.models.tables()
-    assert all(t._dec is None for t in [arc.ref_table, *models])
+    assert all(t._dec is None and t._codes is None for t in [arc.ref_table, *models])
     assert np.array_equal(arc.extract("ref", 1000, 2000), ref[1000:2000])
     assert arc.ref_table._dec is not None
     assert all(t._dec is None for t in models)
+    assert all(t._codes is None for t in [arc.ref_table, *models])  # only encoders read codes
+
+
+def test_open_checks_and_decodes_units_on_first_touch():
+    # the open hashes no payload and decodes no checkpoint block; an
+    # extract checks the units it reads, and decompress checks them all
+    rng = np.random.default_rng(72)
+    ref = random_reference(rng, 3 * GROUP_BLOCKS * BLOCK_SIZE)
+    coll = Collection(
+        [Sequence("ref", ref)]
+        + [Sequence(f"m{j}", apply_snps(rng, ref, 0.001)) for j in range(2)], 0
+    )
+    arc = Archive.from_bytes(compress(coll).to_bytes())
+    rb, m0, m1 = arc.entries[0].refblocks, arc.entries[1], arc.entries[2]
+    assert rb.n_groups == 3 and not rb._checked
+    assert m0._coded is None and m1._coded is None
+    assert np.array_equal(arc.extract("m0", 10, 1010), coll.sequences[1].data[10:1010])
+    assert m0._coded is not None and m1._coded is None
+    assert rb._checked == {0}
+    assert decompress(arc) == coll
+    assert m1._coded is not None and rb._checked == {0, 1, 2}
+    assert arc.verify() == 5
 
 
 def test_extract_errors():
@@ -424,12 +511,26 @@ def test_per_record_interleaved_groups_with_orphans_roundtrip():
     coll = Collection(seqs, reference_index=0, granularity="record")
     groups = matching_groups(coll)
     assert [(g.reference, g.members) for g in groups] == [(0, [2, 6]), (1, [3, 5]), (None, [4, 7])]
-    assert hashlib.sha256(compress(coll).to_bytes()).hexdigest() == (
-        "305b2058e88ed0a46a259667f56360c2d915873cc2af190a8cf6b6701547dabc"
+    assert _pins(compress(coll).to_bytes()) == (
+        4786,
+        "3567f1df5cde203d091ca23e4c9246bb02479d058e7aeebdf687cbf72dab2f4f",
+        "45f7a5de8109d6a427db8a3066c70487d21e090acb9f77aafafdd7583a3903f9",
+        "271052716c3b4d5ed52d2296c8990d76a60619662f621188d3d017001d5a6813",
     )
     arc = roundtrip(coll)
     for name in ("g2/chr1", "g2/plasmid"):
         assert RESERVOIR in [f.kind for _, f in arc.iter_factors(name)], name
+
+
+def _pins(data: bytes) -> tuple[int, str, str, str]:
+    """Size and sha256 of an archive, then the sha256 of its reference
+    payload and stream payload sections.  The payload pins date from
+    format v1: the digests of v2 moved the archive pins, not the coding."""
+    spans = section_spans(data)
+    return (len(data), hashlib.sha256(data).hexdigest()) + tuple(
+        hashlib.sha256(data[at : at + n]).hexdigest()
+        for at, n in (spans[_SEC_REFPAYLOAD], spans[_SEC_STREAMPAYLOAD])
+    )
 
 
 def test_archive_bytes_pinned():
@@ -442,28 +543,45 @@ def test_archive_bytes_pinned():
     arc = compress(coll)
     kinds = [f.kind for s in coll.sequences[1:] for _, f in arc.iter_factors(s.name)]
     assert kinds.count(RESERVOIR) == 4
-    assert hashlib.sha256(arc.to_bytes()).hexdigest() == (
-        "9affb9fe553f6304d275cce20a0aec77d16d02ae196c5cb8ebe41b975df02ee4"
+    assert _pins(arc.to_bytes()) == (
+        14047,
+        "5753d717ecd1c4581f90f7296aab9d6e3c6fa26926d3f9d5d1b198465e7b702d",
+        "a674ad9c7c9cc04c2f2e9e83be251f8586583ffad684eaa4b6955ccfdfa19003",
+        "860da97108f941ab212a3ac13ad276fa1eb149babd8d18c216e6fe5ad2e09530",
     )
 
 
-@pytest.mark.parametrize(
-    "workload, size, digest",
-    [
-        ("mixed", 33_852, "c49d9177b7123c38ec8f06e3d60e2fee0df7b2afe4e6e09e76ba174902334df2"),
-        ("low_snp", 28_648, "47bdbb73c41a35a0f457b37668f211d66a49020720767622c63618afb6e13da8"),
-        ("shared_novel", 23_995, "c7b94d6fbe0f2ba3808c5152ccde4b8589ac13b76e73b9aee2ed230c255bdad2"),
-    ],
-)
-def test_benchmark_corpus_bytes_pinned(workload, size, digest):
+_CORPUS_PINS = {
+    "mixed": (
+        33_928,
+        "46cc3dd3d8f8046c1ac24427baed0a07d0db22cfae747368c256434c9f5e44b8",
+        "ea5765883ec4ee06f741b647d66c37ea73761a2fe289072c7bfa16c781ea2489",
+        "47456d10bdaed8cac1434b0ecc6f260a268c2ef633d9a1dea16deef6cb211379",
+    ),
+    "low_snp": (
+        28_724,
+        "5461272bcc2d8c12717d5cb2638427e26263242f37abbbce58cb604614817702",
+        "ea5765883ec4ee06f741b647d66c37ea73761a2fe289072c7bfa16c781ea2489",
+        "2ca62a02446e780522e016bd8467d946809425a1e307520eff425eed2649be13",
+    ),
+    "shared_novel": (
+        24_075,
+        "9a0d111936bed841eb2f62080a5ecd420c80bfcf7d1570226d3319a4cbdd1062",
+        "682c2e79dc7d6feb30ec8663b10f56139d4deabcf6f5393bd3b8b61fd3d40a6f",
+        "279fe10d38760e3082cc99445e769fa9e0712c85ec8ba7e2052fb8d1e1955db4",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", list(_CORPUS_PINS))
+def test_benchmark_corpus_bytes_pinned(workload):
     """The benchmark's workloads (``perfbench/corpus.py``, seed 1, at a
     twentieth of their size) compress to these bytes.  A change that
     moves them changes what the benchmark's size figures measure, so it
     must update the pins and say why."""
     c = corpus.make_corpus(workload, 1, 0.05)
     coll = Collection([Sequence(n, a) for n, a in zip(c.names, c.arrays)], 0)
-    data = compress(coll).to_bytes()
-    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    assert _pins(compress(coll).to_bytes()) == _CORPUS_PINS[workload]
 
 
 def test_empty_and_tiny_sequences():

@@ -169,6 +169,7 @@ def test_stats_machine_parseable(fasta_dir, tmp_path, capsys):
     pairs = kv(capsys)
     for key in ("total_bytes", "reference_bytes", "relative_bytes", "bpb_overall"):
         assert key in pairs
+    assert int(pairs["units_verified"]) > 0
 
 
 def test_auto_ref_and_threads(fasta_dir, tmp_path, capsys):
