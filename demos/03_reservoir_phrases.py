@@ -30,7 +30,7 @@ for name in ("a", "b"):
         print(f"  @{pos:>6}  {KIND[f.kind]:<9} advance={f.advance}")
 
 prov = arc.provenances[0]
-print("reservoir provenance:", prov.entries)
+print("reservoir provenance (origin, position, length):", prov.rows.tolist())
 
 spans = [(p, p + f.advance) for p, f in arc.iter_factors("b") if f.kind == RESERVOIR]
 lo, hi = spans[0]

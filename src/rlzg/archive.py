@@ -30,8 +30,9 @@ touch and is never cached.
 
 The archive is self-describing: decompression and extraction need no
 side information.  Reservoir content is never stored twice; a reservoir
-match resolves through the provenance table to a literal run of its
-origin sequence (recursion depth exactly 1).
+match resolves through the provenance table to literal runs of its
+origin members, and an extract reads each piece from its origin's
+decoded literals, checking that it lands inside one literal run.
 
 Compression and decompression each walk the matching groups once.  A
 group's members are parsed, and later rebuilt, in collection order
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import refstore
 from .errors import CorruptArchiveError, UnsupportedVersionError
 from .genome import N, Collection, Sequence
 from .huffman import HuffmanTable, _cat_ranges, _placeholder
@@ -355,9 +357,8 @@ class _Touched:
     blocks: set[tuple[int, int]] = field(default_factory=set)
     windows: dict[int, tuple[SequenceDecoder, set[int]]] = field(default_factory=dict)
 
-    def add_blocks(self, ref: int, rb: RefBlocks, start: int, end: int) -> None:
-        bs = rb.block_size
-        self.blocks.update((ref, b) for b in range(start // bs, -(-end // bs)))
+    def add_blocks(self, ref: int, start: int, end: int) -> None:
+        self.blocks.update((ref, b) for b in range(start // BLOCK_SIZE, -(-end // BLOCK_SIZE)))
 
 
 class Archive:
@@ -430,11 +431,9 @@ class Archive:
 
         prov = bytearray()
         for p in self.provenances:
-            _write_varint(prov, len(p.entries))
-            for seq_index, position, length in p.entries:
-                _write_varint(prov, seq_index)
-                _write_varint(prov, position)
-                _write_varint(prov, length)
+            _write_varint(prov, len(p.rows))
+            for v in p.rows.ravel().tolist():
+                _write_varint(prov, v)
 
         params = self.params
         params_body = struct.pack(
@@ -609,11 +608,7 @@ class Archive:
                 | (pos > seq_len[seq] - length)
             ).any():
                 raise CorruptArchiveError("provenance row is not a literal run of its group")
-            prov = ReservoirProvenance(
-                list(zip(*(rows[:, k].tolist() for k in range(3)))),
-                _running_sums(rows[:, 2]).tolist(),
-            )
-            provenances.append(prov)
+            provenances.append(ReservoirProvenance(rows, _running_sums(length)))
         for g, grp in enumerate(groups):
             grp.members = [
                 i for i, e in enumerate(entries) if e.group == g and e.role == ROLE_MEMBER
@@ -641,10 +636,6 @@ class Archive:
 
     # ------------------------------------------------------------------
     # decoding
-
-    def _group_ref_blocks(self, group: int) -> RefBlocks | None:
-        ref = self.groups[group].reference
-        return None if ref is None else self.entries[ref].refblocks
 
     def _decoder(self, i: int) -> SequenceDecoder:
         dec = self._decoders.get(i)
@@ -677,7 +668,7 @@ class Archive:
         after it.  Their factor columns decode in a pool of ``threads``
         workers when that is above 1.  Every unit is touched, so every
         digest is checked.  The replayed runs must equal the group's
-        provenance table, which ``extract`` trusts.
+        provenance table, row for row.
         """
         symbols: list[np.ndarray | None] = [None] * len(self.entries)
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -687,11 +678,11 @@ class Archive:
                 if grp.reference is not None:
                     rb = self.entries[grp.reference].refblocks
                     ref = symbols[grp.reference] = decode_reference_range(rb, 0, rb.n_symbols)
-                rows: list[tuple[int, int, int]] = []
+                rows = [np.zeros((0, 3), dtype=np.int64)]
                 columns = (pool.map if pool else map)(self._member_columns, grp.members)
                 for i, cols in zip(grp.members, columns):
                     symbols[i], res = self._rebuild_member(i, cols, ref, res, rows)
-                if rows != self.provenances[g].entries:
+                if not np.array_equal(np.concatenate(rows), self.provenances[g].rows):
                     raise CorruptArchiveError("provenance disagrees with the members' literal runs")
         finally:
             if pool:
@@ -704,7 +695,8 @@ class Archive:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Member ``i``'s symbols from its factor columns, and the
         reservoir ``res`` grown by the member's literal runs of at least
-        m3 symbols, whose (member, start, length) rows go to ``rows``."""
+        m3 symbols, whose (member, start, length) rows go to ``rows`` as
+        one int64 array."""
         kind, start, adv, pos = cols.kind, cols.start, cols.advance, cols.position
         is_match = kind == MATCH
         is_res = kind == RESERVOIR
@@ -716,7 +708,7 @@ class Archive:
         if (is_res & (pos + adv > res_before)).any():
             raise CorruptArchiveError("reservoir match beyond the reservoir")
         grew = grown > 0
-        rows.extend((i, s, a) for s, a in zip(start[grew].tolist(), adv[grew].tolist()))
+        rows.append(np.column_stack((np.full(int(grew.sum()), i), start[grew], adv[grew])))
         lits, lit_off = cols.lits, cols.lit_off
 
         # Every factor but an N-run is one slice of this buffer, whose
@@ -740,18 +732,6 @@ class Archive:
             out[start[g] + pieces[g, :j].sum(axis=1) + (j - 1)] = lits[lit_off[g] + (j - 1)]
         return out, src[len(ref) : res_end]
 
-    def _materialize_reservoir(
-        self, group: int, offset: int, length: int, depth: int, touched: _Touched
-    ) -> np.ndarray:
-        from .refstore import resolve_reservoir_range
-
-        pieces = resolve_reservoir_range(self.provenances[group], offset, length)
-        parts = [
-            self._extract_range(seq_index, pos, pos + plen, depth + 1, touched)
-            for seq_index, pos, plen in pieces
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
-
     # ------------------------------------------------------------------
     # random access
 
@@ -763,21 +743,16 @@ class Archive:
 
     def extract(self, name: str, start: int, end: int) -> np.ndarray:
         """Symbols [start, end) of one sequence, decoding only the
-        covering checkpoint windows, referenced reference blocks, and
-        depth-1 reservoir origins."""
-        symbols, _ = self.extract_report(name, start, end)
-        return symbols
+        covering checkpoint windows, referenced reference blocks, and the
+        windows of the literal runs its reservoir matches hop to."""
+        return self._extract_range(name, start, end, _Touched())
 
     def extract_report(self, name: str, start: int, end: int) -> tuple[np.ndarray, int]:
         """extract() plus the coded payload bytes of the distinct
         reference blocks and stream windows the range needs
         (cache-independent access-cost metric)."""
-        i = self._lookup_name(name)
-        e = self.entries[i]
-        if not 0 <= start <= end <= e.length:
-            raise ValueError(f"range [{start}, {end}) outside sequence of {e.length}")
         touched = _Touched()
-        out = self._extract_range(i, start, end, 0, touched)
+        out = self._extract_range(name, start, end, touched)
         total = 0
         for r, b in touched.blocks:
             rb = self.entries[r].refblocks
@@ -790,16 +765,14 @@ class Archive:
 
     def _ref_range(self, group: int, start: int, end: int) -> np.ndarray:
         """Reference symbols via the per-block decode cache."""
-        rb = self._group_ref_blocks(group)
-        if rb is None:
+        ref_idx = self.groups[group].reference
+        if ref_idx is None:
             raise CorruptArchiveError("match against a missing reference")
-        if not 0 <= start <= end <= rb.n_symbols:
+        rb = self.entries[ref_idx].refblocks
+        if not 0 <= start < end <= rb.n_symbols:
             raise CorruptArchiveError("match points outside the reference")
-        if start == end:
-            return np.zeros(0, dtype=np.uint8)
         bs = rb.block_size
         b0, b1 = start // bs, -(-end // bs)
-        ref_idx = self.groups[group].reference
         parts = []
         for b in range(b0, b1):
             key = (ref_idx, b)
@@ -814,24 +787,40 @@ class Archive:
         lo = start - b0 * bs
         return whole[lo : lo + (end - start)]
 
-    def _extract_range(
-        self, i: int, start: int, end: int, depth: int, touched: _Touched
-    ) -> np.ndarray:
-        if depth > 1:
-            raise CorruptArchiveError("reservoir resolution exceeded depth 1")
-        e = self.entries[i]
-        if start == end:
-            return np.zeros(0, dtype=np.uint8)
-        if e.role == ROLE_REFERENCE:
-            touched.add_blocks(i, e.refblocks, start, end)
-            return self._ref_range(e.group, start, end)
-
+    def _member_factors(self, i: int, start: int, end: int, touched: _Touched):
+        """Factors of member ``i`` over [start, end), and the index of the
+        one holding ``start``; their windows go to ``touched``."""
         dec = self._decoder(i)
-        cols, _ = dec.factors_from(e.coded.checkpoint_for(start), end)
+        cols, _ = dec.factors_from(self.entries[i].coded.checkpoint_for(start), end)
         touched.windows.setdefault(i, (dec, set()))[1].update(dec.last_touched)
         k = int(np.searchsorted(cols.start, start, side="right")) - 1
         if k < 0:
             raise CorruptArchiveError("decoded factors start after the requested range")
+        return cols, k
+
+    def _literal_run(self, i: int, start: int, end: int, touched: _Touched) -> np.ndarray:
+        """Symbols [start, end) of member ``i``, which must lie in one of
+        its literal runs, as every reservoir piece does."""
+        cols, k = self._member_factors(i, start, end, touched)
+        f_start = int(cols.start[k])
+        if cols.kind[k] != LITERAL or f_start + int(cols.advance[k]) < end:
+            raise CorruptArchiveError("reservoir piece does not lie in a literal run")
+        lit = int(cols.lit_off[k]) + start - f_start
+        return cols.lits[lit : lit + end - start]
+
+    # per factor, unlike _rebuild_member: a clipped vectorized rebuild costs ~35 us on 3 factors
+    def _extract_range(self, name: str, start: int, end: int, touched: _Touched) -> np.ndarray:
+        i = self._lookup_name(name)
+        e = self.entries[i]
+        if not 0 <= start <= end <= e.length:
+            raise ValueError(f"range [{start}, {end}) outside sequence of {e.length}")
+        if start == end:
+            return np.zeros(0, dtype=np.uint8)
+        if e.role == ROLE_REFERENCE:
+            touched.add_blocks(i, start, end)
+            return self._ref_range(e.group, start, end)
+
+        cols, k = self._member_factors(i, start, end, touched)
         out = np.empty(end - start, dtype=np.uint8)
         lits = cols.lits
         ref_idx = self.groups[e.group].reference
@@ -858,19 +847,18 @@ class Archive:
                 continue
             if kind == MATCH:
                 out[at : at + n] = self._ref_range(e.group, f_pos + rel_lo, f_pos + rel_hi)
-                touched.add_blocks(
-                    ref_idx, self._group_ref_blocks(e.group), f_pos + rel_lo, f_pos + rel_hi
-                )
+                touched.add_blocks(ref_idx, f_pos + rel_lo, f_pos + rel_hi)
             else:
-                out[at : at + n] = self._materialize_reservoir(
-                    e.group, f_pos + rel_lo, n, depth, touched
-                )
+                prov = self.provenances[e.group]
+                for j, pos, m in refstore.resolve_reservoir_range(prov, f_pos + rel_lo, n):
+                    out[at : at + m] = self._literal_run(j, pos, pos + m, touched)
+                    at += m
             # overwrite the gap positions that fall inside the slice
             cursor = 0
             for j in range(2 - pieces.count(0)):
                 cursor += pieces[j]
                 if rel_lo <= cursor < rel_hi:
-                    out[at + cursor - rel_lo] = lits[lit + j]
+                    out[f_start - start + cursor] = lits[lit + j]
                 cursor += 1
         if covered < end:
             raise CorruptArchiveError("decoded factors end before the requested range")

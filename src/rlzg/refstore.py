@@ -10,12 +10,12 @@ block read from an archive decodes only after its group's digest holds.
 
 This module also tracks the provenance of the extra-reference-phrase
 reservoir: the archive never stores reservoir content twice, only the
-(origin sequence, origin position, length) of each appended literal
-run, so random access can resolve a reservoir match back to its origin.
+(origin member, origin position, length) of each appended literal run,
+so random access can resolve a reservoir match back to the literal runs
+of its origins.
 """
 from __future__ import annotations
 
-import bisect
 import hashlib
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -172,36 +172,47 @@ def range_payload_bytes(rb: RefBlocks, start: int, end: int) -> int:
     return int(rb.offsets[b1] - rb.offsets[b0])
 
 
-@dataclass
 class ReservoirProvenance:
-    """Origin bookkeeping for the extra-reference-phrase reservoir.
+    """Origin of every reservoir phrase, as one int64 table: row i of
+    ``rows`` is the (origin member, origin position, length) of the i-th
+    literal run appended, covering reservoir offsets [starts[i],
+    starts[i+1]).  The writer appends into spare rows, doubled when full."""
 
-    Entries appear in append order; entry i covers reservoir offsets
-    [starts[i], starts[i+1]).
-    """
+    def __init__(self, rows: np.ndarray | None = None, starts: np.ndarray | None = None):
+        if rows is None:
+            rows, starts = np.zeros((0, 3), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        self._rows, self._starts, self._n = rows, starts, len(rows)
 
-    entries: list[tuple[int, int, int]] = field(default_factory=list)
-    starts: list[int] = field(default_factory=lambda: [0])
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: self._n]
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self._starts[: self._n + 1]
 
     @property
     def total_length(self) -> int:
-        return self.starts[-1]
+        return int(self._starts[self._n])
 
 
 def append_reservoir_phrase(
-    prov: ReservoirProvenance,
-    origin: tuple[int, int, int],
-    min_length: int,
+    prov: ReservoirProvenance, origin: tuple[int, int, int], min_length: int
 ) -> int:
     """Record one literal run appended to the reservoir; returns the
     run's reservoir offset.  Runs shorter than ``min_length`` (the M3
     threshold) are rejected."""
-    seq_index, position, length = origin
+    length = origin[2]
     if length < min_length:
         raise ValueError(f"reservoir phrase of {length} shorter than minimum {min_length}")
-    offset = prov.total_length
-    prov.entries.append((seq_index, position, length))
-    prov.starts.append(offset + length)
+    n = prov._n
+    if n == len(prov._rows):
+        prov._rows = np.resize(prov._rows, (2 * n + 16, 3))
+        prov._starts = np.resize(prov._starts, 2 * n + 17)
+    offset = int(prov._starts[n])
+    prov._rows[n] = origin
+    prov._starts[n + 1] = offset + length
+    prov._n = n + 1
     return offset
 
 
@@ -209,21 +220,20 @@ def resolve_reservoir_range(
     prov: ReservoirProvenance, offset: int, length: int
 ) -> list[tuple[int, int, int]]:
     """Map reservoir interval [offset, offset+length) back to origin
-    coordinates, split at entry boundaries."""
-    if length < 0 or offset < 0 or offset + length > prov.total_length:
+    coordinates, split at entry boundaries: the rows it overlaps, the
+    first and last clipped to it."""
+    end = offset + length
+    if length < 0 or offset < 0 or end > prov.total_length:
         raise CorruptArchiveError(
-            f"reservoir range [{offset}, {offset + length}) outside total {prov.total_length}"
+            f"reservoir range [{offset}, {end}) outside total {prov.total_length}"
         )
-    pieces: list[tuple[int, int, int]] = []
-    i = bisect.bisect_right(prov.starts, offset) - 1
-    remaining = length
-    cursor = offset
-    while remaining > 0:
-        seq_index, position, entry_len = prov.entries[i]
-        within = cursor - prov.starts[i]
-        take = min(entry_len - within, remaining)
-        pieces.append((seq_index, position + within, take))
-        cursor += take
-        remaining -= take
-        i += 1
-    return pieces
+    if length == 0:
+        return []
+    starts = prov.starts
+    lo = int(np.searchsorted(starts, offset, side="right")) - 1
+    hi = int(np.searchsorted(starts, end))
+    pieces = prov.rows[lo:hi].copy()
+    head = offset - int(starts[lo])
+    pieces[0, 1:] += (head, -head)
+    pieces[-1, 2] -= int(starts[hi]) - end
+    return list(zip(*pieces.T.tolist()))

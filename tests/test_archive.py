@@ -156,9 +156,9 @@ def test_damaged_provenance_rejected(row):
     coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
     arc = compress(coll)
     prov = arc.provenances[0]
-    assert prov.entries, "expected a reservoir phrase"
+    assert len(prov.rows), "expected a reservoir phrase"
     Archive.from_bytes(arc.to_bytes())
-    prov.entries[0] = row(arc, prov.entries[0][0])
+    prov.rows[0] = row(arc, prov.rows[0, 0])
     with pytest.raises(CorruptArchiveError):
         Archive.from_bytes(arc.to_bytes())
 
@@ -174,13 +174,34 @@ def test_shifted_provenance_row_fails_decompress():
     coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
     arc = compress(coll)
     prov = arc.provenances[0]
-    assert prov.entries, "expected a reservoir phrase"
+    assert len(prov.rows), "expected a reservoir phrase"
     assert Archive.from_bytes(arc.to_bytes()).decompress() == coll
-    seq, pos, length = prov.entries[0]
-    prov.entries[0] = (seq, pos + 1, length)
+    seq, pos, length = prov.rows[0]
+    prov.rows[0] = (seq, pos + 1, length)
     damaged = Archive.from_bytes(arc.to_bytes())
     with pytest.raises(CorruptArchiveError, match="provenance"):
         damaged.decompress()
+
+
+def test_provenance_row_off_a_literal_run_fails_extract():
+    # a row moved onto a[100:500], a reference copy, still names a span
+    # of a member, so from_bytes accepts it; a hop into it must refuse
+    rng = np.random.default_rng(70)
+    ref = random_reference(rng, 30_000)
+    novel = random_reference(rng, 400)
+    a = np.concatenate([ref[:10_000], novel, ref[10_000:]])
+    b = np.concatenate([ref[5_000:25_000], novel, ref[25_000:]])
+    coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
+    arc = compress(coll)
+    prov = arc.provenances[0]
+    assert len(prov.rows) == 1 and prov.rows[0, 2] == 400
+    intact = Archive.from_bytes(arc.to_bytes())
+    assert np.array_equal(intact.extract("b", 20_001, 20_400), b[20_001:20_400])
+    prov.rows[0] = (1, 100, 400)
+    damaged = Archive.from_bytes(arc.to_bytes())
+    for lo, hi in ((20_001, 20_400), (20_100, 20_110)):
+        with pytest.raises(CorruptArchiveError, match="literal run"):
+            damaged.extract("b", lo, hi)
 
 
 def test_shifted_provenance_row_in_bytes_rejected():

@@ -2,10 +2,12 @@
 
 ``perfbench/tracer.py`` wraps rlzg functions by the module attribute
 names through which rlzg calls them, and ``perfbench/layers.py`` counts
-factors from the parses the tracer keeps.  The tier-1 suite does not
-collect ``perfbench/``, so without this test a rename in rlzg would first
-show up as a failed traced benchmark run.  The test reads ``perfbench/``
-and changes nothing in it.
+factors from the parses the tracer keeps.  The suite collects
+``perfbench/`` too (``testpaths`` in ``pyproject.toml``), whose traced
+small-scale runs check the figures a run reports; this test checks the
+hooks themselves on a collection that reaches every factor kind: each
+wrapped name is called and each one is put back.  The test reads
+``perfbench/`` and changes nothing in it.
 """
 import sys
 from pathlib import Path
