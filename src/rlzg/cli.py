@@ -22,7 +22,7 @@ import numpy as np
 
 from .archive import Archive, compress as compress_collection, reference_scores, select_reference
 from .errors import CorruptArchiveError, FastaError, RlzgError
-from .genome import Collection, Sequence, parse_fasta, write_fasta
+from .genome import Collection, Sequence, check_record_name, parse_fasta, write_fasta
 from .parse import ParseParams
 
 log = logging.getLogger("rlzg")
@@ -74,6 +74,7 @@ def _load_file_sequences(path: Path, per_record: bool) -> list[Sequence]:
     if len(records) == 1:
         r = records[0]
         return [Sequence(r.name, r.data, record_name=r.name, file_tag=stem)]
+    check_record_name(stem)  # the one record decompress writes for the file
     data = np.concatenate([r.data for r in records])
     return [Sequence(stem, data, record_name=stem, file_tag=stem)]
 
@@ -157,6 +158,8 @@ def _cmd_decompress(args) -> int:
     arc = Archive.load(args.archive)
     tags = dict.fromkeys(e.file_tag for e in arc.entries)
     _check_output_names("file tags", ((repr(t), t) for t in tags))
+    for e in arc.entries:
+        check_record_name(e.record_name)
     t0 = time.perf_counter()
     coll = arc.decompress(threads=args.threads)
     elapsed = time.perf_counter() - t0

@@ -86,6 +86,8 @@ class Collection:
     granularity: str = "whole"
 
     def validate(self) -> None:
+        """Raise ValueError on no sequences, a bad reference index or
+        granularity, an empty or repeated name, or a code above 4."""
         if not self.sequences:
             raise ValueError("collection is empty")
         if not 0 <= self.reference_index < len(self.sequences):
@@ -99,6 +101,8 @@ class Collection:
         for s in self.sequences:
             if not s.name:
                 raise ValueError("sequence with empty name")
+            if len(s.data) and s.data.max() > N:
+                raise ValueError(f"sequence {s.name!r} holds symbol code {s.data.max()} above {N}")
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -221,15 +225,25 @@ def _parse_lines(data: bytes) -> list[Sequence]:
     return records
 
 
+def check_record_name(name: str) -> None:
+    """Raise ValueError unless :func:`parse_fasta` reads ``>name`` back as
+    ``name``: no empty name, whitespace around it or control byte."""
+    raw = name.encode("utf-8")
+    problem = "whitespace around name" if raw != raw.strip() else _header_problem(raw)
+    if problem:
+        raise ValueError(f"FASTA record name {name!r}: {problem}")
+
+
 def write_fasta(seq: Sequence, line_width: int = 70) -> bytes:
     """Render one sequence as FASTA with fixed line width.
 
     Inverse of :func:`parse_fasta` for already-normalized sequences:
     ``parse_fasta(write_fasta(s, w))[0] == s`` for any width >= 1.
-    Raises ValueError on a code above 4.
+    Raises ValueError on a code above 4 or a name ``check_record_name`` refuses.
     """
     if line_width < 1:
         raise ValueError("line_width must be >= 1")
+    check_record_name(seq.name)
     codes = seq.data
     if len(codes) and codes.max() > N:
         raise ValueError(f"symbol code {int(codes.max())} above {N}")

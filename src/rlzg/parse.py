@@ -23,14 +23,16 @@ since the grams between have empty lookups.  Candidates extend along
 their diagonal (extended-reference position minus source position):
 ``_Diagonals`` keeps each diagonal's mismatch positions, found by
 vector compares over windows that grow fourfold, so a match's pieces
-and gaps are read off its next mismatches and the factor after a SNP
-reuses them.
+are read off its next mismatches and the factor after a SNP reuses
+them.
 
-A parse is held as :class:`FactorColumns`, the one factor form the
-encoder and the decoder share: the parser appends each chosen factor's
-kind, start, position and pieces to a list and builds the columns once
-at the end.  :class:`Factor` is the candidate token of the search and
-the per-factor view that ``apply_parse`` (the oracle) reads.
+The search works on plain rows: ``_evaluate`` prices each candidate
+once as ``(kind, position, p0, p1, p2, advance, delta_cost)`` and the
+parser keeps the chosen row's kind, position and pieces.  A parse is
+held as :class:`FactorColumns`, the one factor form the encoder and the
+decoder share, built once at the end with the gap symbols gathered from
+the source.  :class:`Factor` is only the per-factor view that
+``apply_parse`` (the oracle) reads.
 """
 from __future__ import annotations
 
@@ -93,7 +95,8 @@ class ParseParams:
 
 @dataclass
 class Factor:
-    """One parse token.
+    """One factor of a finished parse, as :meth:`FactorColumns.to_factors`
+    builds it (the parser itself makes none).
 
     ``position`` is the reference position for MATCH, the reservoir
     offset for RESERVOIR.  ``lengths`` holds the piece lengths (a single
@@ -245,29 +248,23 @@ class _Diagonals:
     window at its first dense stretch of mismatches, so the lists hold
     few positions that no extension reads.  A diagonal that runs off
     the reference end goes on into the reservoir; each compare reads
-    the buffer its candidate lies in.
-
-    ``release()`` must run before the reservoir grows: the array view
-    of the reservoir kept for the compares would stop its bytearray
-    from growing.
+    the buffer its candidate lies in, a reservoir compare through an
+    array view of ``index.res`` made for it alone (a view kept would
+    stop the bytearray from growing).
     """
 
     def __init__(self, index: KmerIndex, s: np.ndarray):
         self.index = index
         self.s = s
         self.windows: dict[int, list] = {}
-        self._res = None
 
-    def release(self) -> None:
-        self._res = None
-
-    def extend(self, pos: int, cand: int, m2: int) -> tuple[tuple, tuple]:
-        """Pieces and gap symbols of the match of source ``pos`` at
-        ``cand``: contiguous as far as symbols agree, then up to
-        ``GAP_LIMIT`` times one mismatching symbol skipped on both sides
-        when the piece after it reaches ``m2``.  A match stops at the
-        source end and at the end of its buffer (the reference, or the
-        reservoir as it is now)."""
+    def extend(self, pos: int, cand: int, m2: int) -> tuple:
+        """Piece lengths of the match of source ``pos`` at ``cand``:
+        contiguous as far as symbols agree, then up to ``GAP_LIMIT``
+        times one mismatching symbol skipped on both sides when the
+        piece after it reaches ``m2``.  A match stops at the source end
+        and at the end of its buffer (the reference, or the reservoir as
+        it is now); its gap symbols are not read."""
         index = self.index
         d = cand - pos
         in_ref = cand < index.ref_len
@@ -279,15 +276,13 @@ class _Diagonals:
             w = self.windows[d] = [pos, pos, [], _FIRST_DIAGONAL_WINDOW]
         m = self._next_mismatch(w, d, pos, end, in_ref)
         pieces = [m - pos]
-        gaps = []
-        while len(gaps) < GAP_LIMIT and m < end:
+        while len(pieces) <= GAP_LIMIT and m < end:
             after = self._next_mismatch(w, d, m + 1, end, in_ref)
             if after - m - 1 < m2:
                 break
-            gaps.append(self.s.item(m))
             pieces.append(after - m - 1)
             m = after
-        return tuple(pieces), tuple(gaps)
+        return tuple(pieces)
 
     def _next_mismatch(self, w: list, d: int, p: int, end: int, in_ref: bool) -> int:
         """The first mismatch at or after source position ``p`` on
@@ -303,9 +298,8 @@ class _Diagonals:
             if in_ref:
                 buf, at = self.index.ref, hi + d
             else:
-                if self._res is None:
-                    self._res = np.frombuffer(self.index.res, dtype=np.uint8)
-                buf, at = self._res, hi + d - self.index.ref_len
+                buf = np.frombuffer(self.index.res, dtype=np.uint8)
+                at = hi + d - self.index.ref_len
             found = (self.s[hi:b] != buf[at : at + b - hi]).nonzero()[0]
             if len(found) >= _DENSE_MISMATCHES:
                 span = found[_DENSE_MISMATCHES - 1 :] - found[: 1 - _DENSE_MISMATCHES]
@@ -320,44 +314,37 @@ class _Diagonals:
         return mism[i]
 
 
-def _delta_cost(f: Factor, pos: int, prev_delta: int):
-    if f.kind == RESERVOIR:
-        return _INF
-    return abs((pos - f.position) - prev_delta)
-
-
 def _evaluate(diagonals: _Diagonals, pos, params, prev_delta, positions):
-    """Extend every candidate into a MATCH factor, or a RESERVOIR factor
-    at its reservoir offset; return (the longest, the longest with a
-    cheap offset).  Ties break toward the smaller delta cost, then the
-    smaller extended-reference position."""
+    """Extend every candidate whose first piece reaches m1 into a row
+    ``(kind, position, p0, p1, p2, advance, delta_cost)``: MATCH at its
+    reference position, or RESERVOIR at its reservoir offset with an
+    infinite cost.  Return (the longest, the longest with a cheap
+    offset), None for none; ties break toward the smaller delta cost,
+    then the smaller extended-reference position."""
     best = cheap = None
     best_key = cheap_key = None
     ref_len = diagonals.index.ref_len
     for p in positions:
-        pieces, gaps = diagonals.extend(pos, p, params.m2)
+        pieces = diagonals.extend(pos, p, params.m2)
         if pieces[0] < params.m1:
             continue
+        advance = sum(pieces) + len(pieces) - 1
         if p < ref_len:
-            f = Factor(MATCH, p, pieces, gaps)
+            kind, at, cost = MATCH, p, abs(pos - p - prev_delta)
         else:
-            f = Factor(RESERVOIR, p - ref_len, pieces, gaps)
-        absd = _delta_cost(f, pos, prev_delta)
-        key = (-f.advance, absd, p)
+            kind, at, cost = RESERVOIR, p - ref_len, _INF
+        row = (kind, at, *(pieces + (0, 0))[:3], advance, cost)
+        key = (-advance, cost, p)
         if best_key is None or key < best_key:
-            best, best_key = f, key
-        if absd < CHEAP_OFFSET_BOUND and (cheap_key is None or key < cheap_key):
-            cheap, cheap_key = f, key
+            best, best_key = row, key
+        if cost < CHEAP_OFFSET_BOUND and (cheap_key is None or key < cheap_key):
+            cheap, cheap_key = row, key
     return best, cheap
 
 
-def choose_factor(
-    best: Factor | None,
-    alt: Factor | None,
-    prev_delta: int,
-    pos: int,
-) -> Factor | None:
-    """Arbitrate covered length against offset cost.
+def choose_factor(best: tuple | None, alt: tuple | None) -> tuple | None:
+    """Arbitrate covered length against offset cost between two
+    ``_evaluate`` rows; return one of them.
 
     The shorter ``alt`` wins when its delta fits the one-byte offset
     form, the best one's does not, and the length deficit is within the
@@ -365,9 +352,7 @@ def choose_factor(
     longer than that.  Reservoir matches never have cheap offsets."""
     if best is None or alt is None or alt is best:
         return best
-    d_best = _delta_cost(best, pos, prev_delta)
-    d_alt = _delta_cost(alt, pos, prev_delta)
-    if d_best >= CHEAP_OFFSET_BOUND > d_alt and best.advance - alt.advance <= LENGTH_SLACK:
+    if best[6] >= CHEAP_OFFSET_BOUND > alt[6] and best[5] - alt[5] <= LENGTH_SLACK:
         return alt
     return best
 
@@ -443,7 +428,6 @@ def parse_sequence(
             L = upto - lit_start
             rows.append((LITERAL, lit_start, 0, L, 0, 0))
             if reservoir_sink is not None and L >= params.m3:
-                diagonals.release()
                 grams = slice(lit_start, upto - k + 1)
                 reservoir_sink(s[lit_start:upto], lit_start, qhash[grams], qfree[grams])
                 stale = True
@@ -498,16 +482,15 @@ def parse_sequence(
         positions = index.lookup(h, sb[pos : pos + k])
         if positions:
             pred = last_match_delta if pos // interval == last_match_window else 0
-            best, cheap = _evaluate(diagonals, pos, params, pred, positions)
-            chosen = choose_factor(best, cheap, pred, pos)
+            chosen = choose_factor(*_evaluate(diagonals, pos, params, pred, positions))
 
         if chosen is not None:
             close_literal(pos)
-            rows.append((chosen.kind, pos, chosen.position) + (chosen.lengths + (0, 0))[:3])
-            if chosen.kind == MATCH:
-                last_match_delta = pos - chosen.position
+            rows.append((chosen[0], pos) + chosen[1:5])
+            if chosen[0] == MATCH:
+                last_match_delta = pos - chosen[1]
                 last_match_window = pos // interval
-            pos += chosen.advance
+            pos += chosen[5]
             lit_start = pos
             continue
 

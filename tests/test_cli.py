@@ -264,6 +264,37 @@ def test_decompress_refuses_tags_sharing_an_output_file(tmp_path, capsys):
     assert list(outdir.iterdir()) == []
 
 
+def test_decompress_refuses_record_names_fasta_would_change(tmp_path, capsys):
+    """A record name holding a line break would be written as a header
+    and a line of bases: no file is written and the exit code is 2."""
+    rng = np.random.default_rng(82)
+    ref = random_reference(rng, 3_000)
+    coll = Collection(
+        [
+            Sequence("r", ref, file_tag="ref"),
+            Sequence("s", apply_snps(rng, ref, 0.01), record_name="a\nGATTACA", file_tag="s"),
+        ]
+    )
+    arc = tmp_path / "names.rlzg"
+    arc.write_bytes(compress(coll).to_bytes())
+    outdir = tmp_path / "dec"
+    assert main(["decompress", str(arc), "-o", str(outdir)]) == 2
+    assert "'a\\nGATTACA'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_compress_refuses_a_file_stem_fasta_would_change(fasta_dir, tmp_path, capsys):
+    """Without --per-record a multi-record input becomes one record named
+    after its file stem, which decompress must be able to write back."""
+    two = tmp_path / " two.fa"
+    two.write_bytes((fasta_dir / "a.fa").read_bytes() + (fasta_dir / "b.fa").read_bytes())
+    arc = tmp_path / "out.rlzg"
+    argv = ["compress", "--ref", str(fasta_dir / "chr1.fa"), str(two), "-o", str(arc)]
+    assert main(argv) == 2
+    assert "' two'" in capsys.readouterr().err
+    assert not arc.exists()
+
+
 def test_compress_refuses_inputs_sharing_an_output_file(fasta_dir, tmp_path, capsys):
     inputs = [tmp_path / "x\\y.fa", tmp_path / "x_y.fa"]
     for path in inputs:

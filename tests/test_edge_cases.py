@@ -81,6 +81,25 @@ def test_collection_validation_errors():
         Collection([Sequence("a", data)], granularity="banana").validate()
 
 
+@pytest.mark.parametrize("where", ["member", "reference", "ascii"])
+def test_compress_rejects_symbol_codes_above_four(where):
+    """A code above 4 would be written and decoded as another symbol:
+    the collection is refused, naming the sequence that holds it."""
+    rng = np.random.default_rng(104)
+    ref = random_reference(rng, 3000)
+    member = ref.copy()
+    if where == "member":
+        member[1234] = 7
+    elif where == "reference":
+        ref[99] = 9
+    else:  # letters passed as codes
+        member = np.frombuffer(b"ACGT" * 750, dtype=np.uint8)
+    name, code = ("ref", 9) if where == "reference" else ("m", int(member.max()))
+    coll = Collection([Sequence("ref", ref), Sequence("m", member)])
+    with pytest.raises(ValueError, match=f"'{name}' holds symbol code {code} above 4"):
+        compress(coll)
+
+
 def test_partial_all_n_tail_block():
     from rlzg.huffman import HuffmanTable
     from rlzg.refstore import (

@@ -68,6 +68,27 @@ def test_write_fasta_rejects_code_above_four():
             write_fasta(seq, 2)
 
 
+NAME_CHARS = st.sampled_from(["a", "1", ">", " ", "\t", "\n", "\r", "\x00", "\x0b", "\x7f", "\x85", "é"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(NAME_CHARS, max_size=5) | st.text(max_size=5))
+@example("a\nGATTACA")  # read back as record "a" with 7 more bases
+@example("chr1 some description")
+def test_write_fasta_refuses_exactly_the_names_that_do_not_read_back(name):
+    try:
+        written = parse_fasta(b">" + name.encode() + b"\nACGT\n")
+        reads_back = [(s.name, s.data.tolist()) for s in written] == [(name, [0, 1, 2, 3])]
+    except FastaError:
+        reads_back = False
+    seq = Sequence(name, encode_symbols("ACGT"))
+    if reads_back:
+        assert parse_fasta(write_fasta(seq)) == [seq]
+    else:
+        with pytest.raises(ValueError, match="record name"):
+            write_fasta(seq)
+
+
 def test_write_fasta_partial_last_line():
     seq = Sequence("p", encode_symbols("ACGTN"))
     assert write_fasta(seq, 3) == b">p\nACG\nTN\n"

@@ -10,7 +10,6 @@ from rlzg.parse import (
     MATCH,
     NRUN,
     RESERVOIR,
-    Factor,
     Parse,
     ParseParams,
     _Diagonals,
@@ -39,7 +38,7 @@ def make_params(**kw):
 
 
 def longest_at(idx, seq, pos, params, prev_delta=0):
-    """The longest factor ``_evaluate`` makes of the candidates for the
+    """The longest row ``_evaluate`` makes of the candidates for the
     gram at ``pos``, looked up as ``parse_sequence`` does; None when the
     gram holds N or no candidate reaches m1."""
     seq = np.asarray(seq, dtype=np.uint8)
@@ -50,6 +49,12 @@ def longest_at(idx, seq, pos, params, prev_delta=0):
     positions = idx.lookup(int(hashes[pos]), sb[pos : pos + params.m1])
     best, _ = _evaluate(_Diagonals(idx, seq), pos, params, prev_delta, positions)
     return best
+
+
+def row_pieces(row):
+    """The piece lengths of an ``_evaluate`` row, without the zeros past
+    its last piece."""
+    return tuple(L for L in row[2:5] if L)
 
 
 def brute_force_extend(ref, seq, pos, ref_pos, params):
@@ -109,8 +114,7 @@ def test_single_substitution_becomes_gap():
     idx = KmerIndex(ref, params.m1)
     got = longest_at(idx, seq, 0, params)
     want = brute_force_best(ref, seq, 0, params)
-    assert got.position == want[0]
-    assert (got.lengths, got.gap_symbols) == (want[1], want[2])
+    assert (got[0], got[1], row_pieces(got)) == (MATCH, want[0], want[1])
     # the oracle itself should see (10, 9) with the substituted symbol
     assert want[1] == (10, 9) and want[2] == (int(seq[10]),)
 
@@ -129,7 +133,7 @@ def test_tie_break_on_repetitive_reference():
     seq = np.zeros(8, dtype=np.uint8)
     got = longest_at(idx, seq, 0, params)
     # candidates 0..4; position 0 covers all 8 and minimizes |pos - ref_pos|
-    assert got.position == 0 and got.lengths == (8,)
+    assert got[1] == 0 and row_pieces(got) == (8,)
 
 
 def test_tie_break_prefers_cheaper_delta():
@@ -143,8 +147,8 @@ def test_tie_break_prefers_cheaper_delta():
     seq = ref[100:140].copy()
     for prev_delta, want in ((-600, 600), (-100, 100), (-560, 600)):
         got = longest_at(idx, seq, 0, params, prev_delta)
-        assert got.lengths == (40,)
-        assert got.position == want
+        assert row_pieces(got) == (40,)
+        assert got[1] == want
         assert brute_force_best(ref, seq, 0, params, prev_delta)[0] == want
 
 
@@ -166,54 +170,56 @@ def test_longest_match_against_oracle_fuzz():
         if want is None:
             assert got is None
         else:
-            assert got.advance == sum(want[1]) + len(want[2])
-            assert (got.position, got.lengths, got.gap_symbols) == want
+            assert got[5] == sum(want[1]) + len(want[2])
+            assert (got[1], row_pieces(got)) == want[:2]
 
 
-def _cand(position, cover):
-    return Factor(MATCH, position, (cover,))
+def _cand(position, cover, pos, prev_delta):
+    """An ``_evaluate`` row of a one-piece MATCH at ``position`` for
+    source ``pos``, priced against ``prev_delta``."""
+    return (MATCH, position, cover, 0, 0, cover, abs(pos - position - prev_delta))
 
 
 def test_choose_factor_prefers_cheap_offset_within_slack():
     # previous delta 300; best len 60 at distance 2000 -> |d| = 1700;
     # alt len 40 at distance 345 -> |d| = 45; 60-40 <= 28 -> prefer alt
     pos = 5000
-    best = _cand(pos - 2000, 60)
-    alt = _cand(pos - 345, 40)
-    assert choose_factor(best, alt, 300, pos) is alt
+    best = _cand(pos - 2000, 60, pos, 300)
+    alt = _cand(pos - 345, 40, pos, 300)
+    assert choose_factor(best, alt) is alt
 
 
 def test_choose_factor_slack_exceeded():
     pos = 5000
-    best = _cand(pos - 2000, 60)
-    alt = _cand(pos - 345, 20)  # 60 - 20 > 28: keep the long match
-    assert choose_factor(best, alt, 300, pos) is best
+    best = _cand(pos - 2000, 60, pos, 300)
+    alt = _cand(pos - 345, 20, pos, 300)  # 60 - 20 > 28: keep the long match
+    assert choose_factor(best, alt) is best
 
 
 def test_choose_factor_twin_rule():
     pos = 5000
-    best = _cand(pos - 2000, 80)  # expensive but longer by > 28
-    alt = _cand(pos - 345, 40)
-    assert choose_factor(best, alt, 300, pos) is best
+    best = _cand(pos - 2000, 80, pos, 300)  # expensive but longer by > 28
+    alt = _cand(pos - 345, 40, pos, 300)
+    assert choose_factor(best, alt) is best
 
 
 def test_choose_factor_keeps_cheap_best():
     pos = 100
-    best = _cand(60, 50)  # |d| = 40 < 64 already cheap
-    alt = _cand(50, 45)
-    assert choose_factor(best, alt, 0, pos) is best
+    best = _cand(60, 50, pos, 0)  # |d| = 40 < 64 already cheap
+    alt = _cand(50, 45, pos, 0)
+    assert choose_factor(best, alt) is best
 
 
 def test_choose_factor_bounds_are_exact():
     # previous delta 300: |d| = 63 is cheap and 64 is not; a length
     # deficit of 28 is within the slack and 29 is not
     pos = 5000
-    best = _cand(pos - 2000, 68)
-    cheap = _cand(pos - 363, 40)
-    assert choose_factor(best, cheap, 300, pos) is cheap
-    assert choose_factor(best, _cand(pos - 364, 40), 300, pos) is best
-    assert choose_factor(best, _cand(pos - 363, 39), 300, pos) is best
-    assert choose_factor(_cand(pos - 364, 68), cheap, 300, pos) is cheap
+    best = _cand(pos - 2000, 68, pos, 300)
+    cheap = _cand(pos - 363, 40, pos, 300)
+    assert choose_factor(best, cheap) is cheap
+    assert choose_factor(best, _cand(pos - 364, 40, pos, 300)) is best
+    assert choose_factor(best, _cand(pos - 363, 39, pos, 300)) is best
+    assert choose_factor(_cand(pos - 364, 68, pos, 300), cheap) is cheap
 
 
 def test_identical_sequence_single_factor():
@@ -433,28 +439,28 @@ def scalar_extend(index, sb, pos, cand, n, m2):
     else:
         buf, boff = index.res, cand - index.ref_len
     room = len(buf) - boff
-    pieces, gaps = [], []
+    pieces = []
     sp, bp = pos, 0
     L = common_prefix(buf, boff, sb, sp, min(n - sp, room))
     pieces.append(L)
     sp += L
     bp += L
-    while len(gaps) < GAP_LIMIT:
+    while len(pieces) <= GAP_LIMIT:
         if sp >= n or bp >= room:
             break
         L = common_prefix(buf, boff + bp + 1, sb, sp + 1, min(n - sp - 1, room - bp - 1))
         if L < m2:
             break
-        gaps.append(sb[sp])
         pieces.append(L)
         sp, bp = sp + 1 + L, bp + 1 + L
-    return tuple(pieces), tuple(gaps)
+    return tuple(pieces)
 
 
 def scalar_parse(index, seq, params, reservoir_sink=None) -> Parse:
     """Oracle for parse_sequence: the parse loop that hashes every gram
-    of the source up front, looks up every position it visits and
-    extends every candidate with ``scalar_extend``."""
+    of the source up front, looks up every position it visits, extends
+    every candidate with ``scalar_extend`` and prices it in a row of its
+    own making for ``choose_factor``."""
     s = np.asarray(seq, dtype=np.uint8)
     n, k, sb = len(s), params.m1, s.tobytes()
     qhash, qfree = hash_kmers(s, k)
@@ -486,26 +492,28 @@ def scalar_parse(index, seq, params, reservoir_sink=None) -> Parse:
             pred = last_match_delta if pos // params.checkpoint_interval == last_match_window else 0
             best = cheap = best_key = cheap_key = None
             for p in positions:
-                pieces, gaps = scalar_extend(index, sb, pos, p, n, params.m2)
+                pieces = scalar_extend(index, sb, pos, p, n, params.m2)
+                cover = sum(pieces) + len(pieces) - 1
                 if p < index.ref_len:
-                    f, absd = Factor(MATCH, p, pieces, gaps), abs(pos - p - pred)
+                    kind, at, absd = MATCH, p, abs(pos - p - pred)
                 else:
-                    f, absd = Factor(RESERVOIR, p - index.ref_len, pieces, gaps), float("inf")
-                key = (-f.advance, absd, p)
+                    kind, at, absd = RESERVOIR, p - index.ref_len, float("inf")
+                row = (kind, at) + (pieces + (0, 0))[:3] + (cover, absd)
+                key = (-cover, absd, p)
                 if best_key is None or key < best_key:
-                    best, best_key = f, key
+                    best, best_key = row, key
                 if absd < 64 and (cheap_key is None or key < cheap_key):
-                    cheap, cheap_key = f, key
-            chosen = choose_factor(best, cheap, pred, pos)
+                    cheap, cheap_key = row, key
+            chosen = choose_factor(best, cheap)
         if chosen is None:
             pos += 1
             continue
         close_literal(pos)
-        rows.append((chosen.kind, pos, chosen.position) + (chosen.lengths + (0, 0))[:3])
-        if chosen.kind == MATCH:
-            last_match_delta = pos - chosen.position
+        rows.append((chosen[0], pos) + chosen[1:5])
+        if chosen[0] == MATCH:
+            last_match_delta = pos - chosen[1]
             last_match_window = pos // params.checkpoint_interval
-        pos += chosen.advance
+        pos += chosen[5]
         lit_start = pos
     close_literal(n)
     return Parse(_parse_columns(s, rows), n)
@@ -631,10 +639,10 @@ def test_extension_across_window_refills_matches_oracle():
     pos = 0
     while pos < len(seq):
         # the parser's order: one factor after another along the diagonal
-        want = brute_force_extend(ref, seq, pos, pos, params)
+        want = brute_force_extend(ref, seq, pos, pos, params)[0]
         got = diagonals.extend(pos, pos, params.m2)
         assert got == want, pos
-        pos += sum(got[0]) + len(got[1]) + 1
+        pos += sum(got) + len(got)
     first = brute_force_extend(ref, seq, 0, 0, params)[0]
     assert first == (66_000, 140_000 - 66_001, 9)  # two pieces past 64 Ki
     assert len(diagonals.windows) == 1
@@ -651,7 +659,7 @@ def test_extension_on_random_diagonals_matches_oracle():
     for pos in sorted(rng.integers(0, len(seq), 300).tolist()):
         for d in (0, 1, -3, 2):
             if 0 <= pos + d < len(ref):
-                want = brute_force_extend(ref, seq, pos, pos + d, params)
+                want = brute_force_extend(ref, seq, pos, pos + d, params)[0]
                 assert diagonals.extend(pos, pos + d, params.m2) == want
 
 
@@ -667,12 +675,11 @@ def test_reservoir_diagonal_filled_before_the_reservoir_grew():
     res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
     # the reservoir ends where ``first`` does: so does the match
     got = diagonals.extend(0, idx.ref_len, params.m2)
-    assert got == brute_force_extend(res, seq, 0, 0, params) == ((300,), ())
-    diagonals.release()  # as parse_sequence does before a sink call
+    assert got == brute_force_extend(res, seq, 0, 0, params)[0] == (300,)
     idx.extend_with_reservoir(second, idx.ext_len, *hash_kmers(second, params.m1))
     res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
     got = diagonals.extend(100, idx.ref_len + 100, params.m2)
-    assert got == brute_force_extend(res, seq, 100, 100, params) == ((350, 249), (int(seq[450]),))
+    assert got == brute_force_extend(res, seq, 100, 100, params)[0] == (350, 249)
 
 
 def test_parse_hashes_only_what_it_probes(monkeypatch):

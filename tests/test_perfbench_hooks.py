@@ -21,9 +21,10 @@ import layers  # noqa: E402
 import run  # noqa: E402
 import tracer  # noqa: E402
 
-from rlzg import Collection, Sequence, archive, streams  # noqa: E402
+from rlzg import Collection, Sequence, archive, parse, streams  # noqa: E402
 from rlzg.genome import N  # noqa: E402
-from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR  # noqa: E402
+from rlzg.kmer import KmerIndex, gram_hash  # noqa: E402
+from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, ParseParams  # noqa: E402
 from rlzg.synthetic import apply_snps, random_reference  # noqa: E402
 
 
@@ -133,3 +134,38 @@ def test_tracer_and_recorder_wrap_decode_and_restore_every_hook():
     assert streams.SequenceDecoder.touched_payload_bytes is touched
     assert np.array_equal(out, coll.sequences[1].data[4000:13_000])
     assert 0 < distinct <= reported
+
+
+def test_override_counts_choose_factor_picking_alt_on_evaluate_rows():
+    """``parse.overrides`` sums the value the tracer records for each
+    ``choose_factor`` call: 1 when it returns ``alt`` over a distinct
+    ``best``, else 0.  The rows come from ``_evaluate``, as in a parse."""
+    rng = np.random.default_rng(161)
+    ref = random_reference(rng, 5_000)
+    ref[200:280] = ref[3000:3080]  # a near copy of 80 of the source's 100
+    seq = ref[3000:3100].copy()
+    params = ParseParams()
+    index = KmerIndex(ref, params.m1)
+    positions = index.lookup(gram_hash(seq[: params.m1].tobytes()), seq[: params.m1].tobytes())
+    assert positions == [200, 3000]
+
+    def rows(prev_delta):
+        return parse._evaluate(parse._Diagonals(index, seq), 0, params, prev_delta, positions)
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        # delta 210 makes the near copy cheap; the longest is ahead by
+        # less than the slack
+        best, alt = rows(-210)
+        assert (best[1], best[5], alt[1]) == (3000, 100, 200)
+        assert best[5] - parse.LENGTH_SLACK <= alt[5] < best[5]
+        assert parse.choose_factor(best, alt) is alt
+        best, alt = rows(-3000)  # the longest is itself cheap
+        assert alt is best and parse.choose_factor(best, alt) is best
+        best, alt = rows(0)  # no cheap candidate
+        assert alt is None and parse.choose_factor(best, alt) is best
+    finally:
+        t.uninstall()
+    spans = t.spans()
+    assert spans.values(0, len(spans.dur), "parse.choose_factor").tolist() == [1, 0, 0]
