@@ -166,13 +166,6 @@ def _read_str(r: _Reader) -> str:
         raise CorruptArchiveError("undecodable name in sequence table") from exc
 
 
-def _write_deltas(buf: bytearray, arr: np.ndarray) -> None:
-    prev = 0
-    for v in arr.tolist():
-        _write_varint(buf, v - prev)
-        prev = v
-
-
 def _read_varints(r: _Reader, n: int) -> np.ndarray:
     """The next ``n`` varints as int64, decoded together.  A varint
     longer than nine bytes (more than 63 bits) is rejected; the writer
@@ -198,7 +191,7 @@ def _read_varints(r: _Reader, n: int) -> np.ndarray:
 def _running_sums(deltas: np.ndarray) -> np.ndarray:
     """Running sums along the last axis of ``deltas`` as read by
     :func:`_read_varints`, each row starting from a leading 0 (see
-    :func:`_write_deltas`)."""
+    :func:`_checkpoint_block`)."""
     out = np.zeros(deltas.shape[:-1] + (deltas.shape[-1] + 1,), dtype=np.int64)
     np.cumsum(deltas, axis=-1, out=out[..., 1:])
     # every delta is below 2**63, so a sum past int64 wraps negative first
@@ -288,12 +281,14 @@ def _metadata_digest(head, bodies: dict) -> bytes:
 
 def _checkpoint_block(coded: CodedSequence) -> bytes:
     """A member's checkpoint table: the window starts, then per stream
-    the symbol and byte offset deltas, nine runs of varints."""
+    the symbol and byte offsets, nine rows of varint deltas from 0."""
+    table = np.empty((9, coded.n_windows), dtype=np.int64)
+    table[0] = coded.start_source
+    table[1::2] = coded.sym_counts[:, 1:]
+    table[2::2] = coded.byte_offs[:, 1:]
     block = bytearray()
-    _write_deltas(block, np.asarray(coded.start_source))
-    for s in range(4):
-        _write_deltas(block, coded.sym_counts[s][1:])
-        _write_deltas(block, coded.byte_offs[s][1:])
+    for v in np.diff(table, prepend=0).ravel().tolist():
+        _write_varint(block, v)
     return bytes(block)
 
 
@@ -315,11 +310,9 @@ class _SealedMember:
         runs = _running_sums(_read_varints(r, 9 * n_windows).reshape(9, n_windows))
         if r.pos != len(self.checkpoints):
             raise CorruptArchiveError("checkpoint block longer than its windows")
-        byte_offs = [runs[2 + 2 * s] for s in range(4)]
-        if [int(off[-1]) for off in byte_offs] != [len(p) for p in self.payloads]:
+        if runs[2::2, -1].tolist() != [len(p) for p in self.payloads]:
             raise CorruptArchiveError("checkpoint offsets disagree with payload size")
-        sym_counts = [runs[1 + 2 * s] for s in range(4)]
-        return CodedSequence(length, list(self.payloads), runs[0, 1:], sym_counts, byte_offs)
+        return CodedSequence(length, list(self.payloads), runs[0, 1:], runs[1::2], runs[2::2])
 
 
 @dataclass
@@ -791,8 +784,8 @@ class Archive:
         """Factors of member ``i`` over [start, end), and the index of the
         one holding ``start``; their windows go to ``touched``."""
         dec = self._decoder(i)
-        cols, _ = dec.factors_from(self.entries[i].coded.checkpoint_for(start), end)
-        touched.windows.setdefault(i, (dec, set()))[1].update(dec.last_touched)
+        cols, windows = dec.factors_from(self.entries[i].coded.checkpoint_for(start), end)
+        touched.windows.setdefault(i, (dec, set()))[1].update(windows)
         k = int(np.searchsorted(cols.start, start, side="right")) - 1
         if k < 0:
             raise CorruptArchiveError("decoded factors start after the requested range")

@@ -44,6 +44,8 @@ class Sequence:
     """One named symbol string (a genome or a chromosome record).
 
     ``data`` is a uint8 array of codes 0..4 and is treated as immutable.
+    Other input is cast to uint8 when no value changes in the cast, and
+    raises ValueError otherwise (a code outside 0..255 or a fraction).
     ``record_name`` / ``file_tag`` carry the original FASTA record name
     and source-file grouping for round-tripping multi-file inputs; both
     default to ``name``.
@@ -55,7 +57,11 @@ class Sequence:
     file_tag: str | None = None
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.uint8)
+        data = np.asarray(self.data)
+        with np.errstate(invalid="ignore"):
+            self.data = data.astype(np.uint8, copy=False)
+        if self.data is not data and not np.array_equal(self.data, data):
+            raise ValueError(f"sequence {self.name!r} holds codes a uint8 cast would change")
         if self.record_name is None:
             self.record_name = self.name
         if self.file_tag is None:

@@ -357,7 +357,7 @@ def test_open_builds_decode_tables_on_first_use():
     ref = random_reference(rng, 30_000)
     coll = Collection([Sequence("ref", ref), Sequence("m", apply_snps(rng, ref, 0.01))], 0)
     arc = Archive.from_bytes(compress(coll).to_bytes())
-    models = arc.models.tables()
+    models = arc.models.tables
     assert all(t._dec is None and t._codes is None for t in [arc.ref_table, *models])
     assert np.array_equal(arc.extract("ref", 1000, 2000), ref[1000:2000])
     assert arc.ref_table._dec is not None

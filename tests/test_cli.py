@@ -79,6 +79,33 @@ def test_extract_equals_slice(fasta_dir, tmp_path, capsys):
     assert np.array_equal(rec.data, full.data[100:200])
 
 
+def test_extract_to_file_holds_the_stdout_fasta(fasta_dir, tmp_path, capsys):
+    arc = tmp_path / "out.rlzg"
+    main(["compress", "--ref", str(fasta_dir / "chr1.fa"), str(fasta_dir / "a.fa"), "-o", str(arc)])
+    capsys.readouterr()
+    args = ["extract", str(arc), "--seq", "a", "--range", "250:1250", "--width", "60"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "slice.fa"
+    assert main(args + ["-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed
+    (full,) = parse_fasta((fasta_dir / "a.fa").read_bytes())
+    assert np.array_equal(parse_fasta(printed)[0].data, full.data[250:1250])
+
+
+def test_compress_human_profile_sets_m1_20_and_record_matching(fasta_dir, tmp_path, capsys):
+    arc = tmp_path / "out.rlzg"
+    inputs = [fasta_dir / f"{name}.fa" for name in ("chr1", "a", "b")]
+    assert main(["compress", "--profile", "human", "--ref", *map(str, inputs), "-o", str(arc)]) == 0
+    loaded = Archive.load(arc)
+    assert loaded.params.m1 == 20
+    assert loaded.granularity == "record"
+    want = [parse_fasta(p.read_bytes())[0].data for p in inputs]
+    got = loaded.decompress().sequences
+    assert len(got) == len(want) and all(np.array_equal(s.data, w) for s, w in zip(got, want))
+
+
 def test_extract_on_a_fresh_archive_through_escapes(tmp_path, capsys):
     # the member opens with a 2,000-base match 20,000 bases away from its
     # start: window 0 holds an offset escape and a length escape, whose
@@ -137,6 +164,9 @@ def test_unknown_sequence_exits_2(fasta_dir, tmp_path, capsys):
     assert rc == 2
     rc = main(["extract", str(arc), "--seq", "chr1", "--range", "5-9"])
     assert rc == 2
+    rc = main(["extract", str(arc), "--seq", "chr1", "--range", "5:3"])
+    assert rc == 2
+    assert "invalid range '5:3'" in capsys.readouterr().err
 
 
 def test_zero_inputs_usage_error(capsys):

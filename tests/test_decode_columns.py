@@ -173,8 +173,8 @@ def _set(stream, values):
 def _zero_length_escape(raw):
     """The literal run's length record becomes an escape holding 0."""
     raw.bytes_[LEN] = np.array([39, 255, 0, 0, 0, 0], dtype=np.uint8)
-    raw.first[LEN] = np.array([1, 1, 0, 0, 0, 0], dtype=bool)
-    raw.seg_bytes[LEN] = np.array([6])
+    raw.model[LEN] = np.array([2, 2, 3, 3, 3, 3], dtype=np.uint8)
+    raw.seg_bytes[LEN] = [6]
 
 
 @pytest.mark.parametrize(

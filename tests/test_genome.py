@@ -68,6 +68,32 @@ def test_write_fasta_rejects_code_above_four():
             write_fasta(seq, 2)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.array([0, 1, 258, -252]),  # a uint8 cast wraps these to [0, 1, 2, 4]
+        np.array([256]),
+        np.array([-1]),
+        np.array([0.7, 1.9]),  # a cast truncates these to [0, 1]
+        np.array([2.5]),
+        np.array([np.nan]),
+        np.array([3, 2**40], dtype=np.uint64),
+    ],
+    ids=["wrapped-mix", "256", "minus-one", "fractions", "two-and-a-half", "nan", "uint64-wide"],
+)
+def test_sequence_rejects_codes_a_uint8_cast_would_change(data):
+    with pytest.raises(ValueError, match="uint8 cast would change"):
+        Sequence("s", data)
+
+
+def test_sequence_keeps_codes_a_uint8_cast_preserves():
+    codes = np.array([0, 1, 2, 3, 4], dtype=np.uint8)
+    assert Sequence("s", codes).data is codes  # what parse_fasta makes: no copy
+    for data in (np.array([0, 4, 9]), np.array([1.0, 4.0]), [2, 3], np.array([True, False])):
+        seq = Sequence("s", data)
+        assert seq.data.dtype == np.uint8 and seq.data.tolist() == np.asarray(data).tolist()
+
+
 NAME_CHARS = st.sampled_from(["a", "1", ">", " ", "\t", "\n", "\r", "\x00", "\x0b", "\x7f", "\x85", "é"])
 
 

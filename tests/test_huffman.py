@@ -172,7 +172,7 @@ def test_encode_rejects_uncovered_byte():
     literal = Factor(LITERAL, lengths=(1,), symbols=np.array([2], dtype=np.uint8))
     raw = encode_parse(parse_of([literal], 1), ParseParams())
     with pytest.raises(ValueError, match="stream byte missing from its model"):
-        compress_streams(raw, ModelSet(*[table] * 6))
+        compress_streams(raw, ModelSet((table,) * 6))
 
 
 def test_roundtrip_random_4kb():

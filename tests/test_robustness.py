@@ -1,5 +1,6 @@
 """Corruption and concurrency hardening checks."""
 import itertools
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,11 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlzg import Archive, Collection, CorruptArchiveError, RlzgError, Sequence, compress, decompress
+from rlzg.archive import (
+    _PARAMS_FORMAT,
+    _SEC_MODELS,
+    _SEC_PARAMS,
+    _SEC_SEQTABLE,
+    _SEC_STREAMPAYLOAD,
+    _checkpoint_block,
+    _write_varint,
+)
 from rlzg.genome import N
 from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, ParseParams
 from rlzg.synthetic import apply_snps, make_collection, random_reference
 
-from sealing import reseal
+from sealing import reseal, section_spans
 
 
 def test_metadata_corruption_never_crashes_uncontrolled():
@@ -118,38 +128,60 @@ def test_archive_roundtrip_property(seqs, ref):
 
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    m1=st.integers(min_value=8, max_value=13),
+    m1=st.integers(min_value=5, max_value=16),
     m3_extra=st.integers(min_value=0, max_value=24),
-    interval=st.sampled_from([16, 24, 40, 64, 128]),
+    cap=st.integers(min_value=1, max_value=8),
+    interval=st.integers(min_value=1, max_value=64) | st.integers(min_value=65, max_value=8192),
     n_members=st.integers(min_value=2, max_value=4),
     n_novel=st.integers(min_value=1, max_value=3),
+    per_record=st.booleans(),
+    draw=st.data(),
 )
 def test_shared_novel_roundtrip_and_extract_property(
-    seed, m1, m3_extra, interval, n_members, n_novel
+    seed, m1, m3_extra, cap, interval, n_members, n_novel, per_record, draw
 ):
     """Members of a small collection carry novel segments from a shared
     pool, so later members match earlier ones' literal runs in the
     reservoir, and with short checkpoint windows those runs span
-    windows.  Decompression is exact, extracts on a fresh reader give
-    the slices, and every digest verifies."""
+    windows; they also hold an N-run and a tandem repeat.  In per-record
+    mode the first member's file has a second record with no reference
+    counterpart, an orphan matched against its reservoir alone.
+
+    Decompression is exact, extracts on a fresh reader give the slices,
+    and every digest verifies.  An opened archive writes back the same
+    bytes, and ``stats()`` reads the same before the first ``to_bytes``,
+    after it and on the opened archive."""
+    m2 = draw.draw(st.integers(min_value=1, max_value=m1 - 1), label="m2")
     rng = np.random.default_rng(seed)
     ref = random_reference(rng, int(rng.integers(400, 1500)))
     pool = [random_reference(rng, int(rng.integers(48, 160))) for _ in range(n_novel)]
-    seqs = [Sequence("ref", ref)]
+    seqs = [Sequence("ref", ref, "chr1", "ref")]
     for i in range(n_members):
         parts = []
         for _ in range(int(rng.integers(2, 5))):
             lo = int(rng.integers(0, len(ref) - 100))
             parts.append(apply_snps(rng, ref[lo : lo + int(rng.integers(50, 400))], 0.01))
             parts.append(pool[int(rng.integers(0, n_novel))])
-        seqs.append(Sequence(f"m{i}", np.concatenate(parts)))
-    coll = Collection(seqs, 0)
-    params = ParseParams(m1=m1, m2=4, m3=m1 + m3_extra, checkpoint_interval=interval)
+        unit = random_reference(rng, int(rng.integers(1, 7)))
+        tandem = np.tile(unit, -(-int(rng.integers(20, 120)) // len(unit)))
+        nrun = np.full(int(rng.integers(1, 80)), N, dtype=np.uint8)
+        for extra in (tandem, nrun):
+            parts.insert(int(rng.integers(0, len(parts) + 1)), extra)
+        seqs.append(Sequence(f"m{i}/chr1", np.concatenate(parts), "chr1", f"m{i}"))
+    orphan = np.concatenate((random_reference(rng, 60), pool[0], random_reference(rng, 30)))
+    seqs.append(Sequence("m0/plasmid", orphan, "plasmid", "m0"))
+    coll = Collection(seqs, 0, "record" if per_record else "whole")
+    params = ParseParams(m1, m2, m1 + m3_extra, cap, interval)
     arc = compress(coll, params)
+    stats = arc.stats()
     data = arc.to_bytes()
+    assert arc.stats() == stats
+    opened = Archive.from_bytes(data)
+    assert opened.to_bytes() == data
+    assert opened.stats() == stats
     assert decompress(Archive.from_bytes(data)) == coll
 
     ranges = []
@@ -228,3 +260,97 @@ def test_every_flipped_byte_raises_or_decodes_exactly():
             ):
                 failed.append((at, bit, op.__name__, "wrong symbols"))
     assert not failed, f"damage not caught at (byte, bit, operation, outcome): {failed}"
+
+
+def _varint(v: int) -> bytes:
+    buf = bytearray()
+    _write_varint(buf, v)
+    return bytes(buf)
+
+
+def _reframe(data: bytes, sec_id: int, edit) -> bytes:
+    """``data`` with the body of section ``sec_id`` replaced by
+    ``edit(body)`` and every section framed again around it."""
+    spans = sorted(section_spans(data).items(), key=lambda item: item[1][0])
+    out = bytearray(data[:6]) + _varint(len(spans))
+    for sid, (at, n) in spans:
+        body = bytes(data[at : at + n])
+        if sid == sec_id:
+            body = edit(body)
+        out += _varint(sid) + _varint(len(body)) + body
+    return bytes(out)
+
+
+def _patch(at_of, value: int):
+    """An edit that sets the byte ``at_of(body)`` of a section to ``value``."""
+
+    def edit(body):
+        out = bytearray(body)
+        out[at_of(body)] = value
+        return bytes(out)
+
+    return edit
+
+
+def _params_with(field: int, value: int):
+    def edit(body):
+        values = list(struct.unpack(_PARAMS_FORMAT, body))
+        values[field] = value
+        return struct.pack(_PARAMS_FORMAT, *values)
+
+    return edit
+
+
+# In the sequence table of the _flip_collection archive, the reference
+# entry "ref" (1,500 symbols) is three name strings and its length,
+# then its role byte, group varint and payload base varint, each 0.
+_REF_ENTRY = _varint(3) + b"ref" + _varint(3) + b"ref" + _varint(3) + b"ref" + _varint(1500)
+
+
+def _after_ref_entry(k: int):
+    return lambda body: body.index(_REF_ENTRY) + len(_REF_ENTRY) + k
+
+
+def _grow_checkpoint_block(arc: Archive):
+    """An edit of the sequence table that appends a varint to member
+    "a"'s checkpoint block and adds 1 to the block's stored length."""
+    block = _checkpoint_block(arc.entries[1].coded)
+    framed = _varint(len(block)) + block
+    return lambda body: body.replace(framed, _varint(len(block) + 1) + block + b"\0", 1)
+
+
+@pytest.mark.parametrize(
+    "sec_id, edit, message",
+    [
+        (_SEC_PARAMS, lambda b: b + b"\0", "malformed params section"),
+        (_SEC_PARAMS, _params_with(7, 0), "invalid stored parameters"),
+        (_SEC_MODELS, lambda b: b[:-1], "malformed model section"),
+        # the reference table holds one symbol, coded with 2 bits
+        (_SEC_MODELS, lambda b: b"\2" + bytes(127) + b[128:], "single-symbol table must use length 1"),
+        (_SEC_SEQTABLE, _patch(_after_ref_entry(1), 5), "sequence points at a missing group"),
+        (_SEC_SEQTABLE, _patch(_after_ref_entry(2), 1), "reference payload out of bounds"),
+        (_SEC_SEQTABLE, _patch(_after_ref_entry(0), 2), "unknown sequence role 2"),
+        (_SEC_SEQTABLE, _patch(lambda b: 0, 0), "archive holds no sequences"),
+        (_SEC_SEQTABLE, _patch(lambda b: 1, 3), "reference index out of range"),
+        (_SEC_STREAMPAYLOAD, lambda b: b + b"\0", "payload bytes outside every sequence"),
+        (_SEC_SEQTABLE, _grow_checkpoint_block, "checkpoint block longer than its windows"),
+    ],
+    ids=[
+        "params-length", "params-invalid", "models-length", "single-symbol-length-2",
+        "missing-group", "reference-base", "unknown-role", "no-sequences", "reference-index",
+        "stray-payload", "long-checkpoint-block",
+    ],
+)
+def test_resealed_damage_reaches_each_reader_check(sec_id, edit, message):
+    """Each damage is resealed, so the digests pass and the named check
+    of the reader must reject it: at the open, or for a checkpoint block
+    when its member is first touched.  (A code length above 15 cannot be
+    written in a 4-bit nibble, so that table check has no case here.)"""
+    arc = compress(_flip_collection(), ParseParams(checkpoint_interval=256))
+    data = arc.to_bytes()
+    if edit is _grow_checkpoint_block:
+        edit = edit(arc)
+    damaged = reseal(_reframe(data, sec_id, edit))
+    assert _reframe(data, sec_id, lambda b: b) == data and damaged != data
+    with pytest.raises(CorruptArchiveError, match=message):
+        Archive.from_bytes(damaged).decompress()

@@ -55,8 +55,12 @@ def match(position, lengths, gaps=()):
 
 def decode_from(coded, models, p, window, until):
     """Factor objects a fresh decoder returns from checkpoint ``window``
-    until coverage reaches ``until``, plus their source start."""
-    cols, start = SequenceDecoder(coded, models, p).factors_from(window, until)
+    until coverage reaches ``until``, plus the source position where that
+    window resumes, which is the first factor's start."""
+    cols, windows = SequenceDecoder(coded, models, p).factors_from(window, until)
+    start = int(coded.start_source[window]) if coded.n_windows else 0
+    assert windows == sorted(set(windows))
+    assert len(cols) == 0 or (windows[0] == window and cols.start[0] == start)
     return cols.to_factors(), start
 
 
@@ -86,7 +90,7 @@ def test_offset_escape_positive():
     f2 = match(100, (300,))  # starts at 300; delta 200; d = 200 - 0 = 200
     raw = encode_parse(parse_of([f1, f2], 600), p)
     assert raw.bytes_[OFF].tolist() == [125, 252, 200, 0, 0, 0]
-    assert raw.first[OFF].tolist() == [True, True, False, False, False, False]
+    assert raw.model[OFF].tolist() == [0, 0, 1, 1, 1, 1]
 
 
 def test_offset_escape_negative():
@@ -127,7 +131,7 @@ def test_length_escape():
     p = params()
     raw = encode_parse(parse_of([match(0, (1000,))], 1000), p)
     assert raw.bytes_[LEN].tolist() == [255, 232, 3, 0, 0]
-    assert raw.first[LEN].tolist() == [True, False, False, False, False]
+    assert raw.model[LEN].tolist() == [2, 3, 3, 3, 3]
 
 
 def test_stream_arity_invariant():
@@ -270,7 +274,7 @@ def test_build_models_degenerate_all_zero_delta():
     parse = parse_of([match(0, (100,)), match(100, (100,))], 200)
     raw = encode_parse(parse, params())
     models = build_models([raw])
-    assert models.off0.lengths[125] == 1  # single offset byte value
+    assert models.tables[0].lengths[125] == 1  # single offset byte value
 
 
 def test_models_invariant_under_count_scaling():
@@ -280,7 +284,7 @@ def test_models_invariant_under_count_scaling():
     raw = encode_parse(parse_of(factors, total), params())
     m1 = build_models([raw])
     m2 = build_models([raw, raw])  # doubled tallies, same tables
-    for a, b in zip(m1.tables(), m2.tables()):
+    for a, b in zip(m1.tables, m2.tables):
         assert a == b
 
 
@@ -301,7 +305,7 @@ def test_total_coded_bits_match_model_lengths():
     coded = compress_streams(raw, models)
     tallies = stream_tallies(raw, np.zeros((6, 256), dtype=np.int64))
     expect_bits = int(
-        sum((t.lengths.astype(np.int64) * tallies[i]).sum() for i, t in enumerate(models.tables()))
+        sum((t.lengths.astype(np.int64) * tallies[i]).sum() for i, t in enumerate(models.tables))
     )
     # padding adds < 8 bits per stream per window
     padded_bits = sum(len(pl) * 8 for pl in coded.payloads)
@@ -316,7 +320,7 @@ def test_model_set_serialization_roundtrip():
     blob = models.serialize()
     assert len(blob) == 768
     back = ModelSet.deserialize(blob)
-    for a, b in zip(models.tables(), back.tables()):
+    for a, b in zip(models.tables, back.tables):
         assert a == b
     with pytest.raises(CorruptArchiveError):
         ModelSet.deserialize(blob[:-1])
@@ -397,7 +401,7 @@ def scalar_encode(factors, n, p):
     each record byte by byte and closing each window as it is left."""
     interval = p.checkpoint_interval
     n_windows = -(-n // interval)
-    off_b, off_f, len_b, len_f = bytearray(), bytearray(), bytearray(), bytearray()
+    off_b, off_m, len_b, len_m = bytearray(), bytearray(), bytearray(), bytearray()
     lit_packed, flg_packed = [], []
     start_source = [0] if n_windows else []
     seg_bytes = [[] for _ in range(4)]
@@ -423,16 +427,16 @@ def scalar_encode(factors, n, p):
         win_flags.clear()
         win_lits.clear()
 
-    def emit(buf, flags, first, ext=None):
+    def emit(buf, models, model, first, ext=None):
         buf.append(first)
-        flags.append(1)
+        models.append(model)
         if ext is not None:
             buf.extend((ext & 0xFFFFFFFF).to_bytes(4, "little"))
-            flags.extend(bytes(4))
+            models.extend([model + 1] * 4)
 
     def emit_length(v):
         recs[1] += 1
-        emit(len_b, len_f, v - 1, None) if v <= 255 else emit(len_b, len_f, LEN_ESC, v)
+        emit(len_b, len_m, 2, v - 1, None) if v <= 255 else emit(len_b, len_m, 2, LEN_ESC, v)
 
     pos = cur_w = pred = 0
     last_match_w = -1
@@ -450,16 +454,16 @@ def scalar_encode(factors, n, p):
             win_flags.append(len(f.lengths))
             recs[0] += 1
             if f.kind == NRUN:
-                emit(off_b, off_f, NRUN_MARK)
+                emit(off_b, off_m, 0, NRUN_MARK)
             elif f.kind == RESERVOIR:
-                emit(off_b, off_f, RESERVOIR_MARK, f.position)
+                emit(off_b, off_m, 0, RESERVOIR_MARK, f.position)
             else:
                 delta = pos - f.position
                 d = delta - (pred if w == last_match_w else 0)
                 if -OFFSET_BIAS <= d <= OFFSET_BIAS:
-                    emit(off_b, off_f, d + OFFSET_BIAS)
+                    emit(off_b, off_m, 0, d + OFFSET_BIAS)
                 else:
-                    emit(off_b, off_f, ESC_NEG if d < 0 else ESC_POS, d)
+                    emit(off_b, off_m, 0, ESC_NEG if d < 0 else ESC_POS, d)
                 pred, last_match_w = delta, w
             for L in f.lengths:
                 emit_length(L)
@@ -474,14 +478,15 @@ def scalar_encode(factors, n, p):
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
 
+    lit, flg = cat(lit_packed), cat(flg_packed)
     return RawStreams(
         length=n,
         bytes_=[np.frombuffer(bytes(off_b), np.uint8), np.frombuffer(bytes(len_b), np.uint8),
-                cat(lit_packed), cat(flg_packed)],
-        first=[np.frombuffer(bytes(off_f), np.uint8).astype(bool),
-               np.frombuffer(bytes(len_f), np.uint8).astype(bool), None, None],
-        seg_bytes=[np.asarray(s, dtype=np.int64) for s in seg_bytes],
-        sym_counts=[np.asarray(c, dtype=np.int64) for c in cum],
+                lit, flg],
+        model=[np.frombuffer(bytes(off_m), np.uint8), np.frombuffer(bytes(len_m), np.uint8),
+               np.full(len(lit), 4, np.uint8), np.full(len(flg), 5, np.uint8)],
+        seg_bytes=np.asarray(seg_bytes, dtype=np.int64).reshape(4, -1),
+        sym_counts=np.asarray(cum, dtype=np.int64),
         start_source=np.asarray(start_source, dtype=np.int64),
     )
 
@@ -490,11 +495,10 @@ def assert_same_streams(got, want):
     assert got.length == want.length
     for s in range(4):
         assert np.array_equal(got.bytes_[s], want.bytes_[s])
-        assert (got.first[s] is None) == (want.first[s] is None)
-        if want.first[s] is not None:
-            assert np.array_equal(got.first[s], want.first[s])
-        assert np.array_equal(got.seg_bytes[s], want.seg_bytes[s])
-        assert np.array_equal(got.sym_counts[s], want.sym_counts[s])
+        assert np.array_equal(got.model[s], want.model[s])
+    assert got.seg_bytes.dtype == got.sym_counts.dtype == np.int64
+    assert np.array_equal(got.seg_bytes, want.seg_bytes)
+    assert np.array_equal(got.sym_counts, want.sym_counts)
     assert np.array_equal(got.start_source, want.start_source)
 
 
@@ -511,9 +515,9 @@ def test_encode_parse_matches_scalar_encoder(interval):
         res_len += sum(f.lengths[0] for f in factors if f.kind == LITERAL and f.lengths[0] >= p.m3)
         got = encode_parse(parse, p)
         assert_same_streams(got, scalar_encode(factors, parse.source_length, p))
-        seen_off |= set(got.bytes_[OFF][got.first[OFF]].tolist())
+        seen_off |= set(got.bytes_[OFF][got.model[OFF] == 0].tolist())
         seen_flags |= {len(f.gap_symbols) for f in factors if f.kind in (MATCH, RESERVOIR)}
-        len_escapes += int((got.bytes_[LEN][got.first[LEN]] == LEN_ESC).sum())
+        len_escapes += int((got.bytes_[LEN][got.model[LEN] == 2] == LEN_ESC).sum())
         empty_windows += int((got.seg_bytes[FLG] == 0).sum())
         ends = np.cumsum([f.advance for f in factors], dtype=np.int64)
         spanning += int(((ends - 1) // interval != np.append(0, ends[:-1]) // interval).sum())
