@@ -22,6 +22,10 @@ one per unit in the manner of zstd's per-frame checksum (RFC 8878,
 
 Unit digests sit in the sequence table, next to the checkpoint block
 (whose byte length is stored, so it can be skipped) or the block index.
+An archive is written once, by :func:`compress`, and only read after:
+``compress`` returns ``Archive.from_bytes`` of the bytes it wrote, and
+``to_bytes`` returns the bytes an archive was opened from, so an
+archive changed in memory is never written again.
 ``from_bytes`` checks the metadata digest and the structure, and hashes
 no payload.  A member's digest is checked, and its checkpoint block
 decoded, on its first access; a block group's before any of its blocks
@@ -102,6 +106,8 @@ _SEC_STREAMPAYLOAD = 6
 _SEC_DIGEST = 7
 # the sections the metadata digest covers, in digest order
 _METADATA = (_SEC_PARAMS, _SEC_MODELS, _SEC_SEQTABLE, _SEC_PROVENANCE)
+# the writer's section order; a reader finds sections by id, in any order
+_SECTION_ORDER = (_SEC_PARAMS, _SEC_DIGEST, *_METADATA[1:], _SEC_REFPAYLOAD, _SEC_STREAMPAYLOAD)
 _PARAMS_FORMAT = "<HHIBIIIII"
 
 ROLE_REFERENCE = 0
@@ -330,16 +336,12 @@ class SequenceEntry:
 
     @property
     def coded(self) -> CodedSequence | None:
-        """A member's coded streams.  A member read from an archive stays
-        ``sealed`` until this is first read, which checks its digest and
-        decodes its checkpoint block; a failed check keeps nothing."""
+        """A member's coded streams.  A member stays ``sealed`` until
+        this is first read, which checks its digest and decodes its
+        checkpoint block; a failed check keeps nothing."""
         if self._coded is None and self.sealed is not None:
             self._coded = self.sealed.open(self.length)
         return self._coded
-
-    @coded.setter
-    def coded(self, coded: CodedSequence) -> None:
-        self._coded = coded
 
 
 @dataclass
@@ -355,10 +357,13 @@ class _Touched:
 
 
 class Archive:
-    """A compressed collection with random-access extraction."""
+    """A compressed collection with random-access extraction, opened
+    from the bytes it was written as."""
 
     def __init__(
         self,
+        data: bytes,
+        section_sizes: dict[int, int],
         params: ParseParams,
         granularity: str,
         reference_index: int,
@@ -368,6 +373,8 @@ class Archive:
         models: ModelSet,
         provenances: list[ReservoirProvenance],
     ):
+        self._data = data
+        self.section_sizes = section_sizes
         self.params = params
         self.granularity = granularity
         self.reference_index = reference_index
@@ -376,8 +383,6 @@ class Archive:
         self.ref_table = ref_table
         self.models = models
         self.provenances = provenances
-        self.section_sizes: dict[int, int] = {}
-        self.total_bytes = 0
         self._by_name = {e.name: i for i, e in enumerate(entries)}
         self._decoders: dict[int, SequenceDecoder] = {}
         self._ref_block_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -386,86 +391,8 @@ class Archive:
     # serialization
 
     def to_bytes(self) -> bytes:
-        ref_payload = bytearray()
-        stream_payload = bytearray()
-        seqtable = bytearray()
-        _write_varint(seqtable, len(self.entries))
-        _write_varint(seqtable, self.reference_index)
-        _write_varint(seqtable, len(self.groups))
-        for g in self.groups:
-            _write_varint(seqtable, 0 if g.reference is None else g.reference + 1)
-        for e in self.entries:
-            mark = len(seqtable)
-            _write_str(seqtable, e.name)
-            _write_str(seqtable, e.record_name)
-            _write_str(seqtable, e.file_tag)
-            _write_varint(seqtable, e.length)
-            seqtable.append(e.role)
-            _write_varint(seqtable, e.group)
-            if e.role == ROLE_REFERENCE:
-                rb = e.refblocks
-                _write_varint(seqtable, len(ref_payload))
-                _write_varint(seqtable, rb.n_blocks)
-                # block index: u64 LE start offsets, one per block + terminator
-                seqtable.extend(np.asarray(rb.offsets, dtype="<u8").tobytes())
-                seqtable.extend(b"".join(rb.group_digests()))
-                ref_payload.extend(rb.payload)
-            else:
-                c = e.coded
-                for s in range(4):
-                    _write_varint(seqtable, len(c.payloads[s]))
-                block = _checkpoint_block(c)
-                seqtable.extend(digest64(block, *c.payloads))
-                _write_varint(seqtable, len(block))
-                seqtable.extend(block)
-                for s in range(4):
-                    stream_payload.extend(c.payloads[s])
-            e.meta_bytes = len(seqtable) - mark
-
-        prov = bytearray()
-        for p in self.provenances:
-            _write_varint(prov, len(p.rows))
-            for v in p.rows.ravel().tolist():
-                _write_varint(prov, v)
-
-        params = self.params
-        params_body = struct.pack(
-            _PARAMS_FORMAT,
-            params.m1,
-            params.m2,
-            params.m3,
-            GAP_LIMIT,
-            CHEAP_OFFSET_BOUND,
-            LENGTH_SLACK,
-            params.candidate_cap,
-            params.checkpoint_interval,
-            BLOCK_SIZE,
-        )
-        bodies = {
-            _SEC_PARAMS: params_body,
-            _SEC_MODELS: self.ref_table.serialize() + self.models.serialize(),
-            _SEC_SEQTABLE: seqtable,
-            _SEC_PROVENANCE: prov,
-        }
-        head = MAGIC + bytes([VERSION, 1 if self.granularity == "record" else 0])
-        sections = [
-            (_SEC_PARAMS, params_body),
-            (_SEC_DIGEST, _metadata_digest(head, bodies)),
-            (_SEC_MODELS, bodies[_SEC_MODELS]),
-            (_SEC_SEQTABLE, seqtable),
-            (_SEC_PROVENANCE, prov),
-            (_SEC_REFPAYLOAD, ref_payload),
-            (_SEC_STREAMPAYLOAD, stream_payload),
-        ]
-        out = bytearray(head)
-        _write_varint(out, len(sections))
-        for sec_id, body in sections:
-            _write_varint(out, sec_id)
-            _write_varint(out, len(body))
-            out.extend(body)
-            self.section_sizes[sec_id] = len(body)
-        self.total_bytes = len(out)
-        return bytes(out)
+        """The bytes this archive was opened from."""
+        return self._data
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Archive":
@@ -607,7 +534,9 @@ class Archive:
                 i for i, e in enumerate(entries) if e.group == g and e.role == ROLE_MEMBER
             ]
 
-        arc = cls(
+        return cls(
+            data,
+            {sec_id: len(body) for sec_id, body in sections.items()},
             params,
             granularity,
             reference_index,
@@ -617,10 +546,6 @@ class Archive:
             models,
             provenances,
         )
-        for sec_id, body in sections.items():
-            arc.section_sizes[sec_id] = len(body)
-        arc.total_bytes = len(data)
-        return arc
 
     @classmethod
     def load(cls, path) -> "Archive":
@@ -828,8 +753,6 @@ class Archive:
         ):
             lo, hi = max(f_start, start), min(f_start + adv, end)
             covered = f_start + adv
-            if hi <= lo:
-                continue
             at, n = lo - start, hi - lo
             rel_lo, rel_hi = lo - f_start, hi - f_start
             if kind == LITERAL:
@@ -878,13 +801,11 @@ class Archive:
         """Size breakdown (bytes) plus derived ratios; the relative part
         is the member stream payloads together with their checkpoint
         metadata."""
-        if not self.section_sizes:
-            self.to_bytes()
         ref_meta = sum(e.meta_bytes for e in self.entries if e.role == ROLE_REFERENCE)
         rel_meta = sum(e.meta_bytes for e in self.entries if e.role == ROLE_MEMBER)
-        reference_bytes = self.section_sizes.get(_SEC_REFPAYLOAD, 0) + ref_meta
-        relative_bytes = self.section_sizes.get(_SEC_STREAMPAYLOAD, 0) + rel_meta
-        total = self.total_bytes
+        reference_bytes = self.section_sizes[_SEC_REFPAYLOAD] + ref_meta
+        relative_bytes = self.section_sizes[_SEC_STREAMPAYLOAD] + rel_meta
+        total = len(self._data)
         header_bytes = total - reference_bytes - relative_bytes
         ref_symbols = sum(e.length for e in self.entries if e.role == ROLE_REFERENCE)
         member_symbols = sum(e.length for e in self.entries if e.role == ROLE_MEMBER)
@@ -902,30 +823,114 @@ class Archive:
         }
 
 
+def _write_archive(
+    params: ParseParams,
+    collection: Collection,
+    groups: list[Group],
+    ref_table: HuffmanTable,
+    models: ModelSet,
+    units: list[RefBlocks | CodedSequence],
+    provenances: list[list[tuple[int, int, int]]],
+) -> bytes:
+    """The archive bytes of ``collection``: per sequence, its coded
+    ``units`` entry (a reference record's blocks or a member's streams),
+    and per group, its matching universe and provenance rows."""
+    group_of = {i: g for g, grp in enumerate(groups) for i in [grp.reference, *grp.members]}
+    ref_payload = bytearray()
+    stream_payload = bytearray()
+    seqtable = bytearray()
+    _write_varint(seqtable, len(units))
+    _write_varint(seqtable, collection.reference_index)
+    _write_varint(seqtable, len(groups))
+    for g in groups:
+        _write_varint(seqtable, 0 if g.reference is None else g.reference + 1)
+    for i, (s, unit) in enumerate(zip(collection.sequences, units)):
+        _write_str(seqtable, s.name)
+        _write_str(seqtable, s.record_name)
+        _write_str(seqtable, s.file_tag)
+        _write_varint(seqtable, len(s))
+        is_ref = isinstance(unit, RefBlocks)
+        seqtable.append(ROLE_REFERENCE if is_ref else ROLE_MEMBER)
+        _write_varint(seqtable, group_of[i])
+        if is_ref:
+            _write_varint(seqtable, len(ref_payload))
+            _write_varint(seqtable, unit.n_blocks)
+            # block index: u64 LE start offsets, one per block + terminator
+            seqtable.extend(np.asarray(unit.offsets, dtype="<u8").tobytes())
+            seqtable.extend(b"".join(unit.digests))
+            ref_payload.extend(unit.payload)
+        else:
+            for payload in unit.payloads:
+                _write_varint(seqtable, len(payload))
+            block = _checkpoint_block(unit)
+            seqtable.extend(digest64(block, *unit.payloads))
+            _write_varint(seqtable, len(block))
+            seqtable.extend(block)
+            for payload in unit.payloads:
+                stream_payload.extend(payload)
+
+    prov = bytearray()
+    for rows in provenances:
+        _write_varint(prov, len(rows))
+        for row in rows:
+            for v in row:
+                _write_varint(prov, v)
+
+    params_body = struct.pack(
+        _PARAMS_FORMAT,
+        params.m1,
+        params.m2,
+        params.m3,
+        GAP_LIMIT,
+        CHEAP_OFFSET_BOUND,
+        LENGTH_SLACK,
+        params.candidate_cap,
+        params.checkpoint_interval,
+        BLOCK_SIZE,
+    )
+    bodies = {
+        _SEC_PARAMS: params_body,
+        _SEC_MODELS: ref_table.serialize() + models.serialize(),
+        _SEC_SEQTABLE: seqtable,
+        _SEC_PROVENANCE: prov,
+    }
+    head = MAGIC + bytes([VERSION, 1 if collection.granularity == "record" else 0])
+    bodies[_SEC_DIGEST] = _metadata_digest(head, bodies)
+    bodies[_SEC_REFPAYLOAD], bodies[_SEC_STREAMPAYLOAD] = ref_payload, stream_payload
+    out = bytearray(head)
+    _write_varint(out, len(_SECTION_ORDER))
+    for sec_id in _SECTION_ORDER:
+        _write_varint(out, sec_id)
+        _write_varint(out, len(bodies[sec_id]))
+        out.extend(bodies[sec_id])
+    return bytes(out)
+
+
 def _parse_group(
     ref: np.ndarray, members: list[int], seqs: list[Sequence], params: ParseParams
-) -> tuple[list[RawStreams], ReservoirProvenance]:
+) -> tuple[list[RawStreams], list[tuple[int, int, int]]]:
     """Raw streams of a group's members, parsed in collection order
-    against the reference ``ref``, and the provenance of the reservoir
-    their long literal runs grow.  The group's index lives only for
-    this call."""
-    prov = ReservoirProvenance()
+    against the reference ``ref``, and the provenance rows of the
+    reservoir their long literal runs grow.  The group's index lives
+    only for this call."""
+    rows: list[tuple[int, int, int]] = []
     if not members:
-        return [], prov
+        return [], rows
     index = KmerIndex(ref, params.m1, params.candidate_cap)
     raws = []
     for i in members:
 
         def sink(run, source_pos, hashes, n_free, i=i):
-            offset = append_reservoir_phrase(prov, (i, source_pos, len(run)), params.m3)
-            index.extend_with_reservoir(run, index.ref_len + offset, hashes, n_free)
+            append_reservoir_phrase(rows, (i, source_pos, len(run)), params.m3)
+            index.extend_with_reservoir(run, hashes, n_free)
 
         raws.append(encode_parse(parse_sequence(index, seqs[i].data, params, sink), params))
-    return raws, prov
+    return raws, rows
 
 
 def compress(collection: Collection, params: ParseParams | None = None) -> Archive:
-    """Compress a collection into an archive.
+    """Compress a collection into an archive, written once and returned
+    opened from its bytes.
 
     Group by group, the members are parsed in collection order against
     the group's reference and its growing reservoir.  Then one shared
@@ -950,37 +955,19 @@ def compress(collection: Collection, params: ParseParams | None = None) -> Archi
             ref = seqs[grp.reference].data
             packed_refs[grp.reference] = pack_reference(ref)
             ref_counts += packed_block_counts(packed_refs[grp.reference])
-        group_raws, prov = _parse_group(ref, grp.members, seqs, params)
+        group_raws, rows = _parse_group(ref, grp.members, seqs, params)
         raws.update(zip(grp.members, group_raws))
-        provenances.append(prov)
+        provenances.append(rows)
     ref_table = HuffmanTable.from_counts(_placeholder(ref_counts))
     models = build_models(list(raws.values()))
 
-    entries: list[SequenceEntry | None] = [None] * len(seqs)
-
-    def entry(i: int, role: int, g: int) -> SequenceEntry:
-        s = seqs[i]
-        entries[i] = SequenceEntry(s.name, s.record_name, s.file_tag, len(s.data), role, g)
-        return entries[i]
-
-    for g, grp in enumerate(groups):
-        if grp.reference is not None:
-            entry(grp.reference, ROLE_REFERENCE, g).refblocks = encode_reference(
-                packed_refs[grp.reference], ref_table
-            )
-        for i in grp.members:
-            entry(i, ROLE_MEMBER, g).coded = compress_streams(raws[i], models)
-
-    return Archive(
-        params,
-        collection.granularity,
-        collection.reference_index,
-        entries,
-        groups,
-        ref_table,
-        models,
-        provenances,
-    )
+    units: list[RefBlocks | CodedSequence] = [None] * len(seqs)
+    for i, packed in packed_refs.items():
+        units[i] = encode_reference(packed, ref_table)
+    for i, raw in raws.items():
+        units[i] = compress_streams(raw, models)
+    data = _write_archive(params, collection, groups, ref_table, models, units, provenances)
+    return Archive.from_bytes(data)
 
 
 def decompress(archive: Archive, threads: int = 1) -> Collection:

@@ -248,8 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m1", type=int, help="minimum match length (default 13)")
         p.add_argument("--m2", type=int, help="minimum gap-extension length (default 4)")
         p.add_argument("--m3", type=int, help="minimum reservoir literal run (default 32)")
-        p.add_argument("--checkpoint-interval", type=int, dest="checkpoint_interval")
-        p.add_argument("--candidate-cap", type=int, dest="candidate_cap")
+        p.add_argument(
+            "--checkpoint-interval", type=int, help="symbols per checkpoint window (default 8192)"
+        )
+        p.add_argument(
+            "--candidate-cap", type=int, help="most match candidates per k-mer lookup (default 128)"
+        )
 
     c = sub.add_parser("compress", help="compress FASTA files into an archive")
     c.add_argument("inputs", nargs="+", metavar="FASTA")

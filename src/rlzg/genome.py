@@ -43,12 +43,13 @@ _LETTERS = bytes.maketrans(bytes(range(ALPHABET_SIZE)), ALPHABET)  # codes to le
 class Sequence:
     """One named symbol string (a genome or a chromosome record).
 
-    ``data`` is a uint8 array of codes 0..4 and is treated as immutable.
-    Other input is cast to uint8 when no value changes in the cast, and
-    raises ValueError otherwise (a code outside 0..255 or a fraction).
+    ``data`` is a one-dimensional uint8 array of codes 0..4 and is
+    treated as immutable.  Other input is cast to uint8 when no value
+    changes in the cast, and raises ValueError otherwise (a code outside
+    0..255 or a fraction), as does data of any other shape.
     ``record_name`` / ``file_tag`` carry the original FASTA record name
     and source-file grouping for round-tripping multi-file inputs; both
-    default to ``name``.
+    default to ``name``.  All three must be ``str``.
     """
 
     name: str
@@ -57,15 +58,20 @@ class Sequence:
     file_tag: str | None = None
 
     def __post_init__(self):
-        data = np.asarray(self.data)
-        with np.errstate(invalid="ignore"):
-            self.data = data.astype(np.uint8, copy=False)
-        if self.data is not data and not np.array_equal(self.data, data):
-            raise ValueError(f"sequence {self.name!r} holds codes a uint8 cast would change")
         if self.record_name is None:
             self.record_name = self.name
         if self.file_tag is None:
             self.file_tag = self.name
+        for label in ("name", "record_name", "file_tag"):
+            if not isinstance(getattr(self, label), str):
+                raise ValueError(f"sequence {label} must be a str, got {getattr(self, label)!r}")
+        data = np.asarray(self.data)
+        if data.ndim != 1:
+            raise ValueError(f"sequence {self.name!r} holds {data.ndim}-dimensional data")
+        with np.errstate(invalid="ignore"):
+            self.data = data.astype(np.uint8, copy=False)
+        if self.data is not data and not np.array_equal(self.data, data):
+            raise ValueError(f"sequence {self.name!r} holds codes a uint8 cast would change")
 
     def __len__(self) -> int:
         return len(self.data)

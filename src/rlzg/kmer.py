@@ -212,21 +212,17 @@ class KmerIndex:
         return self.ref_len + len(self.res)
 
     def extend_with_reservoir(
-        self, phrase: np.ndarray, start_offset: int, hashes: np.ndarray, n_free: np.ndarray
+        self, phrase: np.ndarray, hashes: np.ndarray, n_free: np.ndarray
     ) -> None:
-        """Append a reservoir phrase and index its interior k-grams, whose
-        ``hash_kmers`` columns the caller passes as ``hashes`` and
-        ``n_free``."""
-        if start_offset != self.ext_len:
-            raise ValueError(
-                f"reservoir offset {start_offset} != extended length {self.ext_len}"
-            )
+        """Append a reservoir phrase at the end of the extended reference
+        and index its interior k-grams, whose ``hash_kmers`` columns the
+        caller passes as ``hashes`` and ``n_free``."""
         if len(hashes) != len(n_free) or len(hashes) != max(len(phrase) - self.k + 1, 0):
             raise ValueError("gram columns do not match the phrase")
-        self.res.extend(np.asarray(phrase, dtype=np.uint8).tobytes())
         at = np.flatnonzero(n_free)
         h = hashes[at]
-        pos = at + start_offset
+        pos = at + self.ext_len
+        self.res.extend(np.asarray(phrase, dtype=np.uint8).tobytes())
         self._n_grams += len(h)
         # A gram whose presence bit is still clear has no bucket: unless
         # one repeats within the phrase, those go in bulk as one-position

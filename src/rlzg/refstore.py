@@ -12,7 +12,8 @@ This module also tracks the provenance of the extra-reference-phrase
 reservoir: the archive never stores reservoir content twice, only the
 (origin member, origin position, length) of each appended literal run,
 so random access can resolve a reservoir match back to the literal runs
-of its origins.
+of its origins.  The writer collects these rows in a plain list; a
+reader holds them as a :class:`ReservoirProvenance`.
 """
 from __future__ import annotations
 
@@ -44,18 +45,18 @@ def digest64(*parts) -> bytes:
 class RefBlocks:
     """Coded reference payload plus its block index.
 
-    ``digests`` holds one digest per group of ``GROUP_BLOCKS`` blocks
-    when the payload was read from an archive (None when it was coded
-    here).  :func:`decode_reference_range` checks a group before it
-    decodes any of its blocks; a group that matched is remembered, one
-    that did not is checked again on every touch.
+    ``digests`` holds one digest per group of ``GROUP_BLOCKS`` blocks,
+    computed by :func:`encode_reference` or read from an archive.
+    :func:`decode_reference_range` checks a group before it decodes any
+    of its blocks; a group that matched is remembered, one that did not
+    is checked again on every touch.
     """
 
     n_symbols: int
     offsets: np.ndarray  # byte offsets, one per block plus a terminator
     payload: bytes
     table: HuffmanTable
-    digests: list[bytes] | None = None
+    digests: list[bytes]
     _checked: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
     block_size: ClassVar[int] = BLOCK_SIZE
 
@@ -75,19 +76,9 @@ class RefBlocks:
         hi = min(lo + GROUP_BLOCKS, self.n_blocks)
         return digest64(self.payload[int(self.offsets[lo]) : int(self.offsets[hi])])
 
-    def group_digests(self) -> list[bytes]:
-        """The digest of every block group, after checking the stored
-        ones of a payload read from an archive."""
-        if self.digests is not None:
-            self.check_blocks(0, self.n_blocks)
-            return self.digests
-        return [self._group_digest(g) for g in range(self.n_groups)]
-
     def check_blocks(self, b0: int, b1: int) -> None:
         """Raise :class:`CorruptArchiveError` unless the groups holding
-        blocks [b0, b1) match their stored digests."""
-        if self.digests is None:
-            return
+        blocks [b0, b1) match their digests."""
         checked = self._checked
         for g in range(b0 // GROUP_BLOCKS, -(-b1 // GROUP_BLOCKS)):
             if g not in checked:
@@ -126,7 +117,9 @@ def encode_reference(ref: PackedReference, table: HuffmanTable) -> RefBlocks:
     """Encode a packed reference into blocked, Huffman-coded triplets
     with ``table``, built from :func:`packed_block_counts`."""
     payload, off = pack_codes(table.lengths[ref.packed], table.codes[ref.packed], ref.block_bytes)
-    return RefBlocks(ref.n_symbols, off, payload, table)
+    rb = RefBlocks(ref.n_symbols, off, payload, table, [])
+    rb.digests = [rb._group_digest(g) for g in range(rb.n_groups)]
+    return rb
 
 
 def decode_reference_range(rb: RefBlocks, start: int, end: int) -> np.ndarray:
@@ -172,48 +165,32 @@ def range_payload_bytes(rb: RefBlocks, start: int, end: int) -> int:
     return int(rb.offsets[b1] - rb.offsets[b0])
 
 
+@dataclass
 class ReservoirProvenance:
-    """Origin of every reservoir phrase, as one int64 table: row i of
-    ``rows`` is the (origin member, origin position, length) of the i-th
-    literal run appended, covering reservoir offsets [starts[i],
-    starts[i+1]).  The writer appends into spare rows, doubled when full."""
+    """Origin of every reservoir phrase of a group, as read from an
+    archive: row i of the int64 table ``rows`` is the (origin member,
+    origin position, length) of the i-th literal run appended, covering
+    reservoir offsets [starts[i], starts[i+1])."""
 
-    def __init__(self, rows: np.ndarray | None = None, starts: np.ndarray | None = None):
-        if rows is None:
-            rows, starts = np.zeros((0, 3), dtype=np.int64), np.zeros(1, dtype=np.int64)
-        self._rows, self._starts, self._n = rows, starts, len(rows)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._rows[: self._n]
-
-    @property
-    def starts(self) -> np.ndarray:
-        return self._starts[: self._n + 1]
+    rows: np.ndarray
+    starts: np.ndarray
 
     @property
     def total_length(self) -> int:
-        return int(self._starts[self._n])
+        return int(self.starts[-1])
 
 
 def append_reservoir_phrase(
-    prov: ReservoirProvenance, origin: tuple[int, int, int], min_length: int
-) -> int:
-    """Record one literal run appended to the reservoir; returns the
-    run's reservoir offset.  Runs shorter than ``min_length`` (the M3
-    threshold) are rejected."""
+    rows: list[tuple[int, int, int]], origin: tuple[int, int, int], min_length: int
+) -> None:
+    """Record one literal run appended to the reservoir as the row
+    ``origin``, (origin member, origin position, length), in the
+    writer's provenance ``rows``.  Runs shorter than ``min_length`` (the
+    M3 threshold) are rejected."""
     length = origin[2]
     if length < min_length:
         raise ValueError(f"reservoir phrase of {length} shorter than minimum {min_length}")
-    n = prov._n
-    if n == len(prov._rows):
-        prov._rows = np.resize(prov._rows, (2 * n + 16, 3))
-        prov._starts = np.resize(prov._starts, 2 * n + 17)
-    offset = int(prov._starts[n])
-    prov._rows[n] = origin
-    prov._starts[n + 1] = offset + length
-    prov._n = n + 1
-    return offset
+    rows.append(origin)
 
 
 def resolve_reservoir_range(

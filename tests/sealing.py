@@ -1,11 +1,14 @@
 """Re-seal the digests of archive bytes a test damaged on purpose, so
 the damage reaches the reader's structural and semantic checks instead
-of stopping at a digest mismatch."""
+of stopping at a digest mismatch.  An archive is only ever written by
+``compress``, so damage is made in the bytes: a section rewritten and
+framed again, then resealed."""
 import numpy as np
 
 from rlzg.archive import (
     _METADATA,
     _SEC_DIGEST,
+    _SEC_PROVENANCE,
     _SEC_REFPAYLOAD,
     _SEC_SEQTABLE,
     _SEC_STREAMPAYLOAD,
@@ -13,6 +16,7 @@ from rlzg.archive import (
     _metadata_digest,
     _Reader,
     _read_str,
+    _write_varint,
 )
 from rlzg.errors import CorruptArchiveError
 from rlzg.refstore import GROUP_BLOCKS, digest64
@@ -30,6 +34,51 @@ def section_spans(data) -> dict[int, tuple[int, int]]:
         spans.setdefault(sec_id, (r.pos, n))
         r.take(n)
     return spans
+
+
+def _varints(values) -> bytes:
+    buf = bytearray()
+    for v in values:
+        _write_varint(buf, v)
+    return bytes(buf)
+
+
+def reframe(data: bytes, sec_id: int, edit) -> bytes:
+    """``data`` with the body of section ``sec_id`` replaced by
+    ``edit(body)`` and every section framed again around it."""
+    spans = sorted(section_spans(data).items(), key=lambda item: item[1][0])
+    out = bytearray(data[:6]) + _varints([len(spans)])
+    for sid, (at, n) in spans:
+        body = bytes(data[at : at + n])
+        if sid == sec_id:
+            body = edit(body)
+        out += _varints([sid, len(body)]) + body
+    return bytes(out)
+
+
+def with_provenance(data: bytes, provenances) -> bytes:
+    """``data`` resealed with its provenance section holding, per group,
+    the (member, position, length) rows of ``provenances``."""
+    body = b"".join(
+        _varints([len(rows)]) + _varints(np.asarray(rows, dtype=np.int64).ravel().tolist())
+        for rows in provenances
+    )
+    return reseal(reframe(data, _SEC_PROVENANCE, lambda _: body))
+
+
+def with_group_references(data: bytes, references) -> bytes:
+    """``data`` resealed with its group table naming ``references``, one
+    sequence index (or None) per group."""
+
+    def edit(body):
+        t = _Reader(body)
+        head = [t.varint(), t.varint()]  # sequence count and reference index
+        for _ in range(t.varint()):
+            t.varint()
+        refs = [0 if r is None else r + 1 for r in references]
+        return _varints(head + [len(refs)] + refs) + body[t.pos :]
+
+    return reseal(reframe(data, _SEC_SEQTABLE, edit))
 
 
 def reseal(data) -> bytes:

@@ -39,7 +39,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import corpus  # noqa: E402
-from sealing import reseal, section_spans  # noqa: E402
+from sealing import reseal, section_spans, with_group_references, with_provenance  # noqa: E402
 
 
 def roundtrip(collection, params=None):
@@ -155,12 +155,12 @@ def test_damaged_provenance_rejected(row):
     b = np.concatenate([ref[5_000:25_000], novel, ref[25_000:]])
     coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
     arc = compress(coll)
-    prov = arc.provenances[0]
-    assert len(prov.rows), "expected a reservoir phrase"
-    Archive.from_bytes(arc.to_bytes())
-    prov.rows[0] = row(arc, prov.rows[0, 0])
+    data, rows = arc.to_bytes(), arc.provenances[0].rows.copy()
+    assert len(rows), "expected a reservoir phrase"
+    assert with_provenance(data, [rows]) == data
+    rows[0] = row(arc, rows[0, 0])
     with pytest.raises(CorruptArchiveError):
-        Archive.from_bytes(arc.to_bytes())
+        Archive.from_bytes(with_provenance(data, [rows]))
 
 
 def test_shifted_provenance_row_fails_decompress():
@@ -173,12 +173,12 @@ def test_shifted_provenance_row_fails_decompress():
     b = np.concatenate([ref[5_000:25_000], novel, ref[25_000:]])
     coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
     arc = compress(coll)
-    prov = arc.provenances[0]
-    assert len(prov.rows), "expected a reservoir phrase"
-    assert Archive.from_bytes(arc.to_bytes()).decompress() == coll
-    seq, pos, length = prov.rows[0]
-    prov.rows[0] = (seq, pos + 1, length)
-    damaged = Archive.from_bytes(arc.to_bytes())
+    rows = arc.provenances[0].rows.copy()
+    assert len(rows), "expected a reservoir phrase"
+    assert arc.decompress() == coll
+    seq, pos, length = rows[0]
+    rows[0] = (seq, pos + 1, length)
+    damaged = Archive.from_bytes(with_provenance(arc.to_bytes(), [rows]))
     with pytest.raises(CorruptArchiveError, match="provenance"):
         damaged.decompress()
 
@@ -193,12 +193,11 @@ def test_provenance_row_off_a_literal_run_fails_extract():
     b = np.concatenate([ref[5_000:25_000], novel, ref[25_000:]])
     coll = Collection([Sequence("ref", ref), Sequence("a", a), Sequence("b", b)])
     arc = compress(coll)
-    prov = arc.provenances[0]
-    assert len(prov.rows) == 1 and prov.rows[0, 2] == 400
-    intact = Archive.from_bytes(arc.to_bytes())
-    assert np.array_equal(intact.extract("b", 20_001, 20_400), b[20_001:20_400])
-    prov.rows[0] = (1, 100, 400)
-    damaged = Archive.from_bytes(arc.to_bytes())
+    rows = arc.provenances[0].rows.copy()
+    assert len(rows) == 1 and rows[0, 2] == 400
+    assert np.array_equal(arc.extract("b", 20_001, 20_400), b[20_001:20_400])
+    rows[0] = (1, 100, 400)
+    damaged = Archive.from_bytes(with_provenance(arc.to_bytes(), [rows]))
     for lo, hi in ((20_001, 20_400), (20_100, 20_110)):
         with pytest.raises(CorruptArchiveError, match="literal run"):
             damaged.extract("b", lo, hi)
@@ -241,9 +240,11 @@ def test_group_reference_mismatch_rejected():
         Sequence("g/c2", apply_snps(rng, r2, 0.01), record_name="c2", file_tag="g"),
     ]
     arc = compress(Collection(seqs, 0, "record"))
-    arc.groups[0].reference = arc.groups[1].reference
+    refs = [g.reference for g in arc.groups]
+    assert with_group_references(arc.to_bytes(), refs) == arc.to_bytes()
+    refs[0] = refs[1]
     with pytest.raises(CorruptArchiveError):
-        Archive.from_bytes(arc.to_bytes())
+        Archive.from_bytes(with_group_references(arc.to_bytes(), refs))
 
 
 def test_payload_corruption_detected_by_checksum():

@@ -3,16 +3,11 @@ from hand-made parses, plus the corruption it must reject."""
 import numpy as np
 import pytest
 
-from rlzg import Archive, CorruptArchiveError
-from rlzg.archive import ROLE_MEMBER, ROLE_REFERENCE, Group, SequenceEntry
+from rlzg import Archive, Collection, CorruptArchiveError, Sequence
+from rlzg.archive import Group, _write_archive
 from rlzg.huffman import HuffmanTable
 from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, Factor, ParseParams, apply_parse
-from rlzg.refstore import (
-    ReservoirProvenance,
-    append_reservoir_phrase,
-    encode_reference,
-    pack_reference,
-)
+from rlzg.refstore import append_reservoir_phrase, encode_reference, pack_reference
 from rlzg.streams import (
     ESC_NEG,
     ESC_POS,
@@ -30,16 +25,16 @@ from factor_lists import parse_of, random_member
 
 def build_archive(refs, members, params, granularity="whole"):
     """An archive from reference arrays and (group, parse) members, with
-    the reservoir provenance compress would record."""
-    entries, groups, provs = [], [], []
-    for g, ref in enumerate(refs):
-        entries.append(SequenceEntry(f"ref{g}", f"r{g}", "ref", len(ref), ROLE_REFERENCE, g))
-        groups.append(Group(len(entries) - 1))
-        provs.append(ReservoirProvenance())
+    the reservoir provenance compress would record, written by the
+    writer compress uses.  The writer reads only the names and lengths
+    of the members, so their data are placeholders."""
+    seqs = [Sequence(f"ref{g}", ref, f"r{g}", "ref") for g, ref in enumerate(refs)]
+    groups = [Group(g) for g in range(len(refs))]
+    provs = [[] for _ in refs]
     raws = []
     for g, parse in members:
-        i = len(entries)
-        entries.append(SequenceEntry(f"m{i}", f"m{i}", "m", parse.source_length, ROLE_MEMBER, g))
+        i = len(seqs)
+        seqs.append(Sequence(f"m{i}", np.zeros(parse.source_length, np.uint8), f"m{i}", "m"))
         groups[g].members.append(i)
         pos = 0
         for f in parse.factors:
@@ -48,15 +43,11 @@ def build_archive(refs, members, params, granularity="whole"):
             pos += f.advance
         raws.append(encode_parse(parse, params))
     models = build_models(raws)
-    counts = np.ones(256, dtype=np.int64)
-    ref_table = HuffmanTable.from_counts(counts)
-    for g, ref in enumerate(refs):
-        entries[groups[g].reference].refblocks = encode_reference(pack_reference(ref), ref_table)
-    members_at = [i for i, e in enumerate(entries) if e.role == ROLE_MEMBER]
-    for i, raw in zip(members_at, raws):
-        entries[i].coded = compress_streams(raw, models)
-    arc = Archive(params, granularity, 0, entries, groups, ref_table, models, provs)
-    return Archive.from_bytes(arc.to_bytes())
+    ref_table = HuffmanTable.from_counts(np.ones(256, dtype=np.int64))
+    units = [encode_reference(pack_reference(ref), ref_table) for ref in refs]
+    units += [compress_streams(raw, models) for raw in raws]
+    coll = Collection(seqs, 0, granularity)
+    return Archive.from_bytes(_write_archive(params, coll, groups, ref_table, models, units, provs))
 
 
 def oracle(refs, members, params):

@@ -86,6 +86,30 @@ def test_sequence_rejects_codes_a_uint8_cast_would_change(data):
         Sequence("s", data)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"data": np.zeros((3, 4), dtype=np.uint8)}, "2-dimensional"),
+        ({"data": np.array(2, dtype=np.uint8)}, "0-dimensional"),
+        ({"name": 7}, "name must be a str"),
+        ({"name": b"s"}, "name must be a str"),
+        ({"record_name": 7}, "record_name must be a str"),
+        ({"record_name": b"chr1"}, "record_name must be a str"),
+        ({"file_tag": 7}, "file_tag must be a str"),
+        ({"file_tag": b"f"}, "file_tag must be a str"),
+    ],
+    ids=[
+        "2-d", "0-d", "int-name", "bytes-name", "int-record-name", "bytes-record-name",
+        "int-file-tag", "bytes-file-tag",
+    ],
+)
+def test_sequence_rejects_malformed_input(kwargs, message):
+    # each once passed the constructor and failed later, inside compress
+    args = {"name": "s", "data": np.array([0, 1, 2], dtype=np.uint8), **kwargs}
+    with pytest.raises(ValueError, match=message):
+        Sequence(**args)
+
+
 def test_sequence_keeps_codes_a_uint8_cast_preserves():
     codes = np.array([0, 1, 2, 3, 4], dtype=np.uint8)
     assert Sequence("s", codes).data is codes  # what parse_fasta makes: no copy

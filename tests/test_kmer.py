@@ -75,7 +75,7 @@ def test_index_size_equals_n_free_gram_count():
 def add_phrase(idx, phrase):
     """Append a reservoir phrase with its gram columns, as the parser's
     sink does."""
-    idx.extend_with_reservoir(phrase, idx.ext_len, *hash_kmers(phrase, idx.k))
+    idx.extend_with_reservoir(phrase, *hash_kmers(phrase, idx.k))
 
 
 def naive_map(segments, k):
@@ -198,13 +198,12 @@ def test_reservoir_only_gram_found():
     assert got[0] == idx.ref_len
 
 
-def test_reservoir_offset_mismatch_rejected():
+def test_reservoir_gram_columns_mismatch_rejected():
     idx = KmerIndex(encode_symbols("ACGT"), 4)
     phrase = np.zeros(40, dtype=np.uint8)
-    with pytest.raises(ValueError):
-        idx.extend_with_reservoir(phrase, 99, *hash_kmers(phrase, 4))
     with pytest.raises(ValueError):  # gram columns of another phrase
-        idx.extend_with_reservoir(phrase, idx.ext_len, *hash_kmers(phrase[:-1], 4))
+        idx.extend_with_reservoir(phrase, *hash_kmers(phrase[:-1], 4))
+    assert idx.ext_len == 4 and not idx.res_buckets
 
 
 def test_crafted_hash_collision_is_filtered():

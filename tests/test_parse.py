@@ -21,7 +21,7 @@ from rlzg.parse import (
     parse_sequence,
     validate_parse,
 )
-from rlzg.refstore import ReservoirProvenance, append_reservoir_phrase
+from rlzg.refstore import append_reservoir_phrase
 from rlzg.synthetic import (
     apply_indels,
     apply_n_runs,
@@ -261,7 +261,7 @@ def test_short_n_run_stays_literal():
 class SinkRecorder:
     def __init__(self, index, seq_index=0, m3=32):
         self.index = index
-        self.prov = ReservoirProvenance()
+        self.rows = []
         self.seq_index = seq_index
         self.m3 = m3
         self.calls = []
@@ -270,10 +270,8 @@ class SinkRecorder:
         self.calls.append((self.seq_index, source_pos, len(run)))
         want_hashes, want_free = hash_kmers(run, self.index.k)
         assert np.array_equal(hashes, want_hashes) and np.array_equal(n_free, want_free)
-        offset = append_reservoir_phrase(
-            self.prov, (self.seq_index, source_pos, len(run)), self.m3
-        )
-        self.index.extend_with_reservoir(run, self.index.ref_len + offset, hashes, n_free)
+        append_reservoir_phrase(self.rows, (self.seq_index, source_pos, len(run)), self.m3)
+        self.index.extend_with_reservoir(run, hashes, n_free)
 
 
 def test_novel_segment_enters_reservoir_and_later_sequence_matches_it():
@@ -670,13 +668,13 @@ def test_reservoir_diagonal_filled_before_the_reservoir_grew():
     first, second = random_reference(rng, 300), random_reference(rng, 400)
     seq = np.concatenate([first, second, random_reference(rng, 100)])
     seq[450] = (seq[450] + 1) % 4
-    idx.extend_with_reservoir(first, idx.ext_len, *hash_kmers(first, params.m1))
+    idx.extend_with_reservoir(first, *hash_kmers(first, params.m1))
     diagonals = _Diagonals(idx, seq)
     res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
     # the reservoir ends where ``first`` does: so does the match
     got = diagonals.extend(0, idx.ref_len, params.m2)
     assert got == brute_force_extend(res, seq, 0, 0, params)[0] == (300,)
-    idx.extend_with_reservoir(second, idx.ext_len, *hash_kmers(second, params.m1))
+    idx.extend_with_reservoir(second, *hash_kmers(second, params.m1))
     res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
     got = diagonals.extend(100, idx.ref_len + 100, params.m2)
     assert got == brute_force_extend(res, seq, 100, 100, params)[0] == (350, 249)

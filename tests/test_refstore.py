@@ -93,6 +93,8 @@ def test_partial_decode_touches_only_overlapping_blocks():
         if not rb.offsets[b0] <= i < rb.offsets[b1]:
             buf[i] ^= 0xFF
     rb.payload = bytes(buf)
+    # resealed, so the digest check passes and only the decode could notice
+    rb.digests = [rb._group_digest(g) for g in range(rb.n_groups)]
     assert np.array_equal(decode_reference_range(rb, lo, hi), want)
 
 
@@ -114,24 +116,30 @@ def test_range_out_of_bounds():
         decode_reference_range(rb, -1, 2)
 
 
+def provenance(rows):
+    """A reader's provenance of the writer's ``rows``."""
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    return ReservoirProvenance(rows, np.concatenate(([0], np.cumsum(rows[:, 2]))))
+
+
 def test_reservoir_append_offsets():
-    prov = ReservoirProvenance()
-    assert append_reservoir_phrase(prov, (1, 100, 40), 32) == 0
-    assert prov.total_length == 40
-    assert append_reservoir_phrase(prov, (2, 5, 32), 32) == 40
-    assert prov.total_length == 72
+    rows = []
+    append_reservoir_phrase(rows, (1, 100, 40), 32)
+    assert rows == [(1, 100, 40)] and provenance(rows).total_length == 40
+    append_reservoir_phrase(rows, (2, 5, 32), 32)
+    assert provenance(rows).starts.tolist() == [0, 40, 72]
+    assert provenance(rows).total_length == 72
 
 
 def test_reservoir_minimum_length_enforced():
-    prov = ReservoirProvenance()
+    rows = []
     with pytest.raises(ValueError):
-        append_reservoir_phrase(prov, (1, 0, 31), 32)
+        append_reservoir_phrase(rows, (1, 0, 31), 32)
+    assert rows == []
 
 
 def test_resolve_spans_entry_boundary():
-    prov = ReservoirProvenance()
-    append_reservoir_phrase(prov, (1, 100, 40), 32)
-    append_reservoir_phrase(prov, (2, 5, 32), 32)
+    prov = provenance([(1, 100, 40), (2, 5, 32)])
     assert resolve_reservoir_range(prov, 35, 10) == [(1, 135, 5), (2, 5, 5)]
     assert resolve_reservoir_range(prov, 0, 40) == [(1, 100, 40)]
     with pytest.raises(CorruptArchiveError):
@@ -140,9 +148,10 @@ def test_resolve_spans_entry_boundary():
 
 def test_resolve_pieces_cover_requested_length():
     rng = np.random.default_rng(6)
-    prov = ReservoirProvenance()
+    rows = []
     for i in range(30):
-        append_reservoir_phrase(prov, (i, int(rng.integers(0, 1000)), int(rng.integers(32, 200))), 32)
+        append_reservoir_phrase(rows, (i, int(rng.integers(0, 1000)), int(rng.integers(32, 200))), 32)
+    prov = provenance(rows)
     for _ in range(100):
         off = int(rng.integers(0, prov.total_length))
         ln = int(rng.integers(0, prov.total_length - off))

@@ -1,4 +1,5 @@
 """Corruption and concurrency hardening checks."""
+import functools
 import itertools
 import struct
 import sys
@@ -17,13 +18,16 @@ from rlzg.archive import (
     _SEC_SEQTABLE,
     _SEC_STREAMPAYLOAD,
     _checkpoint_block,
+    _Reader,
+    _read_varints,
     _write_varint,
 )
 from rlzg.genome import N
 from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, ParseParams
+from rlzg.streams import LEN, LIT
 from rlzg.synthetic import apply_snps, make_collection, random_reference
 
-from sealing import reseal, section_spans
+from sealing import reframe, reseal
 
 
 def test_metadata_corruption_never_crashes_uncontrolled():
@@ -176,12 +180,9 @@ def test_shared_novel_roundtrip_and_extract_property(
     coll = Collection(seqs, 0, "record" if per_record else "whole")
     params = ParseParams(m1, m2, m1 + m3_extra, cap, interval)
     arc = compress(coll, params)
-    stats = arc.stats()
     data = arc.to_bytes()
-    assert arc.stats() == stats
-    opened = Archive.from_bytes(data)
-    assert opened.to_bytes() == data
-    assert opened.stats() == stats
+    assert arc.verify() == Archive.from_bytes(data).verify() > 0
+    assert arc.stats() == Archive.from_bytes(data).stats()
     assert decompress(Archive.from_bytes(data)) == coll
 
     ranges = []
@@ -268,19 +269,6 @@ def _varint(v: int) -> bytes:
     return bytes(buf)
 
 
-def _reframe(data: bytes, sec_id: int, edit) -> bytes:
-    """``data`` with the body of section ``sec_id`` replaced by
-    ``edit(body)`` and every section framed again around it."""
-    spans = sorted(section_spans(data).items(), key=lambda item: item[1][0])
-    out = bytearray(data[:6]) + _varint(len(spans))
-    for sid, (at, n) in spans:
-        body = bytes(data[at : at + n])
-        if sid == sec_id:
-            body = edit(body)
-        out += _varint(sid) + _varint(len(body)) + body
-    return bytes(out)
-
-
 def _patch(at_of, value: int):
     """An edit that sets the byte ``at_of(body)`` of a section to ``value``."""
 
@@ -311,12 +299,44 @@ def _after_ref_entry(k: int):
     return lambda body: body.index(_REF_ENTRY) + len(_REF_ENTRY) + k
 
 
-def _grow_checkpoint_block(arc: Archive):
+@functools.cache
+def _flip_archive(interval: int = 256) -> Archive:
+    return compress(_flip_collection(), ParseParams(checkpoint_interval=interval))
+
+
+def _grow_checkpoint_block(body):
     """An edit of the sequence table that appends a varint to member
     "a"'s checkpoint block and adds 1 to the block's stored length."""
-    block = _checkpoint_block(arc.entries[1].coded)
+    block = _checkpoint_block(_flip_archive().entries[1].coded)
     framed = _varint(len(block)) + block
-    return lambda body: body.replace(framed, _varint(len(block) + 1) + block + b"\0", 1)
+    return body.replace(framed, _varint(len(block) + 1) + block + b"\0", 1)
+
+
+def _shift_checkpoint(member: int, shifts: dict, interval: int = 256):
+    """An edit of the sequence table that changes deltas of the
+    checkpoint block of entry ``member`` of ``_flip_archive(interval)``:
+    ``shifts`` maps (row, window) to what it adds, a row being 0 for the
+    window starts, then per stream its symbol counts and byte offsets."""
+
+    def edit(body):
+        coded = _flip_archive(interval).entries[member].coded
+        block = _checkpoint_block(coded)
+        deltas = _read_varints(_Reader(block), 9 * coded.n_windows)
+        for (row, window), by in shifts.items():
+            deltas[row * coded.n_windows + window] += by
+        new = b"".join(map(_varint, deltas.tolist()))
+        framed = _varint(len(block)) + block
+        assert framed in body
+        return body.replace(framed, _varint(len(new)) + new, 1)
+
+    return edit
+
+
+def _escape_table(which: int, lengths: bytes):
+    """An edit of the model section that replaces the escape table of
+    stream ``which`` (OFF or LEN) by the code lengths ``lengths``."""
+    at = 128 + (2 * which + 1) * 128  # after the reference table and the stream's first-byte table
+    return lambda body: body[:at] + lengths + body[at + 128 :]
 
 
 @pytest.mark.parametrize(
@@ -334,11 +354,19 @@ def _grow_checkpoint_block(arc: Archive):
         (_SEC_SEQTABLE, _patch(lambda b: 1, 3), "reference index out of range"),
         (_SEC_STREAMPAYLOAD, lambda b: b + b"\0", "payload bytes outside every sequence"),
         (_SEC_SEQTABLE, _grow_checkpoint_block, "checkpoint block longer than its windows"),
+        (_SEC_SEQTABLE, lambda b: b"\x80" * 10 + b, "varint overflow"),
+        (_SEC_SEQTABLE, _shift_checkpoint(1, {(0, 0): 1}), "first checkpoint window"),
+        # member "a"'s first window holds one literal byte, for the gap of its first match
+        (_SEC_SEQTABLE, _shift_checkpoint(1, {(1 + 2 * LIT, 0): -1}), "literal stream exhausted"),
+        # a single-symbol table codes only "0"; the one LEN escape (of member
+        # "b"'s length 295) starts with a 1 bit
+        (_SEC_MODELS, _escape_table(LEN, b"\1" + bytes(127)), "codeword in an escape"),
     ],
     ids=[
         "params-length", "params-invalid", "models-length", "single-symbol-length-2",
         "missing-group", "reference-base", "unknown-role", "no-sequences", "reference-index",
-        "stray-payload", "long-checkpoint-block",
+        "stray-payload", "long-checkpoint-block", "varint-overflow", "first-window-start",
+        "literal-exhausted", "invalid-escape-codeword",
     ],
 )
 def test_resealed_damage_reaches_each_reader_check(sec_id, edit, message):
@@ -346,11 +374,77 @@ def test_resealed_damage_reaches_each_reader_check(sec_id, edit, message):
     of the reader must reject it: at the open, or for a checkpoint block
     when its member is first touched.  (A code length above 15 cannot be
     written in a 4-bit nibble, so that table check has no case here.)"""
-    arc = compress(_flip_collection(), ParseParams(checkpoint_interval=256))
-    data = arc.to_bytes()
-    if edit is _grow_checkpoint_block:
-        edit = edit(arc)
-    damaged = reseal(_reframe(data, sec_id, edit))
-    assert _reframe(data, sec_id, lambda b: b) == data and damaged != data
+    data = _flip_archive().to_bytes()
+    damaged = reseal(reframe(data, sec_id, edit))
+    assert reframe(data, sec_id, lambda b: b) == data and damaged != data
     with pytest.raises(CorruptArchiveError, match=message):
+        Archive.from_bytes(damaged).decompress()
+
+
+def _record_collection_with_orphan() -> Collection:
+    """Record granularity: "g/c1" pairs with the reference record "c1",
+    and "g/x", which has no counterpart, forms a reference-less group."""
+    rng = np.random.default_rng(114)
+    r1 = random_reference(rng, 1500)
+    return Collection(
+        [
+            Sequence("ref/c1", r1, "c1", "ref"),
+            Sequence("g/c1", apply_snps(rng, r1, 0.01), "c1", "g"),
+            Sequence("g/x", random_reference(rng, 200), "x", "g"),
+        ],
+        0,
+        "record",
+    )
+
+
+def _move_to_orphan_group(body):
+    """An edit of the sequence table that moves "g/c1" (a member of group
+    0, whose factors match the reference) into group 1, which has none."""
+    entry = b"".join(_varint(len(v)) + v for v in (b"g/c1", b"c1", b"g")) + _varint(1500)
+    at = body.index(entry) + len(entry) + 1  # past the role byte
+    assert body[at] == 0
+    return body[:at] + b"\1" + body[at + 1 :]
+
+
+@pytest.mark.parametrize(
+    "make, sec_id, edit, query, message",
+    [
+        # member "b"'s factor [9, 464) spans windows 1 and 2, so the walk from
+        # window 0 jumps to window 3; it resumes one symbol late, and window 4
+        # one symbol sooner after it
+        (
+            lambda: _flip_archive(128),
+            _SEC_SEQTABLE,
+            _shift_checkpoint(2, {(0, 3): 1, (0, 4): -1}, 128),
+            ("b", 0, 500),
+            "checkpoint windows do not tile the sequence",
+        ),
+        # an escape table of 8-bit codes: the four escape bytes of the last
+        # LEN record of member "b"'s first window run past the window's bytes
+        (
+            _flip_archive,
+            _SEC_MODELS,
+            _escape_table(LEN, b"\x88" * 128),
+            ("b", 0, 100),
+            "Huffman stream truncated",
+        ),
+        (
+            lambda: compress(_record_collection_with_orphan()),
+            _SEC_SEQTABLE,
+            _move_to_orphan_group,
+            ("g/c1", 0, 100),
+            "match against a missing reference",
+        ),
+    ],
+    ids=["windows-do-not-tile", "truncated-escape", "missing-reference"],
+)
+def test_resealed_damage_reaches_each_extract_check(make, sec_id, edit, query, message):
+    """Resealed damage that only an extract's path meets in the named
+    check; a decompression refuses it too, at a check of its own."""
+    data = make().to_bytes()
+    damaged = reseal(reframe(data, sec_id, edit))
+    assert damaged != data
+    with pytest.raises(CorruptArchiveError, match=message):
+        Archive.from_bytes(damaged).extract(*query)
+    with pytest.raises(CorruptArchiveError):
         Archive.from_bytes(damaged).decompress()
