@@ -31,7 +31,7 @@ rb = encode_reference(packed, HuffmanTable.from_counts(packed_block_counts(packe
 print(f"{rb.n_blocks} blocks, payload {len(rb.payload)} bytes "
       f"({8 * len(rb.payload) / len(ref):.3f} bits per base)")
 print("block start offsets:", rb.offsets.tolist())
-print("all-N blocks:", [b for b in range(rb.n_blocks) if rb.block_is_all_n(b)])
+print("all-N blocks:", [b for b in range(rb.n_blocks) if rb.offsets[b] == rb.offsets[b + 1]])
 
 for lo, hi in ((1000, 1200), (2 * BLOCK_SIZE + 50, 3 * BLOCK_SIZE), (0, len(ref))):
     got = decode_reference_range(rb, lo, hi)

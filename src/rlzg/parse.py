@@ -15,16 +15,22 @@ Literal runs long enough for the reservoir are handed to the sink as
 they close, so later sequences (and later positions of this one) can
 match them.
 
-The parser hashes only the grams it probes.  After a factor it hashes
-the one gram at the next position; a literal run that goes on has the
-grams ahead hashed in ``hash_kmers`` windows, and the parser jumps
-within a window from one gram whose presence bit is set to the next,
-since the grams between have empty lookups.  Candidates extend along
-their diagonal (extended-reference position minus source position):
-``_Diagonals`` keeps each diagonal's mismatch positions, found by
-vector compares over windows that grow fourfold, so a match's pieces
-are read off its next mismatches and the factor after a SNP reuses
-them.
+Candidates extend along their diagonal (extended-reference position
+minus source position): ``_Diagonals`` keeps each diagonal's mismatch
+positions, found by vector compares over windows that grow fourfold, so
+a match's pieces are read off its next mismatches.  A match ends at a
+mismatch, most often a third SNP after the two it skipped as gaps, and
+the sequence mostly goes on along the same diagonal.  So the parser
+first steps along it: when the match one symbol past the mismatch, read
+off the lists, reaches m1, the mismatch becomes a 1-symbol literal and
+that match follows, with no hash, lookup or candidate scan.
+
+Where the diagonal breaks, the parser searches the index, hashing only
+the grams it probes.  After a factor it hashes the one gram at the next
+position; a literal run that goes on has the grams ahead hashed in
+``hash_kmers`` windows, and the parser jumps within a window from one
+gram whose presence bit is set to the next, since the grams between
+have empty lookups.
 
 The search works on plain rows: ``_evaluate`` prices each candidate
 once as ``(kind, position, p0, p1, p2, advance, delta_cost)`` and the
@@ -384,7 +390,15 @@ def parse_sequence(
     it is expected to append the run to the reservoir (and its grams to
     the index) so later positions can match it.
 
-    Grams are hashed only where the parser goes.  The probe after a
+    After a MATCH or RESERVOIR factor ends at a mismatch ``m``, the
+    diagonal step tries the same diagonal at ``m + 1``: when the gram
+    there is N-free (so no N-run starts at ``m``) and ``_Diagonals``
+    extends it to a first piece of at least m1, ``m`` becomes a
+    1-symbol literal and that match follows, MATCH or RESERVOIR by
+    where it lies, and the step repeats after it.  Otherwise the search
+    goes on at ``m`` through the index.
+
+    Grams are hashed only where the search goes.  The probe after a
     factor hashes its one gram with ``gram_hash``; once a literal run
     is ``_HASH_AHEAD_AFTER`` symbols long, the grams ahead are hashed in
     a ``hash_kmers`` window as long as the run so far (at least
@@ -400,6 +414,7 @@ def parse_sequence(
     k = params.m1
     sb = s.tobytes()
     interval = params.checkpoint_interval
+    ref_len = index.ref_len
 
     last_gram = n - k
     qhash = np.empty(max(last_gram + 1, 0), dtype=np.uint32)
@@ -486,11 +501,31 @@ def parse_sequence(
 
         if chosen is not None:
             close_literal(pos)
-            rows.append((chosen[0], pos) + chosen[1:5])
-            if chosen[0] == MATCH:
-                last_match_delta = pos - chosen[1]
-                last_match_window = pos // interval
-            pos += chosen[5]
+            kind, at, pieces, advance = chosen[0], chosen[1], chosen[2:5], chosen[5]
+            d = at + (ref_len if kind == RESERVOIR else 0) - pos
+            while True:
+                rows.append((kind, pos, at) + pieces)
+                if kind == MATCH:
+                    last_match_delta = -d
+                    last_match_window = pos // interval
+                pos += advance
+                # the diagonal step: past the mismatch at ``pos``, the
+                # next match on the same diagonal, read off its lists.  An
+                # N-run starting at ``pos`` puts N in the gram after it; a
+                # diagonal past its buffer's end extends to no first piece.
+                nxt = pos + 1
+                if nxt > last_gram or N in sb[nxt : nxt + k]:
+                    break
+                step = diagonals.extend(nxt, nxt + d, params.m2)
+                if step[0] < k:
+                    break
+                rows.append((LITERAL, pos, 0, 1, 0, 0))
+                pos = nxt
+                if pos + d < ref_len:
+                    kind, at = MATCH, pos + d
+                else:
+                    kind, at = RESERVOIR, pos + d - ref_len
+                pieces, advance = (step + (0, 0))[:3], sum(step) + len(step) - 1
             lit_start = pos
             continue
 

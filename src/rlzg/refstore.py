@@ -68,9 +68,6 @@ class RefBlocks:
     def n_groups(self) -> int:
         return -(-self.n_blocks // GROUP_BLOCKS)
 
-    def block_is_all_n(self, b: int) -> bool:
-        return self.offsets[b] == self.offsets[b + 1]
-
     def _group_digest(self, g: int) -> bytes:
         lo = g * GROUP_BLOCKS
         hi = min(lo + GROUP_BLOCKS, self.n_blocks)

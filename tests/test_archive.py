@@ -575,10 +575,10 @@ def test_archive_bytes_pinned():
 
 _CORPUS_PINS = {
     "mixed": (
-        33_928,
-        "46cc3dd3d8f8046c1ac24427baed0a07d0db22cfae747368c256434c9f5e44b8",
+        33_917,
+        "a8b3390c8c632ee6b64d89e5ebba4d514e5b106d5f5debc301460aa4ba2a565d",
         "ea5765883ec4ee06f741b647d66c37ea73761a2fe289072c7bfa16c781ea2489",
-        "47456d10bdaed8cac1434b0ecc6f260a268c2ef633d9a1dea16deef6cb211379",
+        "aeaa7484fb196a727b6fd2d63fea44d941c99680c5ea8b5b245713b3cd512108",
     ),
     "low_snp": (
         28_724,

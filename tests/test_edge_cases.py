@@ -116,7 +116,7 @@ def test_partial_all_n_tail_block():
     )
     packed = pack_reference(data)
     rb = encode_reference(packed, HuffmanTable.from_counts(packed_block_counts(packed)))
-    assert rb.block_is_all_n(1)
+    assert rb.offsets[1] == rb.offsets[2]
     assert np.array_equal(decode_reference_range(rb, 0, len(data)), data)
     assert (decode_reference_range(rb, BLOCK_SIZE, BLOCK_SIZE + 100) == N).all()
 

@@ -458,7 +458,11 @@ def scalar_parse(index, seq, params, reservoir_sink=None) -> Parse:
     """Oracle for parse_sequence: the parse loop that hashes every gram
     of the source up front, looks up every position it visits, extends
     every candidate with ``scalar_extend`` and prices it in a row of its
-    own making for ``choose_factor``."""
+    own making for ``choose_factor``.  After a match it first tries the
+    same diagonal one symbol past the mismatch: when the gram there is
+    N-free and its ``scalar_extend`` first piece reaches m1, the
+    mismatch is a 1-symbol literal and that match follows, with no
+    lookup."""
     s = np.asarray(seq, dtype=np.uint8)
     n, k, sb = len(s), params.m1, s.tobytes()
     qhash, qfree = hash_kmers(s, k)
@@ -507,14 +511,46 @@ def scalar_parse(index, seq, params, reservoir_sink=None) -> Parse:
             pos += 1
             continue
         close_literal(pos)
-        rows.append((chosen[0], pos) + chosen[1:5])
-        if chosen[0] == MATCH:
-            last_match_delta = pos - chosen[1]
-            last_match_window = pos // params.checkpoint_interval
-        pos += chosen[5]
+        diagonal = chosen[1] + (index.ref_len if chosen[0] == RESERVOIR else 0) - pos
+        while chosen is not None:
+            rows.append((chosen[0], pos) + chosen[1:5])
+            if chosen[0] == MATCH:
+                last_match_delta = pos - chosen[1]
+                last_match_window = pos // params.checkpoint_interval
+            pos += chosen[5]
+            # past the mismatch, the same diagonal is tried before any lookup
+            chosen, nxt = None, pos + 1
+            cand = nxt + diagonal
+            if pos not in n_run_at and nxt < len(qhash) and qfree[nxt] and cand < index.ext_len:
+                pieces = scalar_extend(index, sb, nxt, cand, n, params.m2)
+                if pieces[0] >= k:
+                    rows.append((LITERAL, pos, 0, 1, 0, 0))
+                    pos = nxt
+                    if cand < index.ref_len:
+                        kind, at = MATCH, cand
+                    else:
+                        kind, at = RESERVOIR, cand - index.ref_len
+                    cover = sum(pieces) + len(pieces) - 1
+                    chosen = (kind, at) + (pieces + (0, 0))[:3] + (cover,)
         lit_start = pos
     close_literal(n)
     return Parse(_parse_columns(s, rows), n)
+
+
+def diagonal_steps(c, ref_len):
+    """Mask of the factors the diagonal step takes: matches that follow a
+    1-symbol literal after a match on the same diagonal."""
+    matchlike = (c.kind == MATCH) | (c.kind == RESERVOIR)
+    diagonal = c.position + np.where(c.kind == RESERVOIR, ref_len, 0) - c.start
+    out = np.zeros(len(c), dtype=bool)
+    out[2:] = (
+        matchlike[2:]
+        & matchlike[:-2]
+        & (c.kind[1:-1] == LITERAL)
+        & (c.advance[1:-1] == 1)
+        & (diagonal[2:] == diagonal[:-2])
+    )
+    return out
 
 
 def differential_collection(rng):
@@ -575,6 +611,10 @@ def test_parse_matches_scalar_parse(seed):
         assert np.array_equal(apply_parse(g, ref, res), m)
     kinds = np.concatenate([g.columns.kind for g in got])
     assert {LITERAL, MATCH} <= set(kinds.tolist())
+    # hashed search, not only the diagonal step, chooses matches in each member
+    for g in got:
+        searched = (g.columns.kind == MATCH) & ~diagonal_steps(g.columns, len(ref))
+        assert np.count_nonzero(searched) >= 2
 
 
 def test_differential_collections_reach_every_case():
@@ -700,3 +740,104 @@ def test_parse_hashes_only_what_it_probes(monkeypatch):
     parse = parse_sequence(idx, seq, params)
     assert np.array_equal(apply_parse(parse, ref), seq)
     assert sum(hashed) < 0.1 * len(seq)
+
+
+def with_snps(ref, *at):
+    seq = ref.copy()
+    seq[list(at)] = (seq[list(at)] + 1) % 4
+    return seq
+
+
+def looked_up(idx):
+    """The grams ``idx.lookup`` is asked for from now on, in order."""
+    grams, lookup = [], idx.lookup
+
+    def recording(h, gram):
+        grams.append(gram)
+        return lookup(h, gram)
+
+    idx.lookup = recording
+    return grams
+
+
+def test_diagonal_step_passes_up_a_far_match_at_the_mismatch():
+    """The SNP-spanning gram at the mismatch has a long far copy; the
+    parse still goes on along its diagonal past the SNP."""
+    rng = np.random.default_rng(47)
+    params = make_params()
+    ref = random_reference(rng, 3000)
+    seq = with_snps(ref[:1000], 100, 200, 300)
+    ref[2000:2060] = seq[300:360]
+    idx = KmerIndex(ref, params.m1)
+    far = longest_at(idx, seq, 300, params)
+    assert far[:2] == (MATCH, 2000) and far[5] >= 60
+    grams = looked_up(idx)
+    c = parse_sequence(idx, seq, params).columns
+    assert grams == [seq[: params.m1].tobytes()]  # the step looks nothing up
+    assert c.kind.tolist() == [MATCH, LITERAL, MATCH]
+    assert c.start.tolist() == [0, 300, 301]
+    assert c.position.tolist() == [0, 0, 301]
+    assert c.pieces[0].tolist() == [100, 99, 99] and c.pieces[1, 0] == 1
+    assert diagonal_steps(c, len(ref)).tolist() == [False, False, True]
+    assert np.array_equal(apply_parse(Parse(c, len(seq)), ref), seq)
+
+
+def test_diagonal_step_stops_at_n():
+    """No step when an N-run starts at the mismatch or the gram past it
+    holds N, even where the reference has the same N along the diagonal."""
+    rng = np.random.default_rng(48)
+    params = make_params()
+    ref = random_reference(rng, 1000)
+    ref[301:331] = N
+    seq = with_snps(ref, 100, 200)
+    seq[300] = N  # an N-run of 31 starts at the third mismatch
+    idx = KmerIndex(ref, params.m1)
+    c = parse_sequence(idx, seq, params).columns
+    assert c.kind.tolist() == [MATCH, NRUN, MATCH]
+    assert c.start.tolist() == [0, 300, 331] and c.position[2] == 331
+
+    ref = random_reference(rng, 1000)
+    ref[305] = N
+    seq = with_snps(ref, 100, 200, 300)
+    idx = KmerIndex(ref, params.m1)
+    c = parse_sequence(idx, seq, params).columns
+    # hashed search resumes at the first N-free gram, past the N
+    assert c.kind.tolist() == [MATCH, LITERAL, MATCH]
+    assert c.start.tolist() == [0, 300, 306] and c.position[2] == 306
+    assert np.array_equal(apply_parse(Parse(c, len(seq)), ref), seq)
+
+
+def test_indel_breaks_the_diagonal_and_hashed_search_finds_the_shift():
+    rng = np.random.default_rng(49)
+    params = make_params()
+    ref = random_reference(rng, 2000)
+    seq = np.concatenate([with_snps(ref[:300], 100, 200), ref[310:1000]])  # 10 deleted
+    idx = KmerIndex(ref, params.m1)
+    c = parse_sequence(idx, seq, params).columns
+    assert c.kind.tolist() == [MATCH, MATCH]
+    assert (c.position - c.start).tolist() == [0, 10]
+    assert not diagonal_steps(c, len(ref)).any()
+    assert np.array_equal(apply_parse(Parse(c, len(seq)), ref), seq)
+
+
+def test_reservoir_match_steps_along_its_reservoir_diagonal():
+    rng = np.random.default_rng(50)
+    params = make_params()
+    ref = random_reference(rng, 2000)
+    novel = random_reference(rng, 400)
+    idx = KmerIndex(ref, params.m1)
+    assert all(longest_at(idx, novel, p, params) is None for p in range(0, 388, 20))
+    sink = SinkRecorder(idx)
+    parse_sequence(idx, np.concatenate([ref[:500], novel, ref[500:1000]]), params, sink)
+    assert sink.calls == [(0, 500, 400)]
+    sink.seq_index = 1
+    seq = np.concatenate([ref[1000:1200], with_snps(novel, 100, 200, 300), ref[1200:1400]])
+    grams = looked_up(idx)
+    c = parse_sequence(idx, seq, params, sink).columns
+    assert not {seq[p : p + params.m1].tobytes() for p in (500, 501)} & set(grams)
+    assert c.kind.tolist()[:4] == [MATCH, RESERVOIR, LITERAL, RESERVOIR]
+    assert c.start.tolist()[2:4] == [500, 501]
+    assert (c.position - c.start)[[1, 3]].tolist() == [-200, -200]
+    assert diagonal_steps(c, len(ref)).tolist()[3]
+    res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
+    assert np.array_equal(apply_parse(Parse(c, len(seq)), ref, res), seq)

@@ -36,7 +36,7 @@ def test_two_all_n_blocks_equal_offsets_empty_payload():
     rb = encode(np.full(2 * BLOCK_SIZE, N, dtype=np.uint8))
     assert rb.offsets.tolist() == [0, 0, 0]
     assert rb.payload == b""
-    assert rb.block_is_all_n(0) and rb.block_is_all_n(1)
+    assert rb.offsets[0] == rb.offsets[1] == rb.offsets[2]
 
 
 def test_acg_packs_and_codes():
