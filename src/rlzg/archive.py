@@ -2,12 +2,14 @@
 
 File layout (all integers little-endian, varints are unsigned LEB128):
 
-    magic "RLZG" | version u8 (2) | flags u8 (bit 0: per-record matching)
+    magic "RLZG" | version u8 (3) | flags u8 (bit 0: per-record matching)
     section count varint, then per section: id varint, length varint, body
 
-Sections: 1 params, 7 metadata digest, 3 Huffman tables (reference
-table plus the six stream models, 896 bytes), 2 sequence table,
-4 reservoir provenance, 5 reference payloads, 6 stream payloads.
+Sections: 1 params (m1 u16, m2 u16, m3 u32, gap limit u8, candidate
+cap u32, checkpoint interval u32, block size u32), 7 metadata digest,
+3 Huffman tables (reference table plus the four stream models, 640
+bytes), 2 sequence table, 4 reservoir provenance, 5 reference payloads,
+6 stream payloads.
 Readers skip unknown section ids, so the format can grow trailing
 sections without breaking old readers.
 
@@ -59,9 +61,7 @@ from .genome import N, Collection, Sequence
 from .huffman import HuffmanTable, _cat_ranges, _placeholder
 from .kmer import KmerIndex, n_free_grams
 from .parse import (
-    CHEAP_OFFSET_BOUND,
     GAP_LIMIT,
-    LENGTH_SLACK,
     LITERAL,
     MATCH,
     NRUN,
@@ -85,6 +85,7 @@ from .refstore import (
     range_payload_bytes,
 )
 from .streams import (
+    N_MODELS,
     CodedSequence,
     ModelSet,
     RawStreams,
@@ -95,7 +96,7 @@ from .streams import (
 )
 
 MAGIC = b"RLZG"
-VERSION = 2
+VERSION = 3
 
 _SEC_PARAMS = 1
 _SEC_SEQTABLE = 2
@@ -108,7 +109,7 @@ _SEC_DIGEST = 7
 _METADATA = (_SEC_PARAMS, _SEC_MODELS, _SEC_SEQTABLE, _SEC_PROVENANCE)
 # the writer's section order; a reader finds sections by id, in any order
 _SECTION_ORDER = (_SEC_PARAMS, _SEC_DIGEST, *_METADATA[1:], _SEC_REFPAYLOAD, _SEC_STREAMPAYLOAD)
-_PARAMS_FORMAT = "<HHIBIIIII"
+_PARAMS_FORMAT = "<HHIBIII"
 
 ROLE_REFERENCE = 0
 ROLE_MEMBER = 1
@@ -421,23 +422,20 @@ class Archive:
         body = sections[_SEC_PARAMS]
         if len(body) != struct.calcsize(_PARAMS_FORMAT):
             raise CorruptArchiveError("malformed params section")
-        m1, m2, m3, gap, cheap, slack, cap, interval, block_size = struct.unpack(
-            _PARAMS_FORMAT, body
-        )
+        m1, m2, m3, gap, cap, interval, block_size = struct.unpack(_PARAMS_FORMAT, body)
         params = ParseParams(m1, m2, m3, cap, interval)
         try:
             params.validate()
         except ValueError as exc:
             raise CorruptArchiveError(f"invalid stored parameters: {exc}") from exc
-        fixed = (GAP_LIMIT, CHEAP_OFFSET_BOUND, LENGTH_SLACK, BLOCK_SIZE)
-        if (gap, cheap, slack, block_size) != fixed:
+        if (gap, block_size) != (GAP_LIMIT, BLOCK_SIZE):
             raise CorruptArchiveError(
-                f"stored gap limit, offset-cost bound, length slack and block size "
-                f"{(gap, cheap, slack, block_size)}, the format fixes {fixed}"
+                f"stored gap limit and block size {(gap, block_size)}, "
+                f"the format fixes {(GAP_LIMIT, BLOCK_SIZE)}"
             )
 
         blob = sections[_SEC_MODELS]
-        if len(blob) != 7 * 128:
+        if len(blob) != (1 + N_MODELS) * 128:
             raise CorruptArchiveError("malformed model section")
         ref_table = HuffmanTable.deserialize(blob[:128])
         models = ModelSet.deserialize(blob[128:])
@@ -882,8 +880,6 @@ def _write_archive(
         params.m2,
         params.m3,
         GAP_LIMIT,
-        CHEAP_OFFSET_BOUND,
-        LENGTH_SLACK,
         params.candidate_cap,
         params.checkpoint_interval,
         BLOCK_SIZE,

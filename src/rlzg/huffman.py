@@ -5,15 +5,17 @@ package-merge builds optimal under that cap, and serialize as 128
 bytes, two 4-bit lengths per byte.  Codes and decode tables come from
 one stable sort of the lengths (Moffat & Turpin 1997), each on its
 first use: a table read from an archive checks its lengths and builds
-codes only if it encodes, decode tables only if it decodes.
-Bitstreams are MSB-first within bytes.  There is one encoder and one decoder, both vectorized so they
-run at numpy speed rather than per-symbol Python speed:
-:func:`pack_codes` places whole codewords with one scatter-add, each
-segment flushed to a byte boundary, and :func:`decode_chains`
-follows the codeword chains of many segments through one jump table,
-in lockstep or by jump doubling (:func:`follow_chains`).  A chain's
-records may carry escapes: four codewords of a second table after a
-marked first codeword.
+codes only if it encodes, decode tables only if it decodes.  A table
+may carry extra bits: a fixed count of raw bits per symbol that follow
+each of its codewords, as after deflate's length and distance codes
+(RFC 1951 3.2.5); a codeword with its extra bits is a record.
+Bitstreams are MSB-first within bytes.  There is one encoder and one
+decoder, both vectorized so they run at numpy speed rather than
+per-symbol Python speed: :func:`pack_codes` places whole codewords with
+one scatter-add, each segment flushed to a byte boundary, and
+:func:`decode_chains` follows the record chains of many segments
+through one jump table, in lockstep or by jump doubling
+(:func:`follow_chains`), then gathers every record's extra bits at once.
 """
 from __future__ import annotations
 
@@ -69,12 +71,15 @@ def _placeholder(counts: np.ndarray) -> np.ndarray:
 class HuffmanTable:
     """Canonical Huffman code, immutable once built.  Everything is
     derived from the lengths on first use: the codes, which only the
-    encoder reads, and the decode tables."""
+    encoder reads, and the decode tables.  ``extra_bits``, when given,
+    is the count of raw bits that follow each symbol's codeword; it is
+    part of the stream's format, not of the serialized table."""
 
-    __slots__ = ("lengths", "_codes", "_dec")
+    __slots__ = ("lengths", "extra_bits", "_codes", "_dec")
 
-    def __init__(self, lengths: np.ndarray):
+    def __init__(self, lengths: np.ndarray, extra_bits: np.ndarray | None = None):
         self.lengths = np.asarray(lengths, dtype=np.uint8)
+        self.extra_bits = extra_bits
         self._codes = None
         self._dec = None
 
@@ -89,7 +94,7 @@ class HuffmanTable:
         return self._codes
 
     @classmethod
-    def from_counts(cls, counts) -> "HuffmanTable":
+    def from_counts(cls, counts, extra_bits=None) -> "HuffmanTable":
         counts = np.asarray(counts)
         if counts.shape != (256,):
             raise ValueError("need exactly 256 symbol counts")
@@ -97,10 +102,10 @@ class HuffmanTable:
             raise ValueError("negative count")
         if not counts.any():
             raise ValueError("cannot build a Huffman table from all-zero counts")
-        return cls(_package_merge_lengths(counts, MAX_CODE_LEN))
+        return cls(_package_merge_lengths(counts, MAX_CODE_LEN), extra_bits)
 
     @classmethod
-    def from_lengths(cls, lengths) -> "HuffmanTable":
+    def from_lengths(cls, lengths, extra_bits=None) -> "HuffmanTable":
         """Build from code lengths, enforcing the canonical invariants.
 
         Raises :class:`CorruptArchiveError` on an empty table, a length
@@ -119,7 +124,7 @@ class HuffmanTable:
                 raise CorruptArchiveError("single-symbol table must use length 1")
         elif kraft != _NWIN:
             raise CorruptArchiveError("Huffman table violates the Kraft equality")
-        return cls(lengths)
+        return cls(lengths, extra_bits)
 
     def serialize(self) -> bytes:
         """128 bytes: byte i holds lengths of symbols 2i (low nibble) and
@@ -128,20 +133,22 @@ class HuffmanTable:
         return (pair[:, 0] | (pair[:, 1] << 4)).astype(np.uint8).tobytes()
 
     @classmethod
-    def deserialize(cls, blob: bytes) -> "HuffmanTable":
+    def deserialize(cls, blob: bytes, extra_bits=None) -> "HuffmanTable":
         if len(blob) != 128:
             raise CorruptArchiveError("Huffman table blob must be 128 bytes")
         packed = np.frombuffer(blob, dtype=np.uint8)
         lengths = np.empty(256, dtype=np.uint8)
         lengths[0::2] = packed & 0x0F
         lengths[1::2] = packed >> 4
-        return cls.from_lengths(lengths)
+        return cls.from_lengths(lengths, extra_bits)
 
     def _decode_tables(self):
-        """Symbol and code length per 15-bit window (-1 and 0 past the
-        Kraft sum), built on first use."""
+        """Symbol and record length (code length plus extra bits) per
+        15-bit window (-1 and 0 past the Kraft sum), built on first use."""
         if self._dec is None:
             syms, lens, width, _ = _canonical_spans(self.lengths)
+            if self.extra_bits is not None:
+                lens = lens + self.extra_bits[syms]
             spans = np.append(width, _NWIN - width.sum())
             dsym = np.repeat(np.append(syms, -1).astype(np.int16), spans)
             dlen = np.repeat(np.append(lens, 0).astype(np.uint8), spans)
@@ -151,7 +158,9 @@ class HuffmanTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HuffmanTable):
             return NotImplemented
-        return np.array_equal(self.lengths, other.lengths)
+        return np.array_equal(self.lengths, other.lengths) and np.array_equal(
+            self.extra_bits, other.extra_bits
+        )
 
 
 def _cat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -214,6 +223,23 @@ def bit_windows(seg: np.ndarray) -> np.ndarray:
     return win
 
 
+def _walks_in_lockstep(n_jump: int, counts: np.ndarray) -> bool:
+    """Whether :func:`follow_chains` walks chains of ``counts`` records
+    (the longest at least 2) in lockstep rather than by jump doubling
+    over a table of ``n_jump`` entries: the one with the lower estimated
+    time.  The nanosecond terms were fitted to both strategies timed on
+    every call of a decompression and of extracts on the seed-1 mixed
+    corpus, and on 1-16 reference blocks (2-vCPU VM, numpy 2.4).  A
+    lockstep step costs about 2.6 us plus 4 ns per chain; a doubling
+    round 13 us, its squaring of the table 0.75 ns per entry, and its
+    writes 10 ns per record."""
+    maxcount = int(counts.max())
+    steps, rounds = maxcount - 1, (maxcount - 1).bit_length()
+    lockstep_ns = steps * (2600 + 4 * len(counts))
+    doubling_ns = rounds * 13000 + (rounds - 1) * 0.75 * n_jump + 10 * int(counts.sum())
+    return lockstep_ns <= doubling_ns
+
+
 def follow_chains(
     jump: np.ndarray, starts: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -227,10 +253,11 @@ def follow_chains(
 
     Two strategies with the same result: jump doubling costs
     O(log(maxcount)) rounds over the whole jump table, a lockstep walk
-    O(maxcount) vector steps over the chains; each is priced with its fixed
-    numpy work per round or step, and the cheaper one is picked per call.
-    Neither alone will do: lockstep walks one reference block in ~2,700
-    steps, and doubling takes twice as long over a whole reference.
+    O(maxcount) vector steps over the chains; :func:`_walks_in_lockstep`
+    prices both and the cheaper one is picked per call.  Neither alone
+    will do: lockstep walks one reference block in ~2,700 steps, about
+    20 times as long as doubling, and doubling loses on most checkpoint
+    windows, whose chains are short.
     """
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
     bounds[1:] = np.cumsum(counts)
@@ -242,9 +269,7 @@ def follow_chains(
     if maxcount <= 1:
         return out_pos, bounds
 
-    doubling_cost = maxcount.bit_length() * (1000 + len(jump))
-    lockstep_cost = maxcount * (400 + len(counts))
-    if lockstep_cost <= doubling_cost:
+    if _walks_in_lockstep(len(jump), counts):
         cur = starts.astype(np.int64).copy()
         base = bounds[:-1]
         for j in range(1, maxcount):
@@ -265,7 +290,7 @@ def follow_chains(
 
 
 def _jump_table(win: np.ndarray, dlen: np.ndarray) -> np.ndarray:
-    """Where the codeword at each bit position ends, given the positions'
+    """Where the record at each bit position ends, given the positions'
     15-bit windows, plus a trailing sentinel (index len(win), mapping to
     itself) that every jump past the segment lands on.  A window that
     starts no codeword (of valid tables, only a lone-symbol one has them)
@@ -276,27 +301,34 @@ def _jump_table(win: np.ndarray, dlen: np.ndarray) -> np.ndarray:
     return np.minimum(jump, nbits, out=jump)
 
 
+def _gather_bits(seg: np.ndarray, ends: np.ndarray, nbits: np.ndarray) -> np.ndarray:
+    """The ``nbits``-bit MSB-first fields of ``seg`` that end at bit
+    positions ``ends`` (at most 33 bits each, none past the end of
+    ``seg``), read from the five bytes at each field's first bit."""
+    at = ends - nbits
+    # a byte index past seg's end only holds bits after its field's end,
+    # which the shift drops, so clamping it changes no field
+    idx = np.minimum((at >> 3)[:, None] + np.arange(5), len(seg) - 1)
+    word = (seg[idx].astype(np.int64) << np.arange(32, -1, -8)).sum(axis=1)
+    return (word >> (40 - (at & 7) - nbits)) & ((1 << nbits) - 1)
+
+
 def decode_chains(
-    buf: np.ndarray,
-    table: HuffmanTable,
-    starts,
-    counts,
-    escape: tuple[HuffmanTable, np.ndarray] | None = None,
+    buf: np.ndarray, table: HuffmanTable, starts, counts, ends=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Decode several independent chains of records out of one buffer.
 
-    A record is one codeword of ``table``.  With ``escape`` given as
-    (escape table, mask over the 256 values), a record whose value the
-    mask marks is followed by four codewords of the escape table, the
-    bytes of an unsigned 32-bit little-endian integer.  ``starts`` are
-    bit positions, ``counts`` the number of records per chain.  Returns
-    (record values, record boundaries per chain, escape integers), the
-    last as int64 with 0 for unescaped records, or None without
-    ``escape``.  The heavy lifting (one jump table over every bit from
-    the first chain's byte to the end of ``buf``, then one
-    :func:`follow_chains` walk) is shared across all chains; callers pass
-    a buffer that ends at their last chain's last byte.  An invalid
-    codeword, or a chain whose last codeword runs past the buffer, raises
+    A record is one codeword of ``table`` followed by the symbol's extra
+    bits, if the table has any.  ``starts`` are bit positions, ``counts``
+    the number of records per chain, and ``ends`` (default: the end of
+    ``buf``) the bit positions each chain's records must end by.  Returns
+    (symbols, record boundaries per chain, extra bits), the last as int64
+    per record, or None for a table without extra bits.  The heavy
+    lifting (one jump table over every bit from the first chain's byte
+    to the end of ``buf``, one :func:`follow_chains` walk, one gather of
+    the extra bits) is shared across all chains; callers pass a buffer
+    that ends at their last chain's last byte.  An invalid codeword, or a
+    chain whose last record runs past its end or the buffer's, raises
     :class:`CorruptArchiveError`.
     """
     buf = np.asarray(buf, dtype=np.uint8)
@@ -307,9 +339,9 @@ def decode_chains(
     bounds = np.zeros(len(counts) + 1, dtype=np.int64)
     bounds[1:] = np.cumsum(counts)
     total = int(bounds[-1])
-    esc_vals = None if escape is None else np.zeros(total, dtype=np.int64)
     if total == 0:
-        return np.zeros(0, dtype=np.uint8), bounds, esc_vals
+        extra = None if table.extra_bits is None else np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.uint8), bounds, extra
     if (starts < 0).any() or (starts > len(buf) * 8).any():
         raise CorruptArchiveError("stream offset outside payload")
 
@@ -320,44 +352,21 @@ def decode_chains(
 
     dsym, dlen = table._decode_tables()
     win = bit_windows(seg)
-    jump = _jump_table(win, dlen)
-    if escape is not None:
-        ext, esc_mask = escape
-        esym, elen = ext._decode_tables()
-        e1 = _jump_table(win, elen)
-        e2 = e1[e1]
-        # an escaping record jumps over its four escape codewords too
-        nxt = jump[:-1]
-        np.copyto(nxt, e2[e2[nxt]], where=esc_mask[dsym[win]])
-
-    out_pos, _ = follow_chains(jump, local, counts)
+    out_pos, _ = follow_chains(_jump_table(win, dlen), local, counts)
     if int(out_pos.max()) >= nbits:
         raise CorruptArchiveError("Huffman stream truncated")
     wpos = win[out_pos]
     syms = dsym[wpos]
     if (syms < 0).any():
         raise CorruptArchiveError("invalid Huffman codeword")
-    # a chain's last codeword must end inside the buffer, not in the
-    # zero padding that bit_windows reads past it (an empty chain's index
-    # falls on another chain's last record)
-    last = bounds[1:] - 1
-    if int((out_pos[last] + dlen[wpos[last]]).max()) > nbits:
-        raise CorruptArchiveError("Huffman stream truncated")
-    if escape is not None:
-        at = np.flatnonzero(esc_mask[syms])
-        if len(at):
-            q = out_pos[at] + dlen[wpos[at]]
-            raw = np.zeros(len(at), dtype=np.int64)
-            for i in range(4):
-                if int(q.max()) >= nbits:
-                    raise CorruptArchiveError("Huffman stream truncated")
-                w = win[q]
-                b = esym[w]
-                if (b < 0).any():
-                    raise CorruptArchiveError("invalid Huffman codeword in an escape")
-                raw |= b.astype(np.int64) << (8 * i)
-                q = q + elen[w]
-            if int(q.max()) > nbits:
-                raise CorruptArchiveError("Huffman stream truncated")
-            esc_vals[at] = raw
-    return syms.astype(np.uint8), bounds, esc_vals
+    # a chain's last record must end inside its bytes, not in the next
+    # chain's or in the zero padding that bit_windows reads past the buffer
+    rec_end = out_pos + dlen[wpos]
+    live = counts > 0
+    stop = nbits if ends is None else np.minimum(np.asarray(ends)[live] - lo_byte * 8, nbits)
+    if np.count_nonzero(rec_end[bounds[1:][live] - 1] > stop):
+        raise CorruptArchiveError("Huffman stream truncated at a chain's end")
+    extra = None
+    if table.extra_bits is not None:
+        extra = _gather_bits(seg, rec_end, table.extra_bits[syms].astype(np.int64))
+    return syms.astype(np.uint8), bounds, extra

@@ -8,8 +8,9 @@ keeping a gap only when the following piece reaches the extension
 minimum.  Among the surviving candidates, a shorter match wins when its
 delta-coded offset is cheap (below ``CHEAP_OFFSET_BOUND``) and the
 longer match's is not, unless the longer one is ahead by more than
-``LENGTH_SLACK`` symbols.  Like ``GAP_LIMIT``, both are format
-constants: the archive stores them and a reader rejects other values.
+``LENGTH_SLACK`` symbols.  Both are parser policy: no decoder reads
+them, so the archive does not store them.  ``GAP_LIMIT`` is a format
+constant: the archive stores it and a reader rejects other values.
 
 Literal runs long enough for the reservoir are handed to the sink as
 they close, so later sequences (and later positions of this one) can

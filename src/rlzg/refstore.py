@@ -134,9 +134,9 @@ def decode_reference_range(rb: RefBlocks, start: int, end: int) -> np.ndarray:
     sym_counts = np.minimum(rb.n_symbols - blocks * bs, bs)
     byte_counts = -(-sym_counts // 3)
     live = np.asarray(rb.offsets[b0:b1] != rb.offsets[b0 + 1 : b1 + 1])
-    starts_bits = (rb.offsets[b0:b1] - rb.offsets[b0]) * 8
+    bits = (rb.offsets[b0 : b1 + 1] - rb.offsets[b0]) * 8
     vals, bounds, _ = decode_chains(
-        local, rb.table, starts_bits[live], byte_counts[live]
+        local, rb.table, bits[:-1][live], byte_counts[live], bits[1:][live]
     )
 
     # the live blocks unpack in one call; one mask then drops each one's

@@ -2,38 +2,34 @@
 
 Streams: match offsets, match lengths, literals (triplet-packed run and
 gap symbols), and quaternary factor flags (0 = literal run, else 1 +
-gap count).  Offsets are coded as the difference between the match's
-(source - reference) delta and the previous match's, biased into one
-byte when it fits:
+gap count).  Each stream has one shared order-0 Huffman model, so there
+are four, in stream order.  Flags pack four per byte, first flag in the
+least significant bit pair; a literal or flag byte is one codeword.
 
-    first byte 0..250  -> delta difference  -125 .. +125
-    251                -> difference < -125, 4-byte signed LE follows
-    252                -> difference > +125, 4-byte signed LE follows
-    253                -> N-run pseudomatch, no further bytes
-    254                -> reservoir match, 4-byte unsigned LE absolute
-                          reservoir offset follows (no delta coding)
+An offset or length record is one codeword of its stream's model plus
+the raw extra bits its symbol carries (deflate's length and distance
+codes, RFC 1951 3.2.5; zstd's sequence codes, RFC 8878 3.1.1.3.2).  A
+class code maps values below 2**32 to symbols: a small value is its own
+symbol, a larger one of bit length e is the class of e and its top
+mantissa bits, and the e - 1 - mantissa low bits follow as extra bits.
 
-Lengths: first byte b < 255 codes the value b + 1; byte 255 escapes to
-a 4-byte unsigned LE full value.  Flags pack four per byte, first flag
-in the least significant bit pair.
+    LEN: length - 1; 0..31 direct, two mantissa bits (symbols 0..139)
+    OFF: 0..167    a match: the zigzagged difference between its
+                   (source - reference) delta and the previous match's;
+                   0..63 direct, two mantissa bits
+         168       an N-run pseudomatch, no extra bits
+         169..232  a reservoir match: its absolute reservoir offset;
+                   0..1 direct, one mantissa bit
 
-Six shared order-0 Huffman models cover the streams, numbered 0-5:
-offset first bytes, pooled offset escape bytes, length first bytes,
-pooled length escape bytes, literal triplet bytes, flag bytes.  The
-encoder tags every raw byte with its model index, so tallying and coding
-look up one (model, byte) cell of a (6, 256) table per byte.  An offset
-or length record is one first-byte codeword, plus four escape-byte
-codewords when the first byte escapes (251, 252 and 254; 255); it
-decodes with :func:`huffman.decode_chains` given the escape table.
-Literal and flag bytes are plain chains of one table.
+A symbol past its stream's classes is corrupt.  Huffman codewords are
+at most 15 bits and extra bits at most 30, so a record is at most 45.
 
 Every stream is flushed to a byte boundary at each checkpoint (one per
 ``checkpoint_interval`` source symbols); the delta predictor resets
 there, a factor belongs to the checkpoint window containing its start,
 and each checkpoint records where decoding resumes, so any window
 decodes standalone.  The checkpoint table is one int64 array per
-column, a row per stream: raw bytes per window (4, W), and cumulative
-symbols and coded bytes (4, W+1).
+column, a row per stream: cumulative symbols and coded bytes (4, W+1).
 
 Both directions work on :class:`~rlzg.parse.FactorColumns` with array
 operations.  :func:`encode_parse` writes a parse's columns into the raw
@@ -62,23 +58,43 @@ from .parse import (
     validate_parse,
 )
 
-OFFSET_BIAS = 125
-ESC_NEG, ESC_POS, NRUN_MARK, RESERVOIR_MARK = 251, 252, 253, 254
-LEN_ESC = 255
-
-# stream indices, and the model index of each stream's first bytes (an
-# escape byte uses the next model)
+# stream indices, which are also their model indices
 OFF, LEN, LIT, FLG = 0, 1, 2, 3
-_MODEL = (0, 2, 4, 5)
-
-_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
+N_MODELS = 4
 
 _FLAG_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
 
-_IS_OFF_ESC = np.zeros(256, dtype=bool)
-_IS_OFF_ESC[[ESC_NEG, ESC_POS, RESERVOIR_MARK]] = True
-_IS_LEN_ESC = np.zeros(256, dtype=bool)
-_IS_LEN_ESC[LEN_ESC] = True
+
+def _class_code(direct_bits: int, mantissa_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each symbol's smallest value and extra bit count in the class code
+    of values below 2**32 with ``direct_bits`` and ``mantissa_bits``."""
+    e = np.repeat(np.arange(direct_bits + 1, 33), 1 << mantissa_bits)
+    extra = e - 1 - mantissa_bits
+    lead = np.tile(np.arange(1 << mantissa_bits, 2 << mantissa_bits), 32 - direct_bits)
+    direct = np.arange(1 << direct_bits)
+    return np.concatenate((direct, lead << extra)), np.concatenate((0 * direct, extra))
+
+
+_LEN_BASE, _len_extra = _class_code(5, 2)
+_DELTA_BASE, _delta_extra = _class_code(6, 2)
+_RES_BASE, _res_extra = _class_code(1, 1)
+NRUN_CLASS = len(_DELTA_BASE)
+RES_CLASS = NRUN_CLASS + 1
+_OFF_BASE = np.concatenate((_DELTA_BASE, [0], _RES_BASE))
+# factor kind by offset symbol (-1: past the classes)
+_OFF_KIND = np.full(256, -1, dtype=np.int8)
+_OFF_KIND[:NRUN_CLASS] = MATCH
+_OFF_KIND[NRUN_CLASS] = NRUN
+_OFF_KIND[RES_CLASS : len(_OFF_BASE)] = RESERVOIR
+# extra bits per symbol of each stream's model
+_EXTRA_BITS = [np.zeros(256, dtype=np.uint8) for _ in (OFF, LEN)] + [None, None]
+_EXTRA_BITS[OFF][: len(_OFF_BASE)] = np.concatenate((_delta_extra, [0], _res_extra))
+_EXTRA_BITS[LEN][: len(_LEN_BASE)] = _len_extra
+
+
+def _classify(base: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The class code symbol of each value, given the code's ``base``."""
+    return np.searchsorted(base, values, side="right") - 1
 
 
 @dataclass
@@ -86,16 +102,15 @@ class RawStreams:
     """Window-segmented raw (pre-entropy) streams of one sequence."""
 
     length: int
-    bytes_: list[np.ndarray]  # raw bytes per stream
-    model: list[np.ndarray]  # per stream, the uint8 model index (0-5) of each raw byte
-    seg_bytes: np.ndarray  # (4, W) raw bytes per stream per window
+    symbols: list[np.ndarray]  # per stream, the model symbol of each record or byte
+    extra: list[np.ndarray | None]  # per OFF and LEN record, its extra bits (int64)
     sym_counts: np.ndarray  # (4, W+1) cumulative checkpoint symbol counts
     start_source: np.ndarray  # (W,) source position where each window resumes
 
 
 @dataclass
 class ModelSet:
-    """The six shared Huffman models, in model-index order."""
+    """The shared Huffman models, one per stream, in stream order."""
 
     tables: tuple[HuffmanTable, ...]
 
@@ -104,9 +119,10 @@ class ModelSet:
 
     @classmethod
     def deserialize(cls, blob: bytes) -> "ModelSet":
-        if len(blob) != 6 * 128:
-            raise CorruptArchiveError("model block must be 768 bytes")
-        return cls(tuple(HuffmanTable.deserialize(blob[i * 128 : (i + 1) * 128]) for i in range(6)))
+        if len(blob) != N_MODELS * 128:
+            raise CorruptArchiveError(f"model block must be {N_MODELS * 128} bytes")
+        blobs = [blob[s * 128 : (s + 1) * 128] for s in range(N_MODELS)]
+        return cls(tuple(map(HuffmanTable.deserialize, blobs, _EXTRA_BITS)))
 
 
 @dataclass
@@ -127,23 +143,6 @@ class CodedSequence:
     def checkpoint_for(self, source_pos: int) -> int:
         """Latest window whose decoding resumes at or before source_pos."""
         return int(np.searchsorted(self.start_source, source_pos, side="right")) - 1
-
-
-def _records(first: np.ndarray, ext: np.ndarray, escapes: np.ndarray, model: int):
-    """Raw bytes of a record stream: one first byte per record, then the
-    4-byte LE ``ext`` value of each record whose first byte ``escapes``
-    marks.  Returns (bytes, model index per byte, bytes per record); a
-    first byte uses ``model``, an escape byte ``model + 1``."""
-    esc = escapes[first]
-    size = 1 + 4 * esc.astype(np.int64)
-    at = np.cumsum(size) - size
-    out = np.zeros(int(size.sum()), dtype=np.uint8)
-    out[at] = first
-    le = ext[esc].astype("<u4").view(np.uint8).reshape(-1, 4)
-    out[at[esc][:, None] + 1 + np.arange(4)] = le
-    models = np.full(len(out), model + 1, dtype=np.uint8)
-    models[at] = model
-    return out, models, size
 
 
 def _per_window(win: np.ndarray, weights: np.ndarray | None, W: int) -> np.ndarray:
@@ -167,35 +166,30 @@ def encode_parse(parse: Parse, params: ParseParams) -> RawStreams:
     start = np.cumsum(advance) - advance
     win = start // interval
 
-    # lengths: the nonzero pieces in row order
-    vals = pieces[pieces > 0]
-    if np.count_nonzero(vals > 0xFFFFFFFF):
-        raise ValueError("length exceeds the 4-byte escape form")
-    len_first = np.where(vals > 255, LEN_ESC, vals - 1).astype(np.uint8)
-    len_b, len_m, len_size = _records(len_first, vals, _IS_LEN_ESC, _MODEL[LEN])
-    len_win = np.repeat(win, use)
+    # lengths: the nonzero pieces in row order, less one
+    len_val = pieces[pieces > 0] - 1
+    if np.count_nonzero(len_val >> 32):
+        raise ValueError("length exceeds the class code")
+    len_sym = _classify(_LEN_BASE, len_val)
 
     # offsets: one record per non-literal factor
     nl = np.flatnonzero(~lit)
     k, pos, w_nl = kind[nl], c.position[nl], win[nl]
     is_res, is_match = k == RESERVOIR, k == MATCH
-    if np.count_nonzero(pos[is_res] > 0xFFFFFFFF):
-        raise ValueError("reservoir offset exceeds the 4-byte form")
+    off_val = np.where(is_res, pos, 0)
+    if np.count_nonzero(off_val >> 32):
+        raise ValueError("reservoir offset exceeds the class code")
     # the predictor is the previous match's delta in the same window, else 0
     delta = (start[nl] - pos)[is_match]
     w_m = w_nl[is_match]
     d = delta.copy()
     d[1:] -= np.where(w_m[1:] == w_m[:-1], delta[:-1], 0)
-    if np.count_nonzero((d < _INT32_MIN) | (d > _INT32_MAX)):
-        raise ValueError("offset delta exceeds the 4-byte escape form")
-    off_first = np.full(len(nl), NRUN_MARK, dtype=np.uint8)
-    off_first[is_res] = RESERVOIR_MARK
-    off_first[is_match] = np.where(
-        d < -OFFSET_BIAS, ESC_NEG, np.where(d > OFFSET_BIAS, ESC_POS, d + OFFSET_BIAS)
-    )
-    ext = np.where(is_res, pos, 0)
-    ext[is_match] = d & 0xFFFFFFFF
-    off_b, off_m, off_size = _records(off_first, ext, _IS_OFF_ESC, _MODEL[OFF])
+    if np.count_nonzero((d < -(1 << 31)) | (d >= 1 << 31)):
+        raise ValueError("offset delta exceeds the class code")
+    off_val[is_match] = (d << 1) ^ (d >> 63)  # zigzag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+    off_sym = np.full(len(nl), NRUN_CLASS)
+    off_sym[is_match] = _classify(_DELTA_BASE, off_val[is_match])
+    off_sym[is_res] = RES_CLASS + _classify(_RES_BASE, off_val[is_res])
 
     # literals and flags: each window zero-padded to whole bytes, packed once
     lit_use = np.where(lit, pieces[:, 0], use - 1)
@@ -204,66 +198,66 @@ def encode_parse(parse: Parse, params: ParseParams) -> RawStreams:
     flg_padded, flg_seg = pad_segments(flags, _per_window(win, None, W), 4)
     flg = (flg_padded.reshape(-1, 4) << _FLAG_SHIFTS).sum(axis=1, dtype=np.uint8)
 
-    off_seg, len_seg = _per_window(w_nl, off_size, W), _per_window(len_win, len_size, W)
-    seg_bytes = np.array([off_seg, len_seg, lit_seg // 3, flg_seg // 4])
     sym_counts = np.zeros((4, W + 1), dtype=np.int64)
-    records = [_per_window(w_nl, None, W), _per_window(len_win, None, W)]
-    np.cumsum(records + [seg_bytes[LIT], seg_bytes[FLG]], axis=1, out=sym_counts[:, 1:])
-    lit_b = pack_triplets(lit_padded)
-    lit_m = np.full(len(lit_b), _MODEL[LIT], dtype=np.uint8)
-    flg_m = np.full(len(flg), _MODEL[FLG], dtype=np.uint8)
+    per_window = [_per_window(w_nl, None, W), _per_window(np.repeat(win, use), None, W)]
+    np.cumsum(per_window + [lit_seg // 3, flg_seg // 4], axis=1, out=sym_counts[:, 1:])
     # a window resumes at its first factor's start; a window no factor
     # starts in (inside a long factor) resumes where the next factor starts
     first_at = np.searchsorted(win, np.arange(W))
     return RawStreams(
         length=n,
-        bytes_=[off_b, len_b, lit_b, flg],
-        model=[off_m, len_m, lit_m, flg_m],
-        seg_bytes=seg_bytes,
+        symbols=[off_sym.astype(np.uint8), len_sym.astype(np.uint8), pack_triplets(lit_padded), flg],
+        extra=[off_val - _OFF_BASE[off_sym], len_val - _LEN_BASE[len_sym], None, None],
         sym_counts=sym_counts,
         start_source=np.append(start, n)[first_at],
     )
 
 
-def stream_tallies(raw: RawStreams, counts: np.ndarray) -> np.ndarray:
-    """Add ``raw``'s byte frequencies to the (6, 256) ``counts`` of the
-    shared models."""
-    for b, m in zip(raw.bytes_, raw.model):
-        counts += np.bincount(m.astype(np.intp) * 256 + b, minlength=6 * 256).reshape(6, 256)
-    return counts
-
-
 def build_models(raws: list[RawStreams]) -> ModelSet:
-    """One shared model set from every sequence's raw streams (none
-    gives six placeholder tables)."""
-    counts = np.zeros((6, 256), dtype=np.int64)
+    """One shared model set from every sequence's raw streams, each
+    stream's model from its symbol frequencies (none gives placeholder
+    tables)."""
+    counts = np.zeros((N_MODELS, 256), dtype=np.int64)
     for raw in raws:
-        stream_tallies(raw, counts)
-    return ModelSet(tuple(HuffmanTable.from_counts(_placeholder(row)) for row in counts))
+        for row, syms in zip(counts, raw.symbols):
+            row += np.bincount(syms, minlength=256)
+    return ModelSet(
+        tuple(HuffmanTable.from_counts(_placeholder(row), x) for row, x in zip(counts, _EXTRA_BITS))
+    )
+
+
+def _pieces(lens: np.ndarray, values: np.ndarray, seg_sizes: np.ndarray):
+    """Records of ``lens`` bits as pieces of at most 15 bits, the most
+    significant first, which is what :func:`pack_codes` places; returns
+    the pieces' lengths and values and the pieces per segment."""
+    k = (lens + 14) // 15
+    ends = np.cumsum(k)
+    rec = np.repeat(np.arange(len(k)), k)
+    shift = 15 * (ends[rec] - 1 - np.arange(len(rec)))
+    plens = np.minimum(lens[rec] - shift, 15)
+    per_seg = np.diff(np.append(0, ends)[np.append(0, np.cumsum(seg_sizes))])
+    return plens, (values[rec] >> shift) & ((1 << plens) - 1), per_seg
 
 
 def compress_streams(raw: RawStreams, models: ModelSet) -> CodedSequence:
     """Huffman-code the raw streams, flushing at every checkpoint."""
-    lengths = np.stack([t.lengths for t in models.tables])
-    codes = np.stack([t.codes for t in models.tables])
     payloads: list[bytes] = []
     byte_offs = np.zeros_like(raw.sym_counts)
-    for s, (m, b) in enumerate(zip(raw.model, raw.bytes_)):
-        lens = lengths[m, b]
+    for s, (t, syms, extra) in enumerate(zip(models.tables, raw.symbols, raw.extra)):
+        lens = t.lengths[syms].astype(np.int64)
         if not lens.all():
             raise ValueError("stream byte missing from its model")
-        payload, byte_offs[s] = pack_codes(lens, codes[m, b], raw.seg_bytes[s])
+        codes = t.codes[syms].astype(np.int64)
+        if t.extra_bits is not None:
+            nb = t.extra_bits[syms]
+            lens, codes = lens + nb, codes << nb | extra
+        pieces = _pieces(lens, codes, np.diff(raw.sym_counts[s]))
+        payload, byte_offs[s] = pack_codes(*pieces)
         payloads.append(payload)
     return CodedSequence(raw.length, payloads, raw.start_source, raw.sym_counts, byte_offs)
 
 
 _PIECE = np.arange(3)
-
-# factor kind by offset first byte (-1: invalid), and an escape's sign
-_KIND_BY_FIRST = np.full(256, MATCH, dtype=np.int8)
-_KIND_BY_FIRST[[NRUN_MARK, RESERVOIR_MARK, 255]] = NRUN, RESERVOIR, -1
-_ESC_SIGN = np.zeros(256, dtype=np.int64)
-_ESC_SIGN[[ESC_NEG, ESC_POS]] = -1, 1
 
 
 def _segment_cumsum(values: np.ndarray, bounds: np.ndarray, seg_of: np.ndarray):
@@ -334,22 +328,19 @@ class SequenceDecoder:
         A window is usually decoded alone on the random-access path, so
         this keeps to few numpy calls (``count_nonzero`` over ``any``,
         slices over ``diff``)."""
-        m, c = self.models.tables, self.coded
+        c = self.coded
         counts = c.sym_counts[:, windows + 1] - c.sym_counts[:, windows]
-        starts = c.byte_offs[:, windows] * 8
+        starts, ends = c.byte_offs[:, windows] * 8, c.byte_offs[:, windows + 1] * 8
         # each stream ends at the batch's last window: no window reads past its bytes
         bufs = [b[:end] for b, end in zip(self._bufs, c.byte_offs[:, windows[-1] + 1].tolist())]
 
         # ``*_bounds`` split each stream's values by window
-        o_first, off_bounds, o_ext = decode_chains(
-            bufs[OFF], m[0], starts[OFF], counts[OFF], (m[1], _IS_OFF_ESC)
-        )
-        l0, len_bounds, le_ = decode_chains(
-            bufs[LEN], m[2], starts[LEN], counts[LEN], (m[3], _IS_LEN_ESC)
-        )
-        len_vals = np.where(l0 == LEN_ESC, le_, l0.astype(np.int64) + 1)
-        lit_bytes, lit_bounds, _ = decode_chains(bufs[LIT], m[4], starts[LIT], counts[LIT])
-        flg_bytes, flg_bounds, _ = decode_chains(bufs[FLG], m[5], starts[FLG], counts[FLG])
+        decoded = map(decode_chains, bufs, self.models.tables, starts, counts, ends)
+        (o_sym, off_bounds, o_extra), (l_sym, len_bounds, l_extra), lit_s, flg_s = decoded
+        (lit_bytes, lit_bounds, _), (flg_bytes, flg_bounds, _) = lit_s, flg_s
+        if np.count_nonzero(l_sym >= len(_LEN_BASE)):
+            raise CorruptArchiveError("length class past the class table")
+        len_vals = _LEN_BASE[l_sym] + l_extra + 1
         lits = unpack_triplets(lit_bytes, len(lit_bytes) * 3)
         flags = (flg_bytes[:, None] >> _FLAG_SHIFTS[None, :]).reshape(-1) & 3
         flag_bounds, lit_bounds = flg_bounds * 4, lit_bounds * 3
@@ -378,9 +369,7 @@ class SequenceDecoder:
         fac_bounds = np.zeros(B + 1, dtype=np.int64)
         np.bincount(win, minlength=B).cumsum(out=fac_bounds[1:])
 
-        # the writer's lengths are at least 1, so a zero piece marks no piece
-        if np.count_nonzero(len_vals == 0):
-            raise CorruptArchiveError("zero length record")
+        # every length is at least 1, so a zero piece marks no piece
         n = len(use)
         at = (use.cumsum() - use)[:, None] + _PIECE
         pieces = len_vals[np.minimum(at, len(len_vals) - 1)]
@@ -388,20 +377,14 @@ class SequenceDecoder:
         gaps = use - 1
         advance = pieces.sum(axis=1) + gaps
 
-        kind_nl = _KIND_BY_FIRST[o_first]
+        kind_nl = _OFF_KIND[o_sym]
         if np.count_nonzero(kind_nl < 0):
-            raise CorruptArchiveError("invalid offset first byte")
+            raise CorruptArchiveError("offset class past the class table")
         if np.count_nonzero(use[nl[kind_nl == NRUN]] != 1):
             raise CorruptArchiveError("N-run with a gapped flag")
         is_match = kind_nl == MATCH
-        d = o_first.astype(np.int64) - OFFSET_BIAS
-        sign = _ESC_SIGN[o_first]
-        esc = sign.nonzero()[0]
-        ext = o_ext[esc]
-        d[esc] = ext = ext - (ext > _INT32_MAX) * (1 << 32)
-        # ESC_NEG must hold a difference below -125, ESC_POS one above +125
-        if np.count_nonzero(ext * sign[esc] <= OFFSET_BIAS):
-            raise CorruptArchiveError("offset escape out of its range")
+        o_val = _OFF_BASE[o_sym] + o_extra
+        d = (o_val >> 1) ^ -(o_val & 1)  # a match's delta difference, unzigzagged
         kind = np.zeros(n, dtype=np.int8)  # LITERAL
         kind[nl] = kind_nl
         mi = nl[is_match]
@@ -423,7 +406,7 @@ class SequenceDecoder:
         if np.count_nonzero(totals[:, 2] > lit_bounds[1:] - lit_bounds[:-1]):
             raise CorruptArchiveError("literal stream exhausted")
         position = np.zeros(n, dtype=np.int64)
-        position[nl] = o_ext  # the reservoir offset; 0 for an N-run
+        position[nl] = o_val  # the reservoir offset; 0 for an N-run
         position[mi] = start[mi] - within[mi, 1]
         lit_off = lit_bounds[:-1][win] + within[:, 2] - sums[:, 2]
         return FactorColumns(kind, start, advance, position, pieces, lit_off, lits)

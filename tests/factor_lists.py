@@ -57,9 +57,9 @@ def random_member(rng, ref, res_len, params, n_factors):
             if r < 0.45 and res_len >= span:
                 f = Factor(RESERVOIR, int(rng.integers(0, res_len - span + 1)), tuple(pieces), gaps)
             else:
-                if rng.random() < 0.5:  # near the previous delta: one-byte offset
+                if rng.random() < 0.5:  # near the previous delta: a direct or small class
                     at = pos - pred + int(rng.integers(-100, 101))
-                else:  # far away: an escaped offset
+                else:  # far away: a far-offset class
                     at = int(rng.integers(0, len(ref) - span + 1))
                 at = min(max(at, 0), len(ref) - span)
                 f = Factor(MATCH, at, tuple(pieces), gaps)

@@ -16,7 +16,7 @@ from rlzg import Archive, Collection, Sequence, compress, decompress
 from rlzg.genome import N, parse_fasta
 from rlzg.kmer import KmerIndex, hash_kmers
 from rlzg.parse import LITERAL, NRUN, RESERVOIR, ParseParams, parse_sequence
-from rlzg.streams import FLG, LEN, OFF, encode_parse
+from rlzg.streams import FLG, LEN, NRUN_CLASS, OFF, RES_CLASS, encode_parse
 from rlzg.parse import Factor, MATCH
 from rlzg.synthetic import apply_snps, make_collection, random_reference
 
@@ -335,11 +335,15 @@ def test_c9_forced_byte_layouts():
     def match(position, lengths, gaps=()):
         return Factor(MATCH, position=position, lengths=tuple(lengths), gap_symbols=tuple(gaps))
 
-    raw = encode_parse(parse_of([match(0, (400,))], 400), PARAMS)
-    assert raw.bytes_[OFF].tolist() == [125]
+    def records(raw, stream):
+        return list(zip(raw.symbols[stream].tolist(), raw.extra[stream].tolist()))
 
+    raw = encode_parse(parse_of([match(0, (400,))], 400), PARAMS)
+    assert records(raw, OFF) == [(0, 0)]  # delta difference 0, a direct symbol
+
+    # d = +200 zigzags to 400: class 74 (bit length 9, mantissa 0b10) from 384
     raw = encode_parse(parse_of([match(0, (300,)), match(100, (300,))], 600), PARAMS)
-    assert raw.bytes_[OFF].tolist() == [125, 252, 200, 0, 0, 0]
+    assert records(raw, OFF) == [(0, 0), (74, 16)]
 
     lit_run = Factor(LITERAL, lengths=(20,), symbols=np.zeros(20, dtype=np.uint8))
     factors = [
@@ -349,16 +353,18 @@ def test_c9_forced_byte_layouts():
         match(0, (20, 20, 20), gaps=(1, 2)),
     ]
     raw = encode_parse(parse_of(factors, sum(f.advance for f in factors)), PARAMS)
-    assert raw.bytes_[FLG].tolist() == [228]
+    assert raw.symbols[FLG].tolist() == [228]
 
+    # an N-run is one offset symbol; length 40 codes 39, class 32 from 32
     raw = encode_parse(parse_of([Factor(NRUN, lengths=(40,))], 40), PARAMS)
-    assert raw.bytes_[OFF].tolist() == [253]
-    assert raw.bytes_[LEN].tolist() == [39]
+    assert records(raw, OFF) == [(NRUN_CLASS, 0)]
+    assert records(raw, LEN) == [(32, 7)]
 
+    # reservoir offset 77: class 12 of the reservoir range (bit length 7) from 64
     raw = encode_parse(
         parse_of([Factor(RESERVOIR, position=77, lengths=(33,), gap_symbols=())], 33), PARAMS
     )
-    assert raw.bytes_[OFF].tolist() == [254, 77, 0, 0, 0]
+    assert records(raw, OFF) == [(RES_CLASS + 12, 13)]
     report("C9b forced stream byte layouts", "(offset/length/flag)")
 
 

@@ -108,19 +108,19 @@ def test_bad_magic_and_version():
     data = bytearray(compress(coll).to_bytes())
     with pytest.raises(CorruptArchiveError):
         Archive.from_bytes(b"XXXX" + bytes(data[4:]))
-    for version in (VERSION + 1, 1):  # a newer format, and the old v1 one
+    for version in (VERSION + 1, 2, 1):  # a newer format, and the old v2 and v1 ones
         data[4] = version
         with pytest.raises(UnsupportedVersionError):
             Archive.from_bytes(bytes(data))
 
 
-_PARAMS_FORMAT = "<HHIBIIIII"  # m1 m2 m3 gap cheap slack cap interval block size
+_PARAMS_FORMAT = "<HHIBIII"  # m1 m2 m3 gap cap interval block size
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [(3, 3), (4, 65), (5, 29), (8, 0), (8, 4096)],
-    ids=["gap-limit-3", "offset-bound-65", "length-slack-29", "block-size-0", "block-size-4096"],
+    [(3, 3), (6, 0), (6, 4096)],
+    ids=["gap-limit-3", "block-size-0", "block-size-4096"],
 )
 def test_damaged_params_rejected(field, value):
     # the params section is written first; the digests are re-sealed so
@@ -534,10 +534,10 @@ def test_per_record_interleaved_groups_with_orphans_roundtrip():
     groups = matching_groups(coll)
     assert [(g.reference, g.members) for g in groups] == [(0, [2, 6]), (1, [3, 5]), (None, [4, 7])]
     assert _pins(compress(coll).to_bytes()) == (
-        4786,
-        "3567f1df5cde203d091ca23e4c9246bb02479d058e7aeebdf687cbf72dab2f4f",
+        4532,
+        "b7e950e8217f4e943a73c3cb8e0536240c55a4477d5ca4177ae8bc15de33afff",
         "45f7a5de8109d6a427db8a3066c70487d21e090acb9f77aafafdd7583a3903f9",
-        "271052716c3b4d5ed52d2296c8990d76a60619662f621188d3d017001d5a6813",
+        "c2e9ef2f5dd2ddba6d3e7c9f75a1344b048a5a653e7e03eaedc2d42f9154fc25",
     )
     arc = roundtrip(coll)
     for name in ("g2/chr1", "g2/plasmid"):
@@ -546,8 +546,8 @@ def test_per_record_interleaved_groups_with_orphans_roundtrip():
 
 def _pins(data: bytes) -> tuple[int, str, str, str]:
     """Size and sha256 of an archive, then the sha256 of its reference
-    payload and stream payload sections.  The payload pins date from
-    format v1: the digests of v2 moved the archive pins, not the coding."""
+    payload and stream payload sections.  The reference payload pins date
+    from format v1; the class codes of v3 moved the stream payload pins."""
     spans = section_spans(data)
     return (len(data), hashlib.sha256(data).hexdigest()) + tuple(
         hashlib.sha256(data[at : at + n]).hexdigest()
@@ -566,31 +566,31 @@ def test_archive_bytes_pinned():
     kinds = [f.kind for s in coll.sequences[1:] for _, f in arc.iter_factors(s.name)]
     assert kinds.count(RESERVOIR) == 4
     assert _pins(arc.to_bytes()) == (
-        14047,
-        "5753d717ecd1c4581f90f7296aab9d6e3c6fa26926d3f9d5d1b198465e7b702d",
+        13776,
+        "a834a32a116b4bd16f85213e11e9328e1fef1ef8099a3e863236e9a44cb0234a",
         "a674ad9c7c9cc04c2f2e9e83be251f8586583ffad684eaa4b6955ccfdfa19003",
-        "860da97108f941ab212a3ac13ad276fa1eb149babd8d18c216e6fe5ad2e09530",
+        "7b73b87aecf5cdafd06a95b5904328134cc30c1bfa09deaf94906e777572fd60",
     )
 
 
 _CORPUS_PINS = {
     "mixed": (
-        33_917,
-        "a8b3390c8c632ee6b64d89e5ebba4d514e5b106d5f5debc301460aa4ba2a565d",
+        33_278,
+        "542671a34eeafeceda85127d3de1950eaad465923b9dde1a041d5a0521b0b783",
         "ea5765883ec4ee06f741b647d66c37ea73761a2fe289072c7bfa16c781ea2489",
-        "aeaa7484fb196a727b6fd2d63fea44d941c99680c5ea8b5b245713b3cd512108",
+        "f931a0bd00ff2abf64a5d2cbc562e6b610454218a879c957a6d2960ef9e4b0c0",
     ),
     "low_snp": (
-        28_724,
-        "5461272bcc2d8c12717d5cb2638427e26263242f37abbbce58cb604614817702",
+        28_166,
+        "63590d3ef2e138a01e8d7f786752d015487825e902f2c04ce14c59e4afefaae3",
         "ea5765883ec4ee06f741b647d66c37ea73761a2fe289072c7bfa16c781ea2489",
-        "2ca62a02446e780522e016bd8467d946809425a1e307520eff425eed2649be13",
+        "2f2b1cebfbb767e4fb2b27030fa1059fb043efd61605148370fe734ed3c7a5bd",
     ),
     "shared_novel": (
-        24_075,
-        "9a0d111936bed841eb2f62080a5ecd420c80bfcf7d1570226d3319a4cbdd1062",
+        23_222,
+        "103befa891875e0fed04f15dfb70c89ee99a832d9f7062c991b14f8da72a7ed7",
         "682c2e79dc7d6feb30ec8663b10f56139d4deabcf6f5393bd3b8b61fd3d40a6f",
-        "279fe10d38760e3082cc99445e769fa9e0712c85ec8ba7e2052fb8d1e1955db4",
+        "a3e503e096685de9ba7e33d6ed7fa3ab0e411ad54f81a731e5dd90f3a262f24c",
     ),
 }
 

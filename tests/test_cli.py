@@ -106,10 +106,11 @@ def test_compress_human_profile_sets_m1_20_and_record_matching(fasta_dir, tmp_pa
     assert len(got) == len(want) and all(np.array_equal(s.data, w) for s, w in zip(got, want))
 
 
-def test_extract_on_a_fresh_archive_through_escapes(tmp_path, capsys):
+def test_extract_on_a_fresh_archive_through_classes(tmp_path, capsys):
     # the member opens with a 2,000-base match 20,000 bases away from its
-    # start: window 0 holds an offset escape and a length escape, whose
-    # tables a one-shot extract builds on first use
+    # start: window 0 holds a far-offset class and a long-length class,
+    # whose extra bits a one-shot extract reads with the tables it builds
+    # on first use
     rng = np.random.default_rng(81)
     ref = random_reference(rng, 30_000)
     member = np.concatenate([ref[20_000:22_000], apply_snps(rng, ref[:20_000], 0.005)])
@@ -120,8 +121,9 @@ def test_extract_on_a_fresh_archive_through_escapes(tmp_path, capsys):
     assert main(args + ["-o", str(arc)]) == 0
     loaded = Archive.load(arc)
     window0 = [(start, f) for start, f in loaded.iter_factors("m") if start < 8192]
+    # lengths past 32 and offset differences past +-32 leave the direct symbols
     assert any(
-        f.kind == MATCH and max(f.lengths) > 255 and abs(start - f.position) > 125
+        f.kind == MATCH and max(f.lengths) > 1024 and abs(start - f.position) > 1 << 14
         for start, f in window0
     )
     capsys.readouterr()

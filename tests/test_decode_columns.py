@@ -9,10 +9,9 @@ from rlzg.huffman import HuffmanTable
 from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, Factor, ParseParams, apply_parse
 from rlzg.refstore import append_reservoir_phrase, encode_reference, pack_reference
 from rlzg.streams import (
-    ESC_NEG,
-    ESC_POS,
     FLG,
     LEN,
+    NRUN_CLASS,
     OFF,
     SequenceDecoder,
     build_models,
@@ -88,8 +87,10 @@ def test_decode_matches_apply_parse_oracle(interval, granularity):
     assert {len(f.lengths) for f in factors if f.kind == MATCH} == {1, 2, 3}
     assert max(max(f.lengths) for f in factors) > 255
     assert own_phrase_matches
-    off = np.concatenate([encode_parse(p, params).bytes_[OFF] for _, p in members])
-    assert np.isin([ESC_NEG, ESC_POS], off).all()
+    off = np.concatenate([encode_parse(p, params).symbols[OFF] for _, p in members])
+    # match offsets in classes past the direct ones, of both signs (odd zigzag values)
+    in_class = off[(off >= 64) & (off < NRUN_CLASS)]
+    assert len(np.unique(in_class % 2)) == 2
     arc = build_archive(refs, members, params, granularity)
     if interval < 1000:  # a factor longer than a window leaves empty windows
         coded = arc.entries[n_groups].coded
@@ -156,16 +157,13 @@ def _nrun_then_literal():
 
 
 def _set(stream, values):
+    """Replace the symbols of ``stream``; an offset or length record's
+    extra bits become 0."""
     def tamper(raw):
-        raw.bytes_[stream] = np.array(values, dtype=np.uint8)
+        raw.symbols[stream] = np.array(values, dtype=np.uint8)
+        if raw.extra[stream] is not None:
+            raw.extra[stream] = np.zeros(len(values), dtype=np.int64)
     return tamper
-
-
-def _zero_length_escape(raw):
-    """The literal run's length record becomes an escape holding 0."""
-    raw.bytes_[LEN] = np.array([39, 255, 0, 0, 0, 0], dtype=np.uint8)
-    raw.model[LEN] = np.array([2, 2, 3, 3, 3, 3], dtype=np.uint8)
-    raw.seg_bytes[LEN] = [6]
 
 
 @pytest.mark.parametrize(
@@ -175,12 +173,11 @@ def _zero_length_escape(raw):
         (_two_matches, _set(FLG, [3 | 1 << 2]), "length records"),
         # a literal flag where the offset stream holds a match record
         (_two_matches, _set(FLG, [0 | 1 << 2]), "offset records"),
-        # ESC_POS holding +100, which the one-byte form covers
-        (_two_matches, _set(OFF, [125, 252, 100, 0, 0, 0]), "offset escape"),
-        (_two_matches, _set(OFF, [255, 252, 200, 0, 0, 0]), "invalid offset first byte"),
+        # symbols past the classes, which the models code all the same
+        (_two_matches, _set(OFF, [0, 255]), "offset class past the class table"),
+        (_two_matches, _set(LEN, [200, 0]), "length class past the class table"),
         # one N-run flagged with a gap, taking both length records
         (_nrun_then_literal, _set(FLG, [2]), "N-run with a gapped flag"),
-        (_nrun_then_literal, _zero_length_escape, "zero length record"),
     ],
 )
 def test_tampered_streams_rejected(parse, tamper, what):

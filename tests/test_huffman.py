@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlzg.errors import CorruptArchiveError
-from rlzg.huffman import MAX_CODE_LEN, HuffmanTable, decode_chains, pack_codes
+from rlzg.huffman import MAX_CODE_LEN, HuffmanTable, _walks_in_lockstep, decode_chains, pack_codes
 from rlzg.parse import LITERAL, Factor, ParseParams
-from rlzg.streams import ModelSet, compress_streams, encode_parse
+from rlzg.refstore import (
+    BLOCK_SIZE, decode_reference_range, encode_reference, pack_reference, packed_block_counts,
+)
+from rlzg.streams import N_MODELS, ModelSet, compress_streams, encode_parse
+from rlzg.synthetic import random_reference
 
 from factor_lists import parse_of
 
@@ -172,7 +176,7 @@ def test_encode_rejects_uncovered_byte():
     literal = Factor(LITERAL, lengths=(1,), symbols=np.array([2], dtype=np.uint8))
     raw = encode_parse(parse_of([literal], 1), ParseParams())
     with pytest.raises(ValueError, match="stream byte missing from its model"):
-        compress_streams(raw, ModelSet((table,) * 6))
+        compress_streams(raw, ModelSet((table,) * N_MODELS))
 
 
 def test_roundtrip_random_4kb():
@@ -239,20 +243,46 @@ def test_truncated_stream_detected():
     # padding past it: [5, 6, 7] in 3-bit codes would read back [5, 6, 6].
     t3 = HuffmanTable.from_counts(counts_from({i: 1 for i in range(8)}))
     cut = pack(t3, [5, 6, 7])[:1]
-    no_escapes = (t3, np.zeros(256, dtype=bool))
-    esc_5 = (t3, np.arange(256) == 5)
+    # symbol 5 carries 9 extra bits: records 6 and 5 take 3 + 3 + 9 bits
+    x3 = HuffmanTable(t3.lengths, (np.arange(256) == 5).astype(np.uint8) * 9)
+    rec, _ = pack_codes(np.array([3, 3, 9]), np.array([t3.codes[6], t3.codes[5], 0x155]), [3])
+    rec = np.frombuffer(rec, dtype=np.uint8)
     cases = [
-        (cut, [3], None),  # plain chain
-        (cut, [3], no_escapes),  # record chain
-        # records 6 and 5 + four escape codewords: 18 bits cut to 16
-        (pack(t3, [6, 5, 1, 2, 3, 7])[:2], [2], esc_5),
-        # the same record chain after an empty and a whole chain
-        (np.concatenate([pack(t3, [6]), pack(t3, [6, 5, 1, 2, 3, 7])[:2]]), [0, 1, 2], esc_5),
+        (cut, t3, [3], None),  # a codeword cut at the buffer end
+        (rec[:1], x3, [2], None),  # extra bits cut at the buffer end
+        # the same chain after an empty and a whole chain
+        (np.concatenate([pack(t3, [6]), rec[:1]]), x3, [0, 1, 2], None),
+        # a whole buffer, but the chain must end after its first byte
+        (rec, x3, [2], [8]),
+        # the first of two chains runs into the second's bytes
+        (np.concatenate([rec[:1], rec]), x3, [2, 2], [8, 24]),
     ]
-    for buf, counts, escape in cases:
-        starts = [0, 0, 8][: len(counts)]
+    for buf, table, counts, ends in cases:
+        starts = [0, 0, 8][: len(counts)] if len(counts) != 2 or ends is None else [0, 8]
         with pytest.raises(CorruptArchiveError, match="truncated"):
-            decode_chains(buf, t3, starts, counts, escape)
+            decode_chains(buf, table, starts, counts, ends)
+    # the whole record chain decodes, its extra bits read back
+    syms, _, extra = decode_chains(rec, x3, [0], [2], [16])
+    assert syms.tolist() == [6, 5] and extra.tolist() == [0, 0x155]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, (1 << 30) - 1)), max_size=60),
+       st.lists(st.integers(0, 30), min_size=256, max_size=256))
+def test_records_with_extra_bits_match_bit_writer(records, nbits):
+    """Codewords with up to 30 extra bits each, written bit by bit, decode
+    to their symbols and extra bits."""
+    extra_bits = np.array(nbits, dtype=np.uint8)
+    counts = np.bincount([r[0] for r in records], minlength=256) + 1
+    table = HuffmanTable.from_counts(counts, extra_bits)
+    w = BitWriter()
+    for sym, x in records:
+        w.write_code(int(table.codes[sym]), int(table.lengths[sym]))
+        w.write_code(x & ((1 << nbits[sym]) - 1), nbits[sym])
+    buf = np.frombuffer(bytes(w.data), dtype=np.uint8)
+    syms, _, extra = decode_chains(buf, table, [0], [len(records)])
+    assert syms.tolist() == [r[0] for r in records]
+    assert extra.tolist() == [x & ((1 << nbits[s]) - 1) for s, x in records]
 
 
 def test_invalid_codeword_detected():
@@ -462,3 +492,23 @@ def test_decode_mid_byte_start():
     vals, bounds, _ = decode_chains(pack(table, data), table, [0, second], [2, 3])
     assert vals[: bounds[1]].tolist() == [3, 5]
     assert vals[bounds[1] :].tolist() == [3, 5, 5]
+
+
+@pytest.mark.parametrize("blocks", [1, 4, 8, 16])
+def test_reference_blocks_walk_by_doubling(blocks):
+    """A reference block is one chain of 2,731 codewords: lockstep takes a
+    vector step per codeword, and its walk takes about 20 times as long as
+    jump doubling's on one block and twice as long on 16, so every such
+    decode doubles."""
+    ref = random_reference(np.random.default_rng(33), blocks * BLOCK_SIZE)
+    packed = pack_reference(ref)
+    rb = encode_reference(packed, HuffmanTable.from_counts(packed_block_counts(packed)))
+    counts = np.full(blocks, -(-BLOCK_SIZE // 3))
+    assert not _walks_in_lockstep(int(rb.offsets[-1]) * 8 + 1, counts)
+    assert np.array_equal(decode_reference_range(rb, 0, len(ref)), ref)
+
+
+def test_short_window_walks_in_lockstep():
+    """A checkpoint window's 3-record chain over a few bytes takes two
+    lockstep steps, against two doubling rounds of fixed cost."""
+    assert _walks_in_lockstep(25, np.array([3]))

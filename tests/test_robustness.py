@@ -24,7 +24,7 @@ from rlzg.archive import (
 )
 from rlzg.genome import N
 from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, ParseParams
-from rlzg.streams import LEN, LIT
+from rlzg.streams import LEN, LIT, OFF
 from rlzg.synthetic import apply_snps, make_collection, random_reference
 
 from sealing import reframe, reseal
@@ -332,18 +332,28 @@ def _shift_checkpoint(member: int, shifts: dict, interval: int = 256):
     return edit
 
 
-def _escape_table(which: int, lengths: bytes):
-    """An edit of the model section that replaces the escape table of
-    stream ``which`` (OFF or LEN) by the code lengths ``lengths``."""
-    at = 128 + (2 * which + 1) * 128  # after the reference table and the stream's first-byte table
-    return lambda body: body[:at] + lengths + body[at + 128 :]
+def _stream_table(which: int, symbols: tuple[int, int]):
+    """An edit of the model section that replaces the model of stream
+    ``which`` by a code of two 1-bit codewords: 0 for the first of
+    ``symbols``, 1 for the second."""
+    lengths = np.zeros(256, dtype=np.uint8)
+    lengths[list(symbols)] = 1
+    at = 128 + which * 128  # after the reference table
+    blob = (lengths[0::2] | lengths[1::2] << 4).tobytes()
+    return lambda body: body[:at] + blob + body[at + 128 :]
+
+
+# member "a"'s third window (interval 256) holds four LEN records in four
+# bytes; the last one's codeword ends in the third byte and its four
+# extra bits in the fourth, so a window one byte shorter cuts them
+_SHORT_LEN_WINDOW = {(2 + 2 * LEN, 2): -1, (2 + 2 * LEN, 3): 1}
 
 
 @pytest.mark.parametrize(
     "sec_id, edit, message",
     [
         (_SEC_PARAMS, lambda b: b + b"\0", "malformed params section"),
-        (_SEC_PARAMS, _params_with(7, 0), "invalid stored parameters"),
+        (_SEC_PARAMS, _params_with(5, 0), "invalid stored parameters"),
         (_SEC_MODELS, lambda b: b[:-1], "malformed model section"),
         # the reference table holds one symbol, coded with 2 bits
         (_SEC_MODELS, lambda b: b"\2" + bytes(127) + b[128:], "single-symbol table must use length 1"),
@@ -358,15 +368,18 @@ def _escape_table(which: int, lengths: bytes):
         (_SEC_SEQTABLE, _shift_checkpoint(1, {(0, 0): 1}), "first checkpoint window"),
         # member "a"'s first window holds one literal byte, for the gap of its first match
         (_SEC_SEQTABLE, _shift_checkpoint(1, {(1 + 2 * LIT, 0): -1}), "literal stream exhausted"),
-        # a single-symbol table codes only "0"; the one LEN escape (of member
-        # "b"'s length 295) starts with a 1 bit
-        (_SEC_MODELS, _escape_table(LEN, b"\1" + bytes(127)), "codeword in an escape"),
+        # every 1 bit of the payload now decodes to a symbol past the classes
+        (_SEC_MODELS, _stream_table(LEN, (0, 200)), "length class past the class table"),
+        (_SEC_MODELS, _stream_table(OFF, (0, 240)), "offset class past the class table"),
+        # in one batch, the window's last record reads on into the next one's bytes
+        (_SEC_SEQTABLE, _shift_checkpoint(1, _SHORT_LEN_WINDOW), "truncated at a chain's end"),
     ],
     ids=[
         "params-length", "params-invalid", "models-length", "single-symbol-length-2",
         "missing-group", "reference-base", "unknown-role", "no-sequences", "reference-index",
         "stray-payload", "long-checkpoint-block", "varint-overflow", "first-window-start",
-        "literal-exhausted", "invalid-escape-codeword",
+        "literal-exhausted", "length-class-past-table", "offset-class-past-table",
+        "extra-bits-past-chain-end",
     ],
 )
 def test_resealed_damage_reaches_each_reader_check(sec_id, edit, message):
@@ -419,14 +432,13 @@ def _move_to_orphan_group(body):
             ("b", 0, 500),
             "checkpoint windows do not tile the sequence",
         ),
-        # an escape table of 8-bit codes: the four escape bytes of the last
-        # LEN record of member "b"'s first window run past the window's bytes
+        # decoded alone, the shortened window's last extra bits lie past its buffer
         (
             _flip_archive,
-            _SEC_MODELS,
-            _escape_table(LEN, b"\x88" * 128),
-            ("b", 0, 100),
-            "Huffman stream truncated",
+            _SEC_SEQTABLE,
+            _shift_checkpoint(1, _SHORT_LEN_WINDOW),
+            ("a", 600, 620),
+            "truncated at a chain's end",
         ),
         (
             lambda: compress(_record_collection_with_orphan()),
@@ -436,7 +448,7 @@ def _move_to_orphan_group(body):
             "match against a missing reference",
         ),
     ],
-    ids=["windows-do-not-tile", "truncated-escape", "missing-reference"],
+    ids=["windows-do-not-tile", "extra-bits-past-buffer", "missing-reference"],
 )
 def test_resealed_damage_reaches_each_extract_check(make, sec_id, edit, query, message):
     """Resealed damage that only an extract's path meets in the named

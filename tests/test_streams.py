@@ -16,23 +16,19 @@ from rlzg.parse import (
 )
 from rlzg.packing import pack_triplets
 from rlzg.streams import (
-    ESC_NEG,
-    ESC_POS,
     FLG,
     LEN,
-    LEN_ESC,
     LIT,
-    NRUN_MARK,
+    N_MODELS,
+    NRUN_CLASS,
     OFF,
-    OFFSET_BIAS,
-    RESERVOIR_MARK,
+    RES_CLASS,
     ModelSet,
     RawStreams,
     SequenceDecoder,
     build_models,
     compress_streams,
     encode_parse,
-    stream_tallies,
 )
 
 from factor_lists import parse_of, random_member
@@ -74,31 +70,58 @@ def roundtrip_factors(parse, p=None):
     return cols.to_factors(), coded, models
 
 
+def class_of(u: int, direct_bits: int, mantissa_bits: int) -> tuple[int, int, int]:
+    """Scalar oracle of the class code: (symbol, extra bit count, extra
+    bits) of an unsigned value."""
+    if u < 1 << direct_bits:
+        return u, 0, 0
+    e = u.bit_length()
+    nb = e - 1 - mantissa_bits
+    mantissa = (u >> nb) - (1 << mantissa_bits)
+    return (1 << direct_bits) + ((e - direct_bits - 1) << mantissa_bits) + mantissa, nb, u & ((1 << nb) - 1)
+
+
+def length_class(v: int):
+    return class_of(v - 1, 5, 2)
+
+
+def delta_class(d: int):
+    return class_of(2 * d if d >= 0 else -2 * d - 1, 6, 2)
+
+
+def reservoir_class(r: int):
+    sym, nb, extra = class_of(r, 1, 1)
+    return RES_CLASS + sym, nb, extra
+
+
 def test_offset_byte_for_zero_delta():
-    parse = parse_of([match(300, (400,))], 400)
-    # source position 300? the factor starts at 0 against ref 300:
-    # delta = 0 - 300 = -300 ... use position 0 for a clean zero delta
+    # the factor starts at 0 against reference position 0: delta 0
     parse = parse_of([match(0, (400,))], 400)
     raw = encode_parse(parse, params())
-    assert raw.bytes_[OFF].tolist() == [125]
+    assert raw.symbols[OFF].tolist() == [0]
+    assert raw.extra[OFF].tolist() == [0]
 
 
 def test_offset_escape_positive():
-    # first match sets delta 0; second match at d = +200 escapes
+    # first match sets delta 0; the second's d = +200 zigzags to 400, past
+    # the direct symbols, into the class of bit length 9 and mantissa
+    # 0b10: 384 + 6 extra bits
     p = params()
     f1 = match(0, (300,))
     f2 = match(100, (300,))  # starts at 300; delta 200; d = 200 - 0 = 200
     raw = encode_parse(parse_of([f1, f2], 600), p)
-    assert raw.bytes_[OFF].tolist() == [125, 252, 200, 0, 0, 0]
-    assert raw.model[OFF].tolist() == [0, 0, 1, 1, 1, 1]
+    assert raw.symbols[OFF].tolist() == [0, 64 + 2 * 4 + 2]
+    assert raw.extra[OFF].tolist() == [0, 400 - 384]
 
 
 def test_offset_escape_negative():
+    # d = -200 leaves the direct symbols for the same class as +200
     p = params()
     f1 = match(0, (300,))
-    f2 = match(500, (300,))  # delta -200, d = -200
+    f2 = match(500, (300,))  # delta -200, d = -200, zigzag 399
     raw = encode_parse(parse_of([f1, f2], 600), p)
-    assert raw.bytes_[OFF].tolist() == [125, 251, 0x38, 0xFF, 0xFF, 0xFF]
+    assert raw.symbols[OFF].tolist() == [0, 64 + 2 * 4 + 2]
+    assert raw.extra[OFF].tolist() == [0, 399 - 384]
 
 
 def test_flag_packing_order():
@@ -111,8 +134,8 @@ def test_flag_packing_order():
     ]
     total = sum(f.advance for f in factors)
     raw = encode_parse(parse_of(factors, total), p)
-    assert raw.bytes_[FLG].tolist() == [0 | 1 * 4 | 2 * 16 | 3 * 64]
-    assert raw.bytes_[FLG].tolist() == [228]
+    assert raw.symbols[FLG].tolist() == [0 | 1 * 4 | 2 * 16 | 3 * 64]
+    assert raw.symbols[FLG].tolist() == [228]
 
 
 def test_nrun_marker_and_reservoir_record():
@@ -122,16 +145,22 @@ def test_nrun_marker_and_reservoir_record():
         Factor(RESERVOIR, position=77, lengths=(33,), gap_symbols=()),
     ]
     raw = encode_parse(parse_of(factors, 73), p)
-    assert raw.bytes_[OFF].tolist() == [253, 254, 77, 0, 0, 0]
-    # N-run length 40 -> byte 39; piece 33 -> byte 32
-    assert raw.bytes_[LEN].tolist() == [39, 32]
+    # reservoir offset 77: bit length 7, mantissa 0 -> 64 + 5 extra bits
+    assert raw.symbols[OFF].tolist() == [NRUN_CLASS, RES_CLASS + 2 + 5 * 2]
+    assert raw.extra[OFF].tolist() == [0, 77 - 64]
+    # lengths less one: N-run 40 -> 39 and piece 33 -> 32, both in the
+    # first class (32 + 3 extra bits)
+    assert raw.symbols[LEN].tolist() == [32, 32]
+    assert raw.extra[LEN].tolist() == [7, 0]
 
 
 def test_length_escape():
     p = params()
     raw = encode_parse(parse_of([match(0, (1000,))], 1000), p)
-    assert raw.bytes_[LEN].tolist() == [255, 232, 3, 0, 0]
-    assert raw.model[LEN].tolist() == [2, 3, 3, 3, 3]
+    # 999 is past the direct symbols: bit length 10, mantissa 0b11 -> 896 + 7 extra bits
+    assert raw.symbols[LEN].tolist() == [32 + 4 * 4 + 3]
+    assert raw.extra[LEN].tolist() == [999 - 896]
+    assert length_class(1000) == (51, 7, 103)
 
 
 def test_stream_arity_invariant():
@@ -265,7 +294,8 @@ def test_reencoding_decoded_factors_is_byte_identical():
     factors = cols.to_factors()
     raw2 = encode_parse(parse_of(factors, parse.source_length), p)
     for s in range(4):
-        assert np.array_equal(raw.bytes_[s], raw2.bytes_[s])
+        assert np.array_equal(raw.symbols[s], raw2.symbols[s])
+        assert np.array_equal(raw.extra[s], raw2.extra[s])
     coded2 = compress_streams(raw2, models)
     assert coded.payloads == coded2.payloads
 
@@ -274,7 +304,7 @@ def test_build_models_degenerate_all_zero_delta():
     parse = parse_of([match(0, (100,)), match(100, (100,))], 200)
     raw = encode_parse(parse, params())
     models = build_models([raw])
-    assert models.tables[0].lengths[125] == 1  # single offset byte value
+    assert models.tables[OFF].lengths[0] == 1  # the one offset symbol, delta difference 0
 
 
 def test_models_invariant_under_count_scaling():
@@ -303,10 +333,11 @@ def test_total_coded_bits_match_model_lengths():
     raw = encode_parse(parse_of(factors, pos), p)
     models = build_models([raw])
     coded = compress_streams(raw, models)
-    tallies = stream_tallies(raw, np.zeros((6, 256), dtype=np.int64))
+    tallies = [np.bincount(syms, minlength=256) for syms in raw.symbols]
     expect_bits = int(
         sum((t.lengths.astype(np.int64) * tallies[i]).sum() for i, t in enumerate(models.tables))
     )
+    expect_bits += sum(int(models.tables[s].extra_bits[raw.symbols[s]].sum()) for s in (OFF, LEN))
     # padding adds < 8 bits per stream per window
     padded_bits = sum(len(pl) * 8 for pl in coded.payloads)
     slack = 8 * 4 * (coded.n_windows + 1)
@@ -318,7 +349,7 @@ def test_model_set_serialization_roundtrip():
     raw = encode_parse(parse, params())
     models = build_models([raw])
     blob = models.serialize()
-    assert len(blob) == 768
+    assert len(blob) == N_MODELS * 128 == 512
     back = ModelSet.deserialize(blob)
     for a, b in zip(models.tables, back.tables):
         assert a == b
@@ -342,7 +373,7 @@ def test_corrupt_payload_detected():
 
 def test_empty_parse_empty_streams():
     raw = encode_parse(parse_of([], 0), params())
-    assert all(len(b) == 0 for b in raw.bytes_)
+    assert all(len(b) == 0 for b in raw.symbols)
     assert len(raw.start_source) == 0
     models = build_models([raw])
     coded = compress_streams(raw, models)
@@ -381,14 +412,15 @@ _BIG = 1 << 32
         ([match(-1, (20,))], 20, "negative position"),
         ([match(0, (20,))], 25, "factors cover 20 symbols of a 25-symbol source"),
         ([Factor(LITERAL, lengths=(5,), symbols=np.zeros(4, np.uint8))], 5, "literal length mismatch"),
-        ([match(0, (_BIG,))], _BIG, "length exceeds the 4-byte escape form"),
-        ([Factor(RESERVOIR, _BIG, (20,))], 20, "reservoir offset exceeds the 4-byte form"),
-        ([match((1 << 31) + 1, (20,))], 20, "offset delta exceeds the 4-byte escape form"),
+        ([match(0, (_BIG + 1,))], _BIG + 1, "length exceeds the class code"),
+        ([Factor(RESERVOIR, _BIG, (20,))], 20, "reservoir offset exceeds the class code"),
+        ([match((1 << 31) + 1, (20,))], 20, "offset delta exceeds the class code"),
+        ([Factor(NRUN, lengths=(1 << 31,)), match(0, (20,))], (1 << 31) + 20, "offset delta"),
     ],
     ids=[
         "empty-literal", "short-nrun", "nrun-gap", "short-first-piece", "short-extension",
         "negative-position", "untiled-source", "literal-stream-length", "long-length",
-        "far-reservoir-offset", "offset-delta-past-int32",
+        "far-reservoir-offset", "offset-delta-past-int32", "offset-delta-past-int32-positive",
     ],
 )
 def test_encoder_rejects_malformed_parse(factors, source_length, message):
@@ -396,18 +428,75 @@ def test_encoder_rejects_malformed_parse(factors, source_length, message):
         encode_parse(parse_of(factors, source_length), params())
 
 
+# one window of 2**32 - 1 symbols, so a factor can be as long as the code allows
+_WIDE = dict(checkpoint_interval=(1 << 32) - 1)
+
+
+def _lead_in(n: int) -> list:
+    """Factors covering ``n`` source symbols without reading a buffer."""
+    if n == 0:
+        return []
+    return [lit(np.zeros(n, np.uint8))] if n < 13 else [Factor(NRUN, lengths=(n,))]
+
+
+@pytest.mark.parametrize(
+    "length",
+    [1, 32, 33] + [v for e in range(6, 33) for v in ((1 << e) - 1, 1 << e)],
+)
+def test_length_class_edges_roundtrip(length):
+    """The direct values end at 32 and the classes start at 33; every
+    class boundary 2**e - 1 | 2**e round-trips, up to the largest
+    length the code holds, 2**32."""
+    factors = _lead_in(length)
+    got, _, models = roundtrip_factors(parse_of(factors, length), params(**_WIDE))
+    assert got == factors
+    sym, nb, extra = length_class(length)
+    raw = encode_parse(parse_of(factors, length), params(**_WIDE))
+    assert (raw.symbols[LEN].tolist(), raw.extra[LEN].tolist()) == ([sym], [extra])
+    assert models.tables[LEN].extra_bits[sym] == nb
+
+
+@pytest.mark.parametrize(
+    "d",
+    [0, 31, -32, 32, -33, (1 << 31) - 1, -(1 << 31)],
+    ids=["zero", "last-direct", "last-direct-negative", "first-class", "first-class-negative",
+         "int32-max", "int32-min"],
+)
+def test_offset_class_edges_roundtrip(d):
+    """Delta differences zigzag to 0..63 direct (d in [-32, 31]), then
+    classes, up to the int32 extremes.  The first match of a window has
+    the predictor 0, so its difference is its (source - reference) delta."""
+    factors = _lead_in(max(d, 0)) + [match(max(-d, 0), (20,))]
+    n = max(d, 0) + 20
+    got, _, _ = roundtrip_factors(parse_of(factors, n), params(**_WIDE))
+    assert got == factors
+    raw = encode_parse(parse_of(factors, n), params(**_WIDE))
+    sym, _, extra = delta_class(d)
+    assert (raw.symbols[OFF].tolist()[-1], raw.extra[OFF].tolist()[-1]) == (sym, extra)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, (1 << 32) - 1])
+def test_reservoir_offset_class_edges_roundtrip(offset):
+    factors = [Factor(RESERVOIR, position=offset, lengths=(20,))]
+    got, _, _ = roundtrip_factors(parse_of(factors, 20))
+    assert got == factors
+    raw = encode_parse(parse_of(factors, 20), params())
+    sym, _, extra = reservoir_class(offset)
+    assert (raw.symbols[OFF].tolist(), raw.extra[OFF].tolist()) == ([sym], [extra])
+
+
 def scalar_encode(factors, n, p):
-    """Oracle for encode_parse: walks the factors one at a time, writing
-    each record byte by byte and closing each window as it is left."""
+    """Oracle for encode_parse: walks the factors one at a time, coding
+    each record with the scalar class code and closing each window as it
+    is left."""
     interval = p.checkpoint_interval
     n_windows = -(-n // interval)
-    off_b, off_m, len_b, len_m = bytearray(), bytearray(), bytearray(), bytearray()
+    syms, extras = ([], []), ([], [])
     lit_packed, flg_packed = [], []
     start_source = [0] if n_windows else []
-    seg_bytes = [[] for _ in range(4)]
     cum = [[0] for _ in range(4)]
     win_flags, win_lits = [], []
-    marks, recs = [0, 0], [0, 0]
+    marks = [0, 0]
 
     def finalize_window():
         lit = np.concatenate(win_lits) if win_lits else np.zeros(0, dtype=np.uint8)
@@ -418,25 +507,17 @@ def scalar_encode(factors, n, p):
         flg = (quad[:, 0] | quad[:, 1] << 2 | quad[:, 2] << 4 | quad[:, 3] << 6).astype(np.uint8)
         lit_packed.append(packed)
         flg_packed.append(flg)
-        sizes = [len(off_b) - marks[0], len(len_b) - marks[1], len(packed), len(flg)]
-        for s, (size, count) in enumerate(zip(sizes, recs + sizes[2:])):
-            seg_bytes[s].append(size)
+        counts = [len(syms[0]) - marks[0], len(syms[1]) - marks[1], len(packed), len(flg)]
+        for s, count in enumerate(counts):
             cum[s].append(cum[s][-1] + count)
-        marks[:] = len(off_b), len(len_b)
-        recs[:] = 0, 0
+        marks[:] = len(syms[0]), len(syms[1])
         win_flags.clear()
         win_lits.clear()
 
-    def emit(buf, models, model, first, ext=None):
-        buf.append(first)
-        models.append(model)
-        if ext is not None:
-            buf.extend((ext & 0xFFFFFFFF).to_bytes(4, "little"))
-            models.extend([model + 1] * 4)
-
-    def emit_length(v):
-        recs[1] += 1
-        emit(len_b, len_m, 2, v - 1, None) if v <= 255 else emit(len_b, len_m, 2, LEN_ESC, v)
+    def emit(stream, coded):
+        sym, _, extra = coded
+        syms[stream].append(sym)
+        extras[stream].append(extra)
 
     pos = cur_w = pred = 0
     last_match_w = -1
@@ -448,25 +529,20 @@ def scalar_encode(factors, n, p):
             cur_w += 1
         if f.kind == LITERAL:
             win_flags.append(0)
-            emit_length(f.lengths[0])
+            emit(LEN, length_class(f.lengths[0]))
             win_lits.append(f.symbols)
         else:
             win_flags.append(len(f.lengths))
-            recs[0] += 1
             if f.kind == NRUN:
-                emit(off_b, off_m, 0, NRUN_MARK)
+                emit(OFF, (NRUN_CLASS, 0, 0))
             elif f.kind == RESERVOIR:
-                emit(off_b, off_m, 0, RESERVOIR_MARK, f.position)
+                emit(OFF, reservoir_class(f.position))
             else:
                 delta = pos - f.position
-                d = delta - (pred if w == last_match_w else 0)
-                if -OFFSET_BIAS <= d <= OFFSET_BIAS:
-                    emit(off_b, off_m, 0, d + OFFSET_BIAS)
-                else:
-                    emit(off_b, off_m, 0, ESC_NEG if d < 0 else ESC_POS, d)
+                emit(OFF, delta_class(delta - (pred if w == last_match_w else 0)))
                 pred, last_match_w = delta, w
             for L in f.lengths:
-                emit_length(L)
+                emit(LEN, length_class(L))
             win_lits.append(np.asarray(f.gap_symbols, dtype=np.uint8))
         pos += f.advance
     while cur_w < n_windows:
@@ -478,14 +554,11 @@ def scalar_encode(factors, n, p):
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
 
-    lit, flg = cat(lit_packed), cat(flg_packed)
     return RawStreams(
         length=n,
-        bytes_=[np.frombuffer(bytes(off_b), np.uint8), np.frombuffer(bytes(len_b), np.uint8),
-                lit, flg],
-        model=[np.frombuffer(bytes(off_m), np.uint8), np.frombuffer(bytes(len_m), np.uint8),
-               np.full(len(lit), 4, np.uint8), np.full(len(flg), 5, np.uint8)],
-        seg_bytes=np.asarray(seg_bytes, dtype=np.int64).reshape(4, -1),
+        symbols=[np.array(syms[0], np.uint8), np.array(syms[1], np.uint8),
+                 cat(lit_packed), cat(flg_packed)],
+        extra=[np.array(extras[0], np.int64), np.array(extras[1], np.int64), None, None],
         sym_counts=np.asarray(cum, dtype=np.int64),
         start_source=np.asarray(start_source, dtype=np.int64),
     )
@@ -494,10 +567,9 @@ def scalar_encode(factors, n, p):
 def assert_same_streams(got, want):
     assert got.length == want.length
     for s in range(4):
-        assert np.array_equal(got.bytes_[s], want.bytes_[s])
-        assert np.array_equal(got.model[s], want.model[s])
-    assert got.seg_bytes.dtype == got.sym_counts.dtype == np.int64
-    assert np.array_equal(got.seg_bytes, want.seg_bytes)
+        assert np.array_equal(got.symbols[s], want.symbols[s])
+        assert np.array_equal(got.extra[s], want.extra[s])
+    assert got.sym_counts.dtype == np.int64
     assert np.array_equal(got.sym_counts, want.sym_counts)
     assert np.array_equal(got.start_source, want.start_source)
 
@@ -507,7 +579,7 @@ def test_encode_parse_matches_scalar_encoder(interval):
     rng = np.random.default_rng(150 + interval)
     p = params(checkpoint_interval=interval)
     ref = rng.integers(0, 4, 20_000).astype(np.uint8)
-    seen_off, seen_flags, len_escapes, empty_windows, spanning = set(), set(), 0, 0, 0
+    seen_off, seen_flags, len_classes, empty_windows, spanning = set(), set(), 0, 0, 0
     res_len = 0
     for trial in range(30):
         parse = random_member(rng, ref, res_len, p, int(rng.integers(0, 150)))
@@ -515,14 +587,17 @@ def test_encode_parse_matches_scalar_encoder(interval):
         res_len += sum(f.lengths[0] for f in factors if f.kind == LITERAL and f.lengths[0] >= p.m3)
         got = encode_parse(parse, p)
         assert_same_streams(got, scalar_encode(factors, parse.source_length, p))
-        seen_off |= set(got.bytes_[OFF][got.model[OFF] == 0].tolist())
+        seen_off |= set(got.symbols[OFF].tolist())
         seen_flags |= {len(f.gap_symbols) for f in factors if f.kind in (MATCH, RESERVOIR)}
-        len_escapes += int((got.bytes_[LEN][got.model[LEN] == 2] == LEN_ESC).sum())
-        empty_windows += int((got.seg_bytes[FLG] == 0).sum())
+        len_classes += int((got.symbols[LEN] >= 32).sum())
+        empty_windows += int((np.diff(got.sym_counts[FLG]) == 0).sum())
         ends = np.cumsum([f.advance for f in factors], dtype=np.int64)
         spanning += int(((ends - 1) // interval != np.append(0, ends[:-1]) // interval).sum())
-    assert {ESC_NEG, ESC_POS, NRUN_MARK, RESERVOIR_MARK} <= seen_off
+    # direct and class match offsets, N-runs and reservoir offsets
+    seen = np.array(sorted(seen_off))
+    assert (seen < 64).any() and ((seen >= 64) & (seen < NRUN_CLASS)).any()
+    assert NRUN_CLASS in seen_off and (seen >= RES_CLASS).any()
     assert seen_flags == {0, 1, 2}
-    assert len_escapes and spanning
+    assert len_classes and spanning
     if interval < 1000:
         assert empty_windows
