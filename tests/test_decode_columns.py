@@ -174,8 +174,10 @@ def _set(stream, values):
         # a literal flag where the offset stream holds a match record
         (_two_matches, _set(FLG, [0 | 1 << 2]), "offset records"),
         # symbols past the classes, which the models code all the same
-        (_two_matches, _set(OFF, [0, 255]), "offset class past the class table"),
-        (_two_matches, _set(LEN, [200, 0]), "length class past the class table"),
+        pytest.param(_two_matches, _set(OFF, [0, 255]), "offset class past the class table",
+                     id="_two_matches-offset-class-past-table"),
+        pytest.param(_two_matches, _set(LEN, [200, 0]), "length class past the class table",
+                     id="_two_matches-length-class-past-table"),
         # one N-run flagged with a gap, taking both length records
         (_nrun_then_literal, _set(FLG, [2]), "N-run with a gapped flag"),
     ],
