@@ -798,7 +798,8 @@ class Archive:
     def stats(self) -> dict[str, float | int]:
         """Size breakdown (bytes) plus derived ratios; the relative part
         is the member stream payloads together with their checkpoint
-        metadata."""
+        metadata.  ``reservoir_phrases`` and ``reservoir_symbols`` count
+        the literal runs the reservoirs hold, summed over the groups."""
         ref_meta = sum(e.meta_bytes for e in self.entries if e.role == ROLE_REFERENCE)
         rel_meta = sum(e.meta_bytes for e in self.entries if e.role == ROLE_MEMBER)
         reference_bytes = self.section_sizes[_SEC_REFPAYLOAD] + ref_meta
@@ -818,6 +819,8 @@ class Archive:
             "bpb_overall": 8 * total / symbols if symbols else 0.0,
             "bpb_reference": 8 * reference_bytes / ref_symbols if ref_symbols else 0.0,
             "bpb_relative": 8 * relative_bytes / member_symbols if member_symbols else 0.0,
+            "reservoir_phrases": sum(len(p.rows) for p in self.provenances),
+            "reservoir_symbols": sum(p.total_length for p in self.provenances),
         }
 
 

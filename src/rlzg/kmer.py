@@ -17,17 +17,30 @@ while 5**k fits there (k <= 13), and the build peaks near 24 bytes per
 reference base (1 Mbase at k = 13) before it settles at the 8 of the
 keys, the 1 of ``ref_bytes`` and the presence table.  Positions are
 32-bit, so a reference of 2**32 symbols or more is rejected.
-Reservoir grams go to a dict of position tuples, inserted in bulk per
-phrase (a list once a gram repeats).  A presence table, one bit per
-slot of the top hash bits (a one-hash Bloom filter), holds
-every indexed gram, reference and reservoir: ``lookup`` tests it first
-and returns at once when the bit is clear, which is where most lookups
-of a sequence with novel content end.  The table takes 16 bits per
-reference gram, rounded up to a power of two, at least 1 KiB and at
-most 8 MiB (2**26 bits).  Reservoir grams fill it further as they come;
-when the indexed grams pass an eighth of its bits, it is rebuilt four
-times larger (up to the same cap), so a reference-less index stays
-sparse too.
+
+Reservoir grams are kept the same way, as sorted runs of keys (hash in
+the high half, reservoir offset in the low half) by Bentley and Saxe's
+logarithmic method.  Each phrase's keys are sorted into a new run; while
+the newest run is at most twice as long, it is merged into the new one
+by a stable sort of the two sorted stretches.  So the runs cover
+consecutive stretches of the reservoir, oldest first, their lengths
+fall off geometrically, and a lookup searches O(log phrases) of them.
+A reservoir gram keeps 8 bytes of key, one of ``res`` and its share of
+the presence table.  Offsets are 32-bit too, so a reservoir of 2**32
+symbols or more is rejected.
+
+Two presence tables, one bit per slot of the top hash bits (one-hash
+Bloom filters), hold the indexed grams: one the reference's, one the
+reservoir's.  ``lookup`` tests each before it searches that side and
+returns at once when both bits are clear, which is where most lookups
+of a sequence with novel content end.  Each table takes 16 bits per
+gram it holds, rounded up to a power of two, at least 1 KiB and at
+most 8 MiB (2**26 bits).  The reference table is built once.  The
+reservoir table starts at 1 KiB; when its grams pass an eighth of its
+bits, it is rebuilt four times larger (up to the same cap), so the
+reservoir of a reference-less index stays sparse too.  Reservoir grams
+set no reference bit, so they never send a lookup into the reference's
+search.
 
 Hashing on demand.  ``hash_kmers`` hashes every gram of an array in
 vector passes; ``gram_hash`` hashes one gram in pure Python to the same
@@ -49,6 +62,7 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _MIN_LOG_BITS, _MAX_LOG_BITS = 13, 26
 
 _MASK64 = (1 << 64) - 1
+_LOW_HALF = np.uint64(0xFFFFFFFF)
 _BASE5_DIGITS = bytes.maketrans(bytes(range(5)), b"01234")
 
 
@@ -155,12 +169,16 @@ class KmerIndex:
 
     Reference positions live in two ``uint32`` columns, the halves of
     keys sorted by (hash, position), so a bucket lists its positions in
-    ascending order;
-    reservoir positions live in ``res_buckets``, a dict of ascending
-    positions (a one-position tuple, a list once a gram repeats) that
-    grows as phrases are appended.  A presence bit table over the top
-    hash bits answers most misses before any search.  Lookups examine
-    at most ``candidate_cap`` bucket entries, reference entries first.
+    ascending order.  Reservoir positions live in ``res_buckets``, a
+    dict of runs ordered oldest first: a run is a sorted ``<u8`` key
+    array, hash in the high half and reservoir offset in the low half,
+    over the stretch of the reservoir from its dict key (a reservoir
+    offset) to the next run's.  A phrase's keys
+    form a new run, merged with the newest runs while those are at most
+    twice as long.  Two presence bit tables, one over the reference's
+    grams and one over the reservoir's, answer most misses before any
+    search.  Lookups examine at most ``candidate_cap`` bucket entries,
+    reference entries first.
     """
 
     def __init__(self, reference: np.ndarray, k: int, candidate_cap: int = 128):
@@ -187,25 +205,10 @@ class KmerIndex:
             halves = keys.view("<u4").reshape(-1, 2)
         keys.sort()
         self._ref_pos, self._ref_hash = halves[:, 0], halves[:, 1]
+        self._ref_present, self._ref_shift = _presence_table(len(keys), [self._ref_hash])
         self.res = bytearray()
-        self.res_buckets: dict[int, tuple[int] | list[int]] = {}
-        self._n_grams = len(keys)
-        log_bits = (16 * len(keys) - 1).bit_length()  # rounded up to a power of two
-        self._new_table(min(max(log_bits, _MIN_LOG_BITS), _MAX_LOG_BITS))
-
-    def _new_table(self, log_bits: int) -> None:
-        """A presence table of 2**log_bits bits holding every indexed gram."""
-        self._shift = 32 - log_bits
-        self._present = bytearray(1 << log_bits >> 3)
-        self._present_view = np.frombuffer(self._present, dtype=np.uint8)
-        self._mark_present(self._ref_hash)
-        self._mark_present(np.fromiter(self.res_buckets, dtype=np.uint32))
-
-    def _mark_present(self, hashes: np.ndarray) -> None:
-        """Set the presence bits of ``hashes`` (uint32)."""
-        slot = hashes >> np.uint32(self._shift)
-        bit = np.left_shift(1, slot & np.uint32(7)).astype(np.uint8)
-        np.bitwise_or.at(self._present_view, slot >> np.uint32(3), bit)
+        self.res_buckets: dict[int, np.ndarray] = {}
+        self._res_present, self._res_shift = _presence_table(0, [])
 
     @property
     def ext_len(self) -> int:
@@ -219,62 +222,104 @@ class KmerIndex:
         caller passes as ``hashes`` and ``n_free``."""
         if len(hashes) != len(n_free) or len(hashes) != max(len(phrase) - self.k + 1, 0):
             raise ValueError("gram columns do not match the phrase")
+        start = len(self.res)
+        if start + len(phrase) >= 1 << 32:
+            raise ValueError("reservoir of 2**32 symbols or more exceeds the 32-bit index")
         at = np.flatnonzero(n_free)
-        h = hashes[at]
-        pos = at + self.ext_len
+        run = np.empty(len(at), dtype="<u8")
+        halves = run.view("<u4").reshape(-1, 2)
+        halves[:, 1] = hashes[at]
+        halves[:, 0] = at + start
         self.res.extend(np.asarray(phrase, dtype=np.uint8).tobytes())
-        self._n_grams += len(h)
-        # A gram whose presence bit is still clear has no bucket: unless
-        # one repeats within the phrase, those go in bulk as one-position
-        # tuples.  The others append, their bucket turning into a list.
-        seen = self.may_contain(h)
-        self._mark_present(h)
-        buckets = self.res_buckets
-        fresh = dict(zip(h[~seen].tolist(), zip(pos[~seen].tolist())))
-        if len(fresh) == len(h) - np.count_nonzero(seen):
-            buckets.update(fresh)
-            h, pos = h[seen], pos[seen]
-        for key, p in zip(h.tolist(), pos.tolist()):
-            bucket = buckets.get(key, ())
-            if type(bucket) is list:
-                bucket.append(p)
-            else:
-                buckets[key] = [*bucket, p]
+        if not len(run):
+            return
+        run.sort()
+        _mark_present(self._res_present, self._res_shift, halves[:, 1])
+        # the logarithmic method: a run at most twice as long as the new
+        # one merges into it, so run lengths fall off geometrically
+        runs = self.res_buckets
+        while runs and len(runs[next(reversed(runs))]) <= 2 * len(run):
+            start, older = runs.popitem()
+            run = np.concatenate((older, run))
+            run.sort(kind="stable")  # two sorted stretches: one merge pass
+        runs[start] = run
         # past an eighth of the bits (a gram per byte), grow the table fourfold
-        if self._n_grams > len(self._present) and 32 - self._shift < _MAX_LOG_BITS:
-            self._new_table(min(34 - self._shift, _MAX_LOG_BITS))
+        n_grams = sum(map(len, runs.values()))
+        if n_grams > len(self._res_present) and 32 - self._res_shift < _MAX_LOG_BITS:
+            self._res_present, self._res_shift = _presence_table(
+                n_grams,
+                [r.view("<u4")[1::2] for r in runs.values()],
+                34 - self._res_shift,
+            )
 
     def may_contain(self, hashes: np.ndarray) -> np.ndarray:
-        """Mask over ``hashes`` (uint32): True where the presence bit is
-        set.  A gram whose bit is clear has an empty ``lookup``."""
-        slot = hashes >> np.uint32(self._shift)
-        byte = self._present_view[slot >> np.uint32(3)]
-        return (byte >> (slot & np.uint32(7)).astype(np.uint8)) & np.uint8(1) != 0
+        """Mask over ``hashes`` (uint32): True where a presence bit, the
+        reference's or the reservoir's, is set.  A gram whose bits are
+        both clear has an empty ``lookup``."""
+        return _has_bits(self._ref_present, self._ref_shift, hashes) | _has_bits(
+            self._res_present, self._res_shift, hashes
+        )
 
     def lookup(self, h: int, gram: bytes) -> list[int]:
         """Extended-reference positions whose k symbols equal ``gram``,
         an N-free k-gram whose hash is ``h``, in bucket order and at most
         ``candidate_cap`` of them."""
-        slot = h >> self._shift
-        if not self._present[slot >> 3] >> (slot & 7) & 1:
-            return []
         k = self.k
         out: list[int] = []
         budget = self.candidate_cap
-        ref_hash = self._ref_hash
-        key = np.uint32(h)  # a Python int key would cast the whole column
-        hi = int(ref_hash.searchsorted(key, "right"))
-        if hi and ref_hash[hi - 1] == key:
-            lo = int(ref_hash.searchsorted(key, "left"))
-            take = min(hi - lo, budget)
-            budget -= take
-            ref_bytes = self.ref_bytes
-            for p in self._ref_pos[lo : lo + take].tolist():
-                if ref_bytes[p : p + k] == gram:
-                    out.append(p)
-        if budget > 0 and self.res_buckets:
-            for p in self.res_buckets.get(h, [])[:budget]:
-                off = p - self.ref_len
-                if self.res[off : off + k] == gram:
-                    out.append(p)
+        slot = h >> self._ref_shift
+        if self._ref_present[slot >> 3] >> (slot & 7) & 1:
+            ref_hash = self._ref_hash
+            key = np.uint32(h)  # a Python int key would cast the whole column
+            hi = int(ref_hash.searchsorted(key, "right"))
+            if hi and ref_hash[hi - 1] == key:
+                lo = int(ref_hash.searchsorted(key, "left"))
+                take = min(hi - lo, budget)
+                budget -= take
+                ref_bytes = self.ref_bytes
+                for p in self._ref_pos[lo : lo + take].tolist():
+                    if ref_bytes[p : p + k] == gram:
+                        out.append(p)
+        slot = h >> self._res_shift
+        if budget and self._res_present[slot >> 3] >> (slot & 7) & 1:
+            first = np.uint64(h << 32)
+            res, ref_len = self.res, self.ref_len
+            for run in self.res_buckets.values():
+                lo = int(run.searchsorted(first))
+                if lo == len(run) or int(run[lo]) >> 32 != h:
+                    continue
+                hi = int(run.searchsorted(first | _LOW_HALF, "right"))
+                take = min(hi - lo, budget)
+                budget -= take
+                for off in run[lo : lo + take].view("<u4")[::2].tolist():
+                    if res[off : off + k] == gram:
+                        out.append(ref_len + off)
+                if not budget:
+                    break
         return out
+
+
+def _presence_table(n_grams: int, hash_columns: list, log_bits: int = 0) -> tuple:
+    """(table, shift): a presence table of 16 bits per gram, rounded up
+    to a power of two and at least 2**log_bits, within the size bounds,
+    with the bits of every hash in ``hash_columns`` set."""
+    log_bits = max(log_bits, (16 * n_grams - 1).bit_length(), _MIN_LOG_BITS)
+    log_bits = min(log_bits, _MAX_LOG_BITS)
+    table = bytearray(1 << log_bits >> 3)
+    for hashes in hash_columns:
+        _mark_present(table, 32 - log_bits, hashes)
+    return table, 32 - log_bits
+
+
+def _mark_present(table: bytearray, shift: int, hashes: np.ndarray) -> None:
+    """Set the presence bits of ``hashes`` (uint32) in ``table``."""
+    slot = hashes >> np.uint32(shift)
+    bit = np.left_shift(1, slot & np.uint32(7)).astype(np.uint8)
+    np.bitwise_or.at(np.frombuffer(table, dtype=np.uint8), slot >> np.uint32(3), bit)
+
+
+def _has_bits(table: bytearray, shift: int, hashes: np.ndarray) -> np.ndarray:
+    """Mask over ``hashes`` (uint32): True where its bit in ``table`` is set."""
+    slot = hashes >> np.uint32(shift)
+    byte = np.frombuffer(table, dtype=np.uint8)[slot >> np.uint32(3)]
+    return (byte >> (slot & np.uint32(7)).astype(np.uint8)) & np.uint8(1) != 0

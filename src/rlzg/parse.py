@@ -5,12 +5,18 @@ match into the reference or reservoir, or contributes to a literal run.
 Matches extend contiguously as far as symbols agree, then may skip one
 mismatching symbol on both sides (a "gap", the SNP case) up to twice,
 keeping a gap only when the following piece reaches the extension
-minimum.  Among the surviving candidates, a shorter match wins when its
-delta-coded offset is cheap (below ``CHEAP_OFFSET_BOUND``) and the
-longer match's is not, unless the longer one is ahead by more than
-``LENGTH_SLACK`` symbols.  Both are parser policy: no decoder reads
-them, so the archive does not store them.  ``GAP_LIMIT`` is a format
-constant: the archive stores it and a reader rejects other values.
+minimum.  A far candidate, one whose delta-coded offset is not cheap
+(``CHEAP_OFFSET_BOUND`` or more; every RESERVOIR candidate is far), must
+pay for itself: it is dropped unless it covers at least m3 symbols, the
+length of the shortest literal run that enters the reservoir.  Inside
+novel sequence most far candidates are chance m1-gram hits; taken, each
+costs an expensive offset and cuts the literal run into fragments that
+bloat the reservoir and its index.  Among the surviving candidates, a
+shorter match wins when its offset is cheap and the longer match's is
+not, unless the longer one is ahead by more than ``LENGTH_SLACK``
+symbols.  These rules are parser policy: no decoder reads them, so the
+archive does not store them.  ``GAP_LIMIT`` is a format constant: the
+archive stores it and a reader rejects other values.
 
 Literal runs long enough for the reservoir are handed to the sink as
 they close, so later sequences (and later positions of this one) can
@@ -81,7 +87,7 @@ class ParseParams:
 
     m1: int = 13  # minimum first-piece match length (20 for human-scale data)
     m2: int = 4  # minimum gap-extension piece length
-    m3: int = 32  # minimum literal-run length for the reservoir
+    m3: int = 32  # minimum literal-run length for the reservoir, and far-match length
     candidate_cap: int = 128
     checkpoint_interval: int = 8192
 
@@ -325,9 +331,10 @@ def _evaluate(diagonals: _Diagonals, pos, params, prev_delta, positions):
     """Extend every candidate whose first piece reaches m1 into a row
     ``(kind, position, p0, p1, p2, advance, delta_cost)``: MATCH at its
     reference position, or RESERVOIR at its reservoir offset with an
-    infinite cost.  Return (the longest, the longest with a cheap
-    offset), None for none; ties break toward the smaller delta cost,
-    then the smaller extended-reference position."""
+    infinite cost.  A far row (cost ``CHEAP_OFFSET_BOUND`` or more) whose
+    advance is below m3 is dropped.  Return (the longest, the longest
+    with a cheap offset), None for none; ties break toward the smaller
+    delta cost, then the smaller extended-reference position."""
     best = cheap = None
     best_key = cheap_key = None
     ref_len = diagonals.index.ref_len
@@ -340,6 +347,8 @@ def _evaluate(diagonals: _Diagonals, pos, params, prev_delta, positions):
             kind, at, cost = MATCH, p, abs(pos - p - prev_delta)
         else:
             kind, at, cost = RESERVOIR, p - ref_len, _INF
+        if cost >= CHEAP_OFFSET_BOUND and advance < params.m3:
+            continue  # a far match shorter than a reservoir phrase
         row = (kind, at, *(pieces + (0, 0))[:3], advance, cost)
         key = (-advance, cost, p)
         if best_key is None or key < best_key:
@@ -353,10 +362,11 @@ def choose_factor(best: tuple | None, alt: tuple | None) -> tuple | None:
     """Arbitrate covered length against offset cost between two
     ``_evaluate`` rows; return one of them.
 
-    The shorter ``alt`` wins when its delta fits the one-byte offset
-    form, the best one's does not, and the length deficit is within the
-    slack; a match with an expensive offset keeps its spot only by being
-    longer than that.  Reservoir matches never have cheap offsets."""
+    The shorter ``alt`` wins when its delta cost is below
+    ``CHEAP_OFFSET_BOUND``, the best one's is not, and the length deficit
+    is within ``LENGTH_SLACK``; a match with an expensive offset keeps
+    its spot only by being longer than that.  Reservoir matches never
+    have cheap offsets."""
     if best is None or alt is None or alt is best:
         return best
     if best[6] >= CHEAP_OFFSET_BOUND > alt[6] and best[5] - alt[5] <= LENGTH_SLACK:

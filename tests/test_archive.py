@@ -19,13 +19,14 @@ from rlzg import (
 )
 from rlzg.genome import N, encode_symbols
 from rlzg.kmer import n_free_grams
-from rlzg.parse import MATCH, NRUN, RESERVOIR
+from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR
 from rlzg.refstore import BLOCK_SIZE, GROUP_BLOCKS, resolve_reservoir_range
 from rlzg.synthetic import make_collection, random_reference, apply_snps
 from rlzg.archive import (
     _SEC_PROVENANCE,
     _SEC_REFPAYLOAD,
     _SEC_STREAMPAYLOAD,
+    ROLE_MEMBER,
     ROLE_REFERENCE,
     VERSION,
     _Reader,
@@ -564,21 +565,21 @@ def test_archive_bytes_pinned():
     )
     arc = compress(coll)
     kinds = [f.kind for s in coll.sequences[1:] for _, f in arc.iter_factors(s.name)]
-    assert kinds.count(RESERVOIR) == 4
+    assert kinds.count(RESERVOIR) == 2
     assert _pins(arc.to_bytes()) == (
-        13776,
-        "a834a32a116b4bd16f85213e11e9328e1fef1ef8099a3e863236e9a44cb0234a",
+        13755,
+        "d0ffe06f2f33e3012306971505c7561f551b7c4eddf0098e316ad1f1e8fac44f",
         "a674ad9c7c9cc04c2f2e9e83be251f8586583ffad684eaa4b6955ccfdfa19003",
-        "7b73b87aecf5cdafd06a95b5904328134cc30c1bfa09deaf94906e777572fd60",
+        "68836d96b18fc9cc9f0d08c768d803aa8b1d5f84d43152fc8d91e2d0c6006a2f",
     )
 
 
 _CORPUS_PINS = {
     "mixed": (
-        33_278,
-        "542671a34eeafeceda85127d3de1950eaad465923b9dde1a041d5a0521b0b783",
+        33_262,
+        "35d8b462f986d24ce866e200a63aa49c4d09ab056b58edf37860ecd7ec137857",
         "ea5765883ec4ee06f741b647d66c37ea73761a2fe289072c7bfa16c781ea2489",
-        "f931a0bd00ff2abf64a5d2cbc562e6b610454218a879c957a6d2960ef9e4b0c0",
+        "e7b2a442b30c7e9a970e1f78bcfbce757d0c9c07a856b44ee922e31e0f7f40da",
     ),
     "low_snp": (
         28_166,
@@ -587,10 +588,10 @@ _CORPUS_PINS = {
         "2f2b1cebfbb767e4fb2b27030fa1059fb043efd61605148370fe734ed3c7a5bd",
     ),
     "shared_novel": (
-        23_222,
-        "103befa891875e0fed04f15dfb70c89ee99a832d9f7062c991b14f8da72a7ed7",
+        22_814,
+        "5e3b7a21265a18a366da92a335806d28952244c6426022b39c4a487deecaf2fd",
         "682c2e79dc7d6feb30ec8663b10f56139d4deabcf6f5393bd3b8b61fd3d40a6f",
-        "a3e503e096685de9ba7e33d6ed7fa3ab0e411ad54f81a731e5dd90f3a262f24c",
+        "db90831884578b45ed200b4994b63cae5127ef7dbb2bacd693254d30d96a9077",
     ),
 }
 
@@ -655,6 +656,25 @@ def test_stats_keys_and_consistency():
     assert st["total_bytes"] == len(data)
     assert st["input_symbols"] == sum(len(s.data) for s in coll.sequences)
     assert st["header_bytes"] + st["reference_bytes"] + st["relative_bytes"] == st["total_bytes"]
+
+
+def test_stats_count_reservoir_phrases():
+    """Each member literal run of at least m3 symbols is one reservoir
+    phrase, and the stats count them from the provenance tables."""
+    coll = make_collection(
+        np.random.default_rng(79), ref_len=20_000, n_derived=3, novel_pool=2, novel_len=(500, 1500)
+    )
+    arc = compress(coll)
+    runs = [
+        f.lengths[0]
+        for e in arc.entries
+        if e.role == ROLE_MEMBER
+        for _, f in arc.iter_factors(e.name)
+        if f.kind == LITERAL and f.lengths[0] >= arc.params.m3
+    ]
+    st = arc.stats()
+    assert st["reservoir_phrases"] == len(runs) > 0
+    assert st["reservoir_symbols"] == sum(runs)
 
 
 def _distinct_units(arc, i, start, end, units):

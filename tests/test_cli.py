@@ -204,6 +204,23 @@ def test_stats_machine_parseable(fasta_dir, tmp_path, capsys):
     assert int(pairs["units_verified"]) > 0
 
 
+def test_stats_prints_reservoir_counts(fasta_dir, tmp_path, capsys):
+    rng = np.random.default_rng(81)
+    ref = parse_fasta((fasta_dir / "chr1.fa").read_bytes())[0].data
+    novel = random_reference(rng, 500)
+    member = np.concatenate([ref[:10_000], novel, ref[10_000:]])
+    (tmp_path / "c.fa").write_bytes(write_fasta(Sequence("c", member)))
+    arc = tmp_path / "out.rlzg"
+    main(["compress", str(fasta_dir / "chr1.fa"), str(tmp_path / "c.fa"), "-o", str(arc)])
+    capsys.readouterr()
+    rc = main(["stats", str(arc)])
+    assert rc == 0
+    pairs = kv(capsys)
+    assert int(pairs["reservoir_phrases"]) == 1
+    assert int(pairs["reservoir_symbols"]) >= len(novel)
+    assert int(pairs["reservoir_symbols"]) == Archive.load(arc).stats()["reservoir_symbols"]
+
+
 def test_auto_ref_and_threads(fasta_dir, tmp_path, capsys):
     arc = tmp_path / "out.rlzg"
     rc = main(

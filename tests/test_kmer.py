@@ -1,4 +1,5 @@
 import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def test_reference_less_index_grows_its_presence_table():
         phrase = rng.integers(0, 4, 250).astype(np.uint8)
         add_phrase(idx, phrase)
         segments.append(phrase)
-    bits = np.unpackbits(np.frombuffer(bytes(idx._present), dtype=np.uint8))
+    bits = np.unpackbits(np.frombuffer(bytes(idx._res_present), dtype=np.uint8))
     assert len(bits) > 8192 and bits.mean() < 0.25
     want = naive_map(segments, k)
     for gram, positions in want.items():
@@ -145,6 +146,92 @@ def test_reference_less_index_grows_its_presence_table():
     for _ in range(2000):
         query = rng.integers(0, 4, k).astype(np.uint8)
         assert find(idx, query) == want.get(query.tobytes(), [])
+
+
+def motif_phrase(rng, motifs):
+    """A reservoir phrase of random stretches and copies of ``motifs``,
+    so its grams recur across phrases; one phrase in ten holds an N."""
+    parts = []
+    for _ in range(int(rng.integers(1, 4))):
+        parts.append(rng.integers(0, 4, int(rng.integers(0, 40))).astype(np.uint8))
+        parts.append(motifs[int(rng.integers(0, len(motifs)))])
+    phrase = np.concatenate(parts)
+    if rng.random() < 0.1:
+        phrase[int(rng.integers(0, len(phrase)))] = N
+    return phrase
+
+
+def assert_lookups_match_naive_scan(idx, segments, rng):
+    """Every gram of the extended reference, and random absent ones,
+    looks up the naive scan's positions, truncated at the cap."""
+    want = naive_map(segments, idx.k)
+    cap = idx.candidate_cap
+    for gram, positions in want.items():
+        assert find(idx, np.frombuffer(gram, dtype=np.uint8)) == positions[:cap]
+    for _ in range(300):
+        query = rng.integers(0, 4, idx.k).astype(np.uint8)
+        assert find(idx, query) == want.get(query.tobytes(), [])[:cap]
+    return want
+
+
+def assert_runs_logarithmic(idx):
+    """The runs cover consecutive reservoir stretches, oldest first, each
+    sorted and more than twice as long as the next."""
+    starts = list(idx.res_buckets)
+    runs = list(idx.res_buckets.values())
+    ends = starts[1:] + [len(idx.res)]
+    for start, end, run in zip(starts, ends, runs):
+        offsets = run.view("<u4")[::2]
+        assert (run[1:] > run[:-1]).all()
+        assert start <= offsets.min() and offsets.max() < end
+    assert all(len(a) > 2 * len(b) for a, b in zip(runs, runs[1:]))
+
+
+@pytest.mark.parametrize("cap", [1, 3, 128])
+def test_lookup_across_runs_matches_naive_scan(cap):
+    """Over 200 phrases whose grams recur, a bucket spans several runs
+    and the reference; lookups keep the naive scan's order and cap."""
+    rng = np.random.default_rng(19 + cap)
+    k = 8
+    motifs = [rng.integers(0, 4, 30).astype(np.uint8) for _ in range(6)]
+    ref = np.concatenate([rng.integers(0, 4, 500).astype(np.uint8)] + motifs[:3])
+    idx = KmerIndex(ref, k, candidate_cap=cap)
+    segments = [ref]
+    spans = 0  # the most runs one bucket spans
+    for n in range(1, 241):
+        phrase = motif_phrase(rng, motifs)
+        add_phrase(idx, phrase)
+        segments.append(phrase)
+        if n % 40 == 0:
+            want = assert_lookups_match_naive_scan(idx, segments, rng)
+            assert_runs_logarithmic(idx)
+            starts = list(idx.res_buckets)
+            for positions in want.values():
+                runs = {bisect_right(starts, p - idx.ref_len) for p in positions if p >= idx.ref_len}
+                spans = max(spans, len(runs))
+    assert spans >= 3
+
+
+@pytest.mark.parametrize("cap", [1, 3, 128])
+def test_reference_less_lookups_match_naive_scan_as_the_table_grows(cap):
+    """Without a reference, the reservoir table grows fourfold at least
+    twice; lookups match the naive scan after every growth."""
+    rng = np.random.default_rng(29 + cap)
+    k = 13
+    motifs = [rng.integers(0, 4, 200).astype(np.uint8) for _ in range(8)]
+    idx = KmerIndex(np.zeros(0, dtype=np.uint8), k, candidate_cap=cap)
+    segments = []
+    sizes = [len(idx._res_present)]
+    for _ in range(200):
+        phrase = motif_phrase(rng, motifs)
+        add_phrase(idx, phrase)
+        segments.append(phrase)
+        if len(idx._res_present) != sizes[-1]:
+            sizes.append(len(idx._res_present))
+            assert_lookups_match_naive_scan(idx, segments, rng)
+    assert_lookups_match_naive_scan(idx, segments, rng)
+    assert_runs_logarithmic(idx)
+    assert len(sizes) >= 3 and all(b == 4 * a for a, b in zip(sizes, sizes[1:]))
 
 
 def test_capped_bucket_keeps_ascending_order():
@@ -281,6 +368,28 @@ def test_index_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 28 * len(ref)
+
+
+def test_reservoir_index_memory_per_gram():
+    """About 2 M reservoir grams, appended in 2-20 kbase phrases to the
+    index of a 1 Mbase reference, keep at most 24 bytes each and peak
+    at 32, the phrase symbols in ``res`` counted."""
+    rng = np.random.default_rng(19)
+    k = 13
+    idx = KmerIndex(rng.integers(0, 4, 1_000_000).astype(np.uint8), k)
+    grams = 0
+    tracemalloc.start()
+    try:
+        while grams < 2_000_000:
+            phrase = rng.integers(0, 4, int(rng.integers(2000, 20_001)), dtype=np.uint8)
+            add_phrase(idx, phrase)
+            grams += len(phrase) - k + 1
+        del phrase
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(run) for run in idx.res_buckets.values()) == grams
+    assert kept <= 24 * grams and peak <= 32 * grams
 
 
 def test_doubling_pack_matches_plain_horner():

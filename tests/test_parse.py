@@ -500,6 +500,8 @@ def scalar_parse(index, seq, params, reservoir_sink=None) -> Parse:
                     kind, at, absd = MATCH, p, abs(pos - p - pred)
                 else:
                     kind, at, absd = RESERVOIR, p - index.ref_len, float("inf")
+                if absd >= 64 and cover < params.m3:
+                    continue  # far and shorter than m3: passed up
                 row = (kind, at) + (pieces + (0, 0))[:3] + (cover, absd)
                 key = (-cover, absd, p)
                 if best_key is None or key < best_key:
@@ -841,3 +843,80 @@ def test_reservoir_match_steps_along_its_reservoir_diagonal():
     assert diagonal_steps(c, len(ref)).tolist()[3]
     res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
     assert np.array_equal(apply_parse(Parse(c, len(seq)), ref, res), seq)
+
+
+def copy_in_novel(rng, ref, buf, at, length):
+    """``ref[:1000]``, 400 novel symbols, ``ref[1000:2000]``, with
+    ``buf[at : at + length]`` copied into the novel ones at source 1200.
+    The symbols around each copy differ from those its match reads next,
+    so a match of the copy covers it exactly (no gap either)."""
+    seq = np.concatenate([ref[:1000], random_reference(rng, 400), ref[1000:2000]])
+    seq[1200 : 1200 + length] = buf[at : at + length]
+    flanks = (
+        (1000, ref[1000]), (1001, ref[1001]), (1399, ref[999]),
+        (1199, buf[at - 1]), (1200 + length, buf[at + length]),
+        (1201 + length, buf[at + length + 1]),
+    )
+    for p, sym in flanks:
+        if seq[p] == sym:
+            seq[p] = (sym + 1) % 4
+    return seq
+
+
+@pytest.mark.parametrize("length", [16, 31, 32, 40])
+def test_far_copy_shorter_than_m3_stays_literal(length):
+    """A far copy inside a novel segment is a match only from m3 (32)
+    symbols on; shorter, its offset would cost more than it saves."""
+    rng = np.random.default_rng(51)
+    params = make_params()
+    ref = random_reference(rng, 5000)
+    seq = copy_in_novel(rng, ref, ref, 4000, length)
+    idx = KmerIndex(ref, params.m1)
+    c = parse_sequence(idx, seq, params).columns
+    assert np.array_equal(apply_parse(Parse(c, len(seq)), ref), seq)
+    if length < params.m3:
+        assert longest_at(idx, seq, 1200, params) is None
+        assert c.kind.tolist() == [MATCH, LITERAL, MATCH]
+        assert c.start.tolist() == [0, 1000, 1400]
+    else:
+        assert c.kind.tolist() == [MATCH, LITERAL, MATCH, LITERAL, MATCH]
+        assert c.start.tolist() == [0, 1000, 1200, 1200 + length, 1400]
+        assert c.position[2] == 4000 and c.advance[2] == length
+
+
+@pytest.mark.parametrize("length", [13, 31])
+def test_near_match_shorter_than_m3_is_taken(length):
+    """A match of m1..m3 symbols whose offset is cheap (a delta within
+    the bound of the previous match's) is still taken."""
+    rng = np.random.default_rng(52)
+    params = make_params()
+    ref = random_reference(rng, 5000)
+    seq = copy_in_novel(rng, ref, ref, 1200 - 40, length)
+    idx = KmerIndex(ref, params.m1)
+    c = parse_sequence(idx, seq, params).columns
+    assert c.kind.tolist() == [MATCH, LITERAL, MATCH, LITERAL, MATCH]
+    assert c.start.tolist() == [0, 1000, 1200, 1200 + length, 1400]
+    assert c.position[2] == 1160 and c.advance[2] == length
+    assert np.array_equal(apply_parse(Parse(c, len(seq)), ref), seq)
+
+
+@pytest.mark.parametrize("length", [20, 32])
+def test_reservoir_hit_shorter_than_m3_is_passed_up(length):
+    """Every reservoir offset is far: a reservoir hit is a match only
+    from m3 symbols on."""
+    rng = np.random.default_rng(53)
+    params = make_params()
+    ref = random_reference(rng, 5000)
+    idx = KmerIndex(ref, params.m1)
+    phrase = random_reference(rng, 300)
+    idx.extend_with_reservoir(phrase, *hash_kmers(phrase, params.m1))
+    seq = copy_in_novel(rng, ref, phrase, 100, length)
+    c = parse_sequence(idx, seq, params).columns
+    res = np.frombuffer(bytes(idx.res), dtype=np.uint8)
+    assert np.array_equal(apply_parse(Parse(c, len(seq)), ref, res), seq)
+    if length < params.m3:
+        assert longest_at(idx, seq, 1200, params) is None
+        assert c.kind.tolist() == [MATCH, LITERAL, MATCH]
+    else:
+        assert c.kind.tolist() == [MATCH, LITERAL, RESERVOIR, LITERAL, MATCH]
+        assert c.position[2] == 100 and c.advance[2] == length

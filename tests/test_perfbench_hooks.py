@@ -23,7 +23,7 @@ import tracer  # noqa: E402
 
 from rlzg import Collection, Sequence, archive, parse, streams  # noqa: E402
 from rlzg.genome import N  # noqa: E402
-from rlzg.kmer import KmerIndex, gram_hash  # noqa: E402
+from rlzg.kmer import KmerIndex, gram_hash, n_free_grams  # noqa: E402
 from rlzg.parse import LITERAL, MATCH, NRUN, RESERVOIR, ParseParams  # noqa: E402
 from rlzg.synthetic import apply_snps, random_reference  # noqa: E402
 
@@ -169,3 +169,28 @@ def test_override_counts_choose_factor_picking_alt_on_evaluate_rows():
         t.uninstall()
     spans = t.spans()
     assert spans.values(0, len(spans.dur), "parse.choose_factor").tolist() == [1, 0, 0]
+
+
+def test_reservoir_grams_figure_counts_every_indexed_gram():
+    """``kmer.reservoir_grams`` sums ``len`` over ``res_buckets``: it must
+    equal the N-free grams of the literal runs that entered the
+    reservoir, however the index lays its buckets out."""
+    coll = _collection()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        archive.compress(coll)
+    finally:
+        t.uninstall()
+    params = ParseParams()
+    runs = [
+        f.symbols
+        for p in t.kept["parse.parse_sequence"]
+        for f in p.factors
+        if f.kind == LITERAL and f.lengths[0] >= params.m3
+    ]
+    res_grams = sum(int(np.count_nonzero(n_free_grams(r, params.m1))) for r in runs)
+    (index,) = t.kept["kmer.build"]
+    assert res_grams > 0
+    assert sum(len(v) for v in index.res_buckets.values()) == res_grams
+    assert layers.fold_kept(t)["kmer.reservoir_grams"] == res_grams
